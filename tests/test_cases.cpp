@@ -103,11 +103,25 @@ TEST(CaseGolden, Fp64BandsAndChecksumsHoldForEveryCase) {
 /// extrema but must not change the physics).  FP32 and FP16/32 use 2x;
 /// BF16/32 keeps float's exponent range but carries only 8 significand
 /// bits (vs binary16's 11), so its extrema wander further — 4x.
+/// Each run is also pinned bitwise by its state_fnv and per-step dt_fnv,
+/// like StateFingerprintsAreBitStable does at FP64; the 16-bit policies
+/// run every conversion lane (state, Sigma, CFL) of the production kernels.
+struct SweepGolden {
+  const char* name;
+  std::uint64_t state_fnv;
+  std::uint64_t dt_fnv;
+};
+
 template <class Policy>
-void check_precision_sweep(const char* name, double widen_f = 2.0) {
-  const auto* spec = cases::find(name);
+void check_precision_sweep(const SweepGolden& gold, double widen_f = 2.0) {
+  SCOPED_TRACE(gold.name);
+  const auto* spec = cases::find(gold.name);
   ASSERT_NE(spec, nullptr);
   const auto r = cases::run_case<Policy>(*spec, cases::golden_options(*spec));
+  EXPECT_EQ(r.state_fnv, gold.state_fnv)
+      << "state drifted: run produced 0x" << std::hex << r.state_fnv;
+  EXPECT_EQ(r.dt_fnv, gold.dt_fnv)
+      << "dt drifted: run produced 0x" << std::hex << r.dt_fnv;
   EXPECT_GT(r.diag.min_density, 0.0);
   EXPECT_TRUE(std::isfinite(r.diag.max_mach));
   EXPECT_TRUE(std::isfinite(r.totals_final.e));
@@ -122,22 +136,31 @@ void check_precision_sweep(const char* name, double widen_f = 2.0) {
 }
 
 TEST(CaseGolden, Fp32SweepShockTubeAndTaylorGreen) {
-  check_precision_sweep<Fp32>("sod-x");
-  check_precision_sweep<Fp32>("taylor-green");
-  check_precision_sweep<Fp32>("sedov");
+  check_precision_sweep<Fp32>(
+      {"sod-x", 0xdffe22ddc5c816f7ull, 0xc69676edbac21539ull});
+  check_precision_sweep<Fp32>(
+      {"taylor-green", 0xf1d574a8433c9e76ull, 0x6cbb2e43331d86d1ull});
+  check_precision_sweep<Fp32>(
+      {"sedov", 0xdf6dacc175de04baull, 0x671d9fc581b7efa4ull});
 }
 
 TEST(CaseGolden, Fp16x32SweepShockTubeAndTaylorGreen) {
-  check_precision_sweep<Fp16x32>("sod-x");
-  check_precision_sweep<Fp16x32>("taylor-green");
-  check_precision_sweep<Fp16x32>("sedov");
+  check_precision_sweep<Fp16x32>(
+      {"sod-x", 0xe66d9671a098b1f1ull, 0x5ba109eabcd3a80eull});
+  check_precision_sweep<Fp16x32>(
+      {"taylor-green", 0x26d7461ddc4d8f4dull, 0xdd5d0f8411f161cfull});
+  check_precision_sweep<Fp16x32>(
+      {"sedov", 0x5b27e82633c2d495ull, 0xcd9bdaecbf5d133dull});
 }
 
 TEST(CaseGolden, Bf16x32SweepShockTubeSedovAndJet) {
   using igr::common::Bf16x32;
-  check_precision_sweep<Bf16x32>("sod-x", 4.0);
-  check_precision_sweep<Bf16x32>("sedov", 4.0);
-  check_precision_sweep<Bf16x32>("jet-single", 4.0);
+  check_precision_sweep<Bf16x32>(
+      {"sod-x", 0x93b4e4dbf74a2f95ull, 0x0a75b30c2ff9c584ull}, 4.0);
+  check_precision_sweep<Bf16x32>(
+      {"sedov", 0x60d1cdc2989e68d5ull, 0xd6014259ba81813full}, 4.0);
+  check_precision_sweep<Bf16x32>(
+      {"jet-single", 0xcbd7d0f3b28f89bdull, 0x71ec5de47b73fa6cull}, 4.0);
 }
 
 TEST(CaseRegistry, RunnerRejectsWenoForIgrOnlyCases) {
@@ -328,34 +351,50 @@ TEST(CaseCheckpoint, RestartIsLayoutAgnosticAndBitwise) {
 }
 
 /// Golden FNV-1a fingerprints of the conserved state after each case's
-/// golden run (golden_n, golden_steps, FP64, defaults otherwise).  Any bit
-/// of any interior value changing changes these — the tightest regression
-/// net the suite has.  The FP-reproducibility flags the build pins
-/// (-ffp-contract=off, SLP vectorization off) are what make them stable
-/// across rebuilds and rank layouts.
+/// golden run (golden_n, golden_steps, FP64, defaults otherwise), and of
+/// the run's per-step dt sequence.  Any bit of any interior value or of any
+/// dt changing changes these — the tightest regression net the suite has.
+/// The FP-reproducibility flags the build pins (-ffp-contract=off, SLP
+/// vectorization off) are what make them stable across rebuilds and rank
+/// layouts.
 ///
 /// Re-record after an *intentional* numerics change with
 ///   ./run_case --case all --smoke --json /tmp/cases.json
-/// and copy each case's "state_fnv".
+/// and copy each case's "state_fnv" and "dt_fnv".
 TEST(CaseGolden, StateFingerprintsAreBitStable) {
   const struct {
     const char* name;
     std::uint64_t fnv;
+    std::uint64_t dt_fnv;
   } kGolden[] = {
-      {"sod-x", 0x1d91a79a50229f98ull},
-      {"sod-y", 0xcaa225115c9c6e81ull},
-      {"sod-z", 0x64d99e1c63b9f210ull},
-      {"lax-x", 0xbb1ad561d9e67602ull},
-      {"lax-y", 0x9cef1fda93283a40ull},
-      {"lax-z", 0x088ad276371eb754ull},
-      {"sedov", 0x1f1bc47afe75ddf1ull},
-      {"shock-bubble", 0x886f2e5041819c48ull},
-      {"taylor-green", 0x406b98d0b3c81562ull},
-      {"isentropic-vortex", 0x26285f28467a6fddull},
-      {"kelvin-helmholtz", 0xa5544ae0c4cad4c7ull},
-      {"jet-single", 0x709213cc98a6a1e8ull},
-      {"jet-three", 0x69bd0b0b7f8f3232ull},
-      {"jet-33", 0x885c6e9797502e1aull},
+      {"sod-x", 0x1d91a79a50229f98ull,
+       0x0a6caab339577c5aull},
+      {"sod-y", 0xcaa225115c9c6e81ull,
+       0x7d82b4712b84ddb9ull},
+      {"sod-z", 0x64d99e1c63b9f210ull,
+       0xa91f285bdc2fe220ull},
+      {"lax-x", 0xbb1ad561d9e67602ull,
+       0x1726113019a4f5ffull},
+      {"lax-y", 0x9cef1fda93283a40ull,
+       0x1726113019a4f5ffull},
+      {"lax-z", 0x088ad276371eb754ull,
+       0xa7021ba0782ff7cdull},
+      {"sedov", 0x1f1bc47afe75ddf1ull,
+       0x3f692961152a5835ull},
+      {"shock-bubble", 0x886f2e5041819c48ull,
+       0x74430e82c2113664ull},
+      {"taylor-green", 0x406b98d0b3c81562ull,
+       0xbe9552982658e5bbull},
+      {"isentropic-vortex", 0x26285f28467a6fddull,
+       0xf8e90ee2369ebb15ull},
+      {"kelvin-helmholtz", 0xa5544ae0c4cad4c7ull,
+       0x5d50c8888e4896fdull},
+      {"jet-single", 0x709213cc98a6a1e8ull,
+       0xfec462599a1a3186ull},
+      {"jet-three", 0x69bd0b0b7f8f3232ull,
+       0xde723861054a6226ull},
+      {"jet-33", 0x885c6e9797502e1aull,
+       0xdaf966e4206486efull},
   };
   // Every registered case must carry a fingerprint — adding a case without
   // recording one fails here, on purpose.
@@ -368,6 +407,9 @@ TEST(CaseGolden, StateFingerprintsAreBitStable) {
     EXPECT_EQ(r.state_fnv, gold.fnv)
         << "state drifted: run produced 0x" << std::hex << r.state_fnv
         << ", golden table has 0x" << gold.fnv;
+    EXPECT_EQ(r.dt_fnv, gold.dt_fnv)
+        << "dt drifted: run produced 0x" << std::hex << r.dt_fnv
+        << ", golden table has 0x" << gold.dt_fnv;
   }
 }
 

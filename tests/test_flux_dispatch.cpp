@@ -1,16 +1,19 @@
-/// Equivalence tests for the flux-path dispatch overhaul: the sweeps are
-/// templated on the reconstruction scheme (and sweep axis), with a thin
-/// runtime dispatcher at the compute_fluxes level.  The pre-overhaul
-/// structure — re-dispatching the scheme through the runtime switch per face
-/// — is retained as compute_fluxes_runtime_dispatch, sharing the same sweep
-/// body.  Since fv::reconstruct forwards to fv::reconstruct_fixed, the two
-/// paths must agree *bitwise*: any divergence is a dispatch bug, not
-/// roundoff.
+/// Golden fingerprints of the flux RHS: compute_fluxes dispatches the
+/// reconstruction scheme once, at compile time, into the streaming flux
+/// kernel.  Each test pins the FNV-1a fingerprint of the RHS it produces
+/// for one scheme/precision/physics combination, so any bit of any face
+/// flux changing fails here.  The goldens were recorded while a runtime
+/// per-face dispatch path still existed beside it and agreed bitwise.
+///
+/// Re-record after an *intentional* numerics change by copying the value
+/// the failing assertion prints.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "common/hash.hpp"
 #include "common/precision.hpp"
 #include "core/igr_solver3d.hpp"
 #include "fv/reconstruct.hpp"
@@ -44,9 +47,16 @@ Prim<double> vortex_ic(double x, double y, double z) {
   return w;
 }
 
+template <class S>
+void expect_fnv(const StateField3<S>& rhs, std::uint64_t golden) {
+  const std::uint64_t fnv = igr::common::state_fnv1a(rhs);
+  EXPECT_EQ(fnv, golden) << "flux rhs drifted: produced 0x" << std::hex
+                         << fnv;
+}
+
 template <class Policy>
 void expect_dispatch_equivalence(ReconScheme recon, SolverConfig cfg,
-                                 bool bitwise) {
+                                 std::uint64_t golden) {
   using S = typename Policy::storage_t;
   const int n = 12;
   IgrSolver3D<Policy> s(Grid::cube(n), cfg, BcSpec::all_periodic(), recon);
@@ -71,13 +81,10 @@ void expect_dispatch_equivalence(ReconScheme recon, SolverConfig cfg,
         for (int i = 0; i < n; ++i) {
           const double a = static_cast<double>(rhs_ct[c](i, j, k));
           const double b = static_cast<double>(rhs_rt[c](i, j, k));
-          if (bitwise) {
-            ASSERT_EQ(a, b) << "var " << c << " at (" << i << "," << j << ","
-                            << k << ")";
-          } else {
-            ASSERT_NEAR(a, b, 1e-6) << "var " << c;
-          }
+          ASSERT_EQ(a, b) << "var " << c << " at (" << i << "," << j << ","
+                          << k << ")";
         }
+  expect_fnv(rhs_ct, golden);
 }
 
 SolverConfig igr_cfg() {
@@ -88,30 +95,36 @@ SolverConfig igr_cfg() {
 }
 
 TEST(FluxDispatch, BitwiseEquivalentRecon1Fp64) {
-  expect_dispatch_equivalence<Fp64>(ReconScheme::kFirst, igr_cfg(), true);
+  expect_dispatch_equivalence<Fp64>(ReconScheme::kFirst, igr_cfg(),
+                                    0xe791964d5d087a17ull);
 }
 
 TEST(FluxDispatch, BitwiseEquivalentRecon3Fp64) {
-  expect_dispatch_equivalence<Fp64>(ReconScheme::kThird, igr_cfg(), true);
+  expect_dispatch_equivalence<Fp64>(ReconScheme::kThird, igr_cfg(),
+                                    0xec16b8f9ab980ed1ull);
 }
 
 TEST(FluxDispatch, BitwiseEquivalentRecon5Fp64) {
-  expect_dispatch_equivalence<Fp64>(ReconScheme::kFifth, igr_cfg(), true);
+  expect_dispatch_equivalence<Fp64>(ReconScheme::kFifth, igr_cfg(),
+                                    0x4591a538f3e81f0aull);
 }
 
 TEST(FluxDispatch, BitwiseEquivalentWeno5Fp64) {
-  expect_dispatch_equivalence<Fp64>(ReconScheme::kWeno5, igr_cfg(), true);
+  expect_dispatch_equivalence<Fp64>(ReconScheme::kWeno5, igr_cfg(),
+                                    0x07f3f3f85a0b2aafull);
 }
 
 TEST(FluxDispatch, BitwiseEquivalentRecon5Fp32) {
-  expect_dispatch_equivalence<Fp32>(ReconScheme::kFifth, igr_cfg(), true);
+  expect_dispatch_equivalence<Fp32>(ReconScheme::kFifth, igr_cfg(),
+                                    0x849c9842af0b9076ull);
 }
 
 TEST(FluxDispatch, BitwiseEquivalentViscousPath) {
   auto cfg = igr_cfg();
   cfg.mu = 0.02;
   cfg.zeta = 0.01;
-  expect_dispatch_equivalence<Fp64>(ReconScheme::kFifth, cfg, true);
+  expect_dispatch_equivalence<Fp64>(ReconScheme::kFifth, cfg,
+                                    0xada0eba0caaa2a95ull);
 }
 
 TEST(FluxDispatch, BitwiseEquivalentViscousWithoutSigma) {
@@ -121,7 +134,8 @@ TEST(FluxDispatch, BitwiseEquivalentViscousWithoutSigma) {
   cfg.alpha_factor = 0.0;
   cfg.sigma_sweeps = 0;
   cfg.mu = 0.02;
-  expect_dispatch_equivalence<Fp64>(ReconScheme::kFifth, cfg, true);
+  expect_dispatch_equivalence<Fp64>(ReconScheme::kFifth, cfg,
+                                    0x228eac10a3c247f6ull);
 }
 
 TEST(FluxDispatch, BitwiseEquivalentWithFloorsOnShockTube) {
@@ -150,6 +164,7 @@ TEST(FluxDispatch, BitwiseEquivalentWithFloorsOnShockTube) {
       for (int j = 0; j < n; ++j)
         for (int i = 0; i < n; ++i)
           ASSERT_EQ(rhs_ct[c](i, j, k), rhs_rt[c](i, j, k)) << "var " << c;
+  expect_fnv(rhs_ct, 0x3eda21062a865525ull);
 }
 
 TEST(FluxDispatch, SchemesActuallyDiffer) {

@@ -1,20 +1,23 @@
-/// Solver-level mixed-precision regression: the FP16/32 hot paths read and
-/// write binary16 storage either per element (the reference path,
-/// batch_half_conversion = false) or through the batched conversion lanes
-/// (the production path).  Since every backend is bitwise-identical to the
-/// reference converters and the batched code performs the same arithmetic
-/// on the same values in the same order, a full RK3 step of the Mach-10 jet
-/// must produce *bitwise-identical* state either way — any divergence is a
-/// wiring bug in the batch plumbing, not roundoff.  (Same discipline as the
-/// dispatch-equivalence tests in tests/test_flux_dispatch.cpp, which rely
-/// on the reproducibility flags pinned in CMakeLists.txt.)
+/// Solver-level mixed-precision regression: golden fingerprints of the
+/// FP16/32 Mach-10 jet at n=12.  Every FP16/32 hot path (inv_rho refresh,
+/// Sigma source and sweeps, streaming flux, RK update, CFL scan) reads and
+/// writes binary16 storage through the batched conversion lanes, which are
+/// bitwise-identical to the per-element converters on all 65536 patterns
+/// (tests/test_half_batch.cpp).  The fingerprints pin the state, Sigma and
+/// dt bits those paths produce; they were recorded while a per-element
+/// reference path still existed beside the lanes and agreed bitwise.
+///
+/// Re-record after an *intentional* numerics change by copying the value
+/// the failing assertion prints.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
 #include "app/jet_config.hpp"
+#include "common/hash.hpp"
 #include "common/precision.hpp"
 #include "core/igr_solver3d.hpp"
 #include "fv/cfl.hpp"
@@ -23,7 +26,6 @@
 namespace {
 
 using igr::common::Fp16x32;
-using igr::common::kNumVars;
 using igr::core::IgrSolver3D;
 using igr::mesh::Grid;
 
@@ -38,78 +40,78 @@ IgrSolver3D<Fp16x32> make_jet_solver(bool batch, int n = 12) {
   return s;
 }
 
-void expect_state_bitwise_equal(const IgrSolver3D<Fp16x32>& a,
-                                const IgrSolver3D<Fp16x32>& b) {
-  const auto& g = a.grid();
-  for (int c = 0; c < kNumVars; ++c) {
-    for (int k = 0; k < g.nz(); ++k) {
-      for (int j = 0; j < g.ny(); ++j) {
-        for (int i = 0; i < g.nx(); ++i) {
-          ASSERT_EQ(a.state()[c](i, j, k).bits(), b.state()[c](i, j, k).bits())
-              << "var " << c << " at (" << i << "," << j << "," << k << ")";
-        }
+/// FNV-1a over the interior of one field, double-cast, in (k, j, i) order —
+/// the per-component encoding of common::state_fnv1a.
+template <class T>
+std::uint64_t field_fnv(const igr::common::Field3<T>& f) {
+  igr::common::Fnv1a64 h;
+  for (int k = 0; k < f.nz(); ++k)
+    for (int j = 0; j < f.ny(); ++j)
+      for (int i = 0; i < f.nx(); ++i) {
+        const double v = static_cast<double>(f(i, j, k));
+        h.update(&v, sizeof v);
       }
-    }
-  }
-  for (int k = 0; k < g.nz(); ++k) {
-    for (int j = 0; j < g.ny(); ++j) {
-      for (int i = 0; i < g.nx(); ++i) {
-        ASSERT_EQ(a.sigma()(i, j, k).bits(), b.sigma()(i, j, k).bits())
-            << "sigma at (" << i << "," << j << "," << k << ")";
-      }
-    }
+  return h.value();
+}
+
+void expect_fingerprints(const IgrSolver3D<Fp16x32>& s,
+                         std::uint64_t state_golden,
+                         std::uint64_t sigma_golden) {
+  const std::uint64_t state = igr::common::state_fnv1a(s.state());
+  const std::uint64_t sigma = field_fnv(s.sigma());
+  EXPECT_EQ(state, state_golden)
+      << "state drifted: produced 0x" << std::hex << state;
+  EXPECT_EQ(sigma, sigma_golden)
+      << "sigma drifted: produced 0x" << std::hex << sigma;
+}
+
+void expect_dt_bits(double dt, std::uint64_t golden) {
+  const auto bits = std::bit_cast<std::uint64_t>(dt);
+  EXPECT_EQ(bits, golden) << "dt drifted: produced 0x" << std::hex << bits
+                          << " (" << dt << ")";
+}
+
+TEST(MixedPrecisionStep, FixedRk3StepsMatchGolden) {
+  for (const bool batch : {true, false}) {
+    SCOPED_TRACE(batch);
+    auto s = make_jet_solver(batch);
+    for (int n = 0; n < 2; ++n) s.step_fixed(1e-4);
+
+    // The jet inflow must actually have stirred the state — otherwise the
+    // fingerprint would pin an all-ambient field.
+    bool perturbed = false;
+    const auto& g = s.grid();
+    for (int k = 0; k < g.nz() && !perturbed; ++k)
+      for (int j = 0; j < g.ny() && !perturbed; ++j)
+        for (int i = 0; i < g.nx() && !perturbed; ++i)
+          perturbed = std::abs(float(s.state()[3](i, j, k))) > 1e-6f;
+    ASSERT_TRUE(perturbed);
+
+    expect_fingerprints(s, 0x3289e8f96d97cb2bull, 0x7a6b5892d73d562bull);
   }
 }
 
-TEST(MixedPrecisionStep, BatchTogglePreservesRk3StepBitwise) {
-  auto batched = make_jet_solver(/*batch=*/true);
-  auto scalar = make_jet_solver(/*batch=*/false);
-
-  // Same fixed dt on both sides so the comparison is purely about the
-  // conversion plumbing (CFL equivalence is asserted separately below).
-  const double dt = 1e-4;
-  for (int s = 0; s < 2; ++s) {
-    batched.step_fixed(dt);
-    scalar.step_fixed(dt);
+TEST(MixedPrecisionStep, CflDtMatchesGolden) {
+  for (const bool batch : {true, false}) {
+    SCOPED_TRACE(batch);
+    auto s = make_jet_solver(batch);
+    s.step_fixed(2e-4);
+    expect_dt_bits(igr::fv::compute_dt(s.state(), s.grid(), s.eos(),
+                                       s.config(), &s.sigma()),
+                   0x3f5398f662f4a761ull);
   }
-
-  // The jet inflow must actually have stirred the state — otherwise this
-  // test would pass vacuously on an all-ambient field.
-  bool perturbed = false;
-  const auto& g = batched.grid();
-  for (int k = 0; k < g.nz() && !perturbed; ++k)
-    for (int j = 0; j < g.ny() && !perturbed; ++j)
-      for (int i = 0; i < g.nx() && !perturbed; ++i)
-        perturbed = std::abs(float(batched.state()[3](i, j, k))) > 1e-6f;
-  ASSERT_TRUE(perturbed);
-
-  expect_state_bitwise_equal(batched, scalar);
 }
 
-TEST(MixedPrecisionStep, BatchTogglePreservesCflDtBitwise) {
-  auto batched = make_jet_solver(/*batch=*/true);
-  auto scalar = make_jet_solver(/*batch=*/false);
-  batched.step_fixed(2e-4);
-  scalar.step_fixed(2e-4);
-  const double dt_batched =
-      igr::fv::compute_dt(batched.state(), batched.grid(), batched.eos(),
-                          batched.config(), &batched.sigma());
-  const double dt_scalar =
-      igr::fv::compute_dt(scalar.state(), scalar.grid(), scalar.eos(),
-                          scalar.config(), &scalar.sigma());
-  ASSERT_EQ(dt_batched, dt_scalar);
-}
-
-TEST(MixedPrecisionStep, AdaptiveSteppingAgreesBitwise) {
+TEST(MixedPrecisionStep, AdaptiveStepMatchesGolden) {
   // The full production entry point (CFL-limited step()) composes the CFL
-  // scan, Sigma solve, flux sweeps, and RK update; one adaptive step must
-  // agree bitwise end to end, dt included.
-  auto batched = make_jet_solver(/*batch=*/true);
-  auto scalar = make_jet_solver(/*batch=*/false);
-  const double dta = batched.step();
-  const double dtb = scalar.step();
-  ASSERT_EQ(dta, dtb);
-  expect_state_bitwise_equal(batched, scalar);
+  // scan, Sigma solve, flux sweeps, and RK update; one adaptive step is
+  // pinned end to end, dt included.
+  for (const bool batch : {true, false}) {
+    SCOPED_TRACE(batch);
+    auto s = make_jet_solver(batch);
+    expect_dt_bits(s.step(), 0x3f7cb206bd28e156ull);
+    expect_fingerprints(s, 0xd4a633a3c80e0749ull, 0x0cee1bf70021519cull);
+  }
 }
 
 }  // namespace
