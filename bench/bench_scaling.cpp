@@ -35,12 +35,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <sys/stat.h>
+#include <unistd.h>
 #endif
 
 #include "app/jet_config.hpp"
@@ -78,15 +79,19 @@ common::SolverConfig scaling_cfg() {
   return cfg;
 }
 
-/// Rendezvous scratch for the tcp transport's endpoint threads.
+/// Rendezvous scratch for the tcp transport's endpoint threads, unique per
+/// process and per run so no endpoint can dial a port file another run
+/// left behind.  The caller removes it once the run's endpoints are done.
 std::string fresh_rendezvous_dir() {
   static int counter = 0;
-  const std::string dir =
-      "bench_scaling_rdv_" + std::to_string(++counter);
-  std::remove(dir.c_str());
+  long pid = 0;
 #if defined(__unix__) || defined(__APPLE__)
-  ::mkdir(dir.c_str(), 0777);
+  pid = static_cast<long>(::getpid());
 #endif
+  const std::string dir = "bench_scaling_rdv_" + std::to_string(pid) + "_" +
+                          std::to_string(++counter);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
   return dir;
 }
 
@@ -151,6 +156,7 @@ Point run_case_t(const char* mode, const mesh::Grid& grid,
     for (int r = 0; r < R; ++r)
       endpoints.emplace_back([&, r] { drive(r, dir); });
     for (auto& e : endpoints) e.join();
+    std::filesystem::remove_all(dir);
   } else {
     drive(-1, "");
   }

@@ -34,9 +34,10 @@ build="${build:-$default_build}"
 case "$build" in /*) ;; *) build="$root/$build" ;; esac
 
 # The reproducibility flags normally live only in the Release flag set; the
-# bitwise-equality tests need them in this RelWithDebInfo tree too (on
-# FMA-default toolchains, contraction differences between dispatch paths
-# would otherwise trip them spuriously).  IGR_REPRO_FLAGS appends them with
+# bitwise tests need them in this RelWithDebInfo tree too (on FMA-default
+# toolchains, contraction differences between the fused and phased
+# schedules, and against the golden fingerprints, would otherwise trip them
+# spuriously).  IGR_REPRO_FLAGS appends them with
 # the per-compiler SLP-flag spelling (clang spells it differently).
 cmake -B "$build" -S "$root" \
       "${sanitize_flags[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

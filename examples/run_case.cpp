@@ -113,32 +113,52 @@ void print_result(const cases::CaseSpec& spec, const char* precision,
                 r.diag.nonpositive_pressure_cells);
 }
 
+/// A JSON number printed with `fmt`, or `null` for NaN and infinities,
+/// which JSON cannot spell (a diverged run reports NaN diagnostics).
+std::string json_num(const char* fmt, double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof buf, fmt, v);
+  return buf;
+}
+
 void json_result(std::FILE* f, const cases::CaseSpec& spec,
                  const char* precision, const cases::RunResult& r,
                  const cases::RunOptions& ropts, bool last) {
   const sim::FaultPlan& faults = ropts.faults;
+  const auto g9 = [](double v) { return json_num("%.9g", v); };
+  const auto g12 = [](double v) { return json_num("%.12g", v); };
+  const auto e3 = [](double v) { return json_num("%.3e", v); };
   std::fprintf(f,
                "    {\"case\": \"%s\", \"precision\": \"%s\", "
-               "\"cells\": %zu, \"steps\": %d, \"time\": %.9g,\n"
-               "     \"grind_ns_per_cell_step\": %.2f,\n"
-               "     \"diagnostics\": {\"max_mach\": %.9g, "
-               "\"min_density\": %.9g, \"max_density\": %.9g, "
-               "\"min_pressure\": %.9g, \"kinetic_energy\": %.9g, "
-               "\"total_mass\": %.12g, \"total_energy\": %.12g, "
-               "\"enstrophy\": %.9g, \"nonpositive_pressure_cells\": %zu},\n"
-               "     \"mass_drift\": %.3e, \"energy_drift\": %.3e",
-               spec.name.c_str(), precision, r.cells, r.steps, r.time,
-               r.grind_ns, r.diag.max_mach, r.diag.min_density,
-               r.diag.max_density, r.diag.min_pressure, r.diag.kinetic_energy,
-               r.diag.total_mass, r.diag.total_energy, r.diag.enstrophy,
+               "\"cells\": %zu, \"steps\": %d, \"time\": %s,\n"
+               "     \"grind_ns_per_cell_step\": %s,\n"
+               "     \"diagnostics\": {\"max_mach\": %s, "
+               "\"min_density\": %s, \"max_density\": %s, "
+               "\"min_pressure\": %s, \"kinetic_energy\": %s, "
+               "\"total_mass\": %s, \"total_energy\": %s, "
+               "\"enstrophy\": %s, \"nonpositive_pressure_cells\": %zu},\n"
+               "     \"mass_drift\": %s, \"energy_drift\": %s",
+               spec.name.c_str(), precision, r.cells, r.steps,
+               g9(r.time).c_str(), json_num("%.2f", r.grind_ns).c_str(),
+               g9(r.diag.max_mach).c_str(), g9(r.diag.min_density).c_str(),
+               g9(r.diag.max_density).c_str(),
+               g9(r.diag.min_pressure).c_str(),
+               g9(r.diag.kinetic_energy).c_str(),
+               g12(r.diag.total_mass).c_str(),
+               g12(r.diag.total_energy).c_str(),
+               g9(r.diag.enstrophy).c_str(),
                r.diag.nonpositive_pressure_cells,
-               (r.totals_final.rho - r.totals_initial.rho) /
-                   (std::abs(r.totals_initial.rho) + 1e-300),
-               (r.totals_final.e - r.totals_initial.e) /
-                   (std::abs(r.totals_initial.e) + 1e-300));
+               e3((r.totals_final.rho - r.totals_initial.rho) /
+                  (std::abs(r.totals_initial.rho) + 1e-300))
+                   .c_str(),
+               e3((r.totals_final.e - r.totals_initial.e) /
+                  (std::abs(r.totals_initial.e) + 1e-300))
+                   .c_str());
   if (r.l1_error >= 0.0)
-    std::fprintf(f, ",\n     \"l1_error\": %.6e, \"linf_error\": %.6e",
-                 r.l1_error, r.linf_error);
+    std::fprintf(f, ",\n     \"l1_error\": %s, \"linf_error\": %s",
+                 json_num("%.6e", r.l1_error).c_str(),
+                 json_num("%.6e", r.linf_error).c_str());
   std::fprintf(f, ",\n     \"state_fnv\": \"0x%016llx\", \"dt_fnv\": \"0x%016llx\"",
                static_cast<unsigned long long>(r.state_fnv),
                static_cast<unsigned long long>(r.dt_fnv));
@@ -147,9 +167,10 @@ void json_result(std::FILE* f, const cases::CaseSpec& spec,
     std::fprintf(f, ",\n     \"phase_ns_per_cell_step\": {");
     for (int p = 0; p < common::PhaseProfile::kNumPhases; ++p) {
       const auto ph = static_cast<common::PhaseProfile::Phase>(p);
-      std::fprintf(f, "%s\"%s\": %.2f", p == 0 ? "" : ", ",
+      std::fprintf(f, "%s\"%s\": %s", p == 0 ? "" : ", ",
                    common::PhaseProfile::name(ph),
-                   r.phase_ns[static_cast<std::size_t>(p)]);
+                   json_num("%.2f", r.phase_ns[static_cast<std::size_t>(p)])
+                       .c_str());
     }
     std::fputc('}', f);
   }

@@ -28,13 +28,6 @@ struct SolverConfig {
   // --- Time integration ---
   double cfl = 0.4;          ///< Advective CFL number for SSP-RK3.
 
-  // --- Mixed-precision storage (FP16/32 policy only) ---
-  /// Use the batched binary16 conversion lanes (common::half) on the solver
-  /// hot paths.  The per-element reference path is kept behind `false` for
-  /// the bitwise batch-on/off regression test; identity-storage policies
-  /// (FP64, FP32) ignore this flag entirely.
-  bool batch_half_conversion = true;
-
   // --- Fused RHS pipeline (Algorithm 1 on CPU) ---
   /// Stream each RK stage through memory once: the Sigma source, the
   /// relaxation sweeps (pipelined across k-planes as a wavefront where the
@@ -42,8 +35,7 @@ struct SolverConfig {
   /// update, and the CFL reduction for the next step's dt all advance a
   /// rolling window of k-planes instead of running as full-grid passes.
   /// Bitwise-identical (state *and* dt) to the phased schedule, which is
-  /// kept behind `false` as the reference path — the same pattern as
-  /// `batch_half_conversion`.
+  /// kept behind `false`.
   bool fused_rhs = true;
   /// k-plane block thickness of the streamed flux/RK stage.  Clamped up to
   /// the reconstruction stencil radius (3) internally: the trailing RK

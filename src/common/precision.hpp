@@ -5,15 +5,14 @@
 /// what lives in the big state arrays, `compute_t` is what flux kernels use.
 ///
 /// Besides the per-element `load`/`store`, policies expose *batch* line
-/// hooks: `load_line`/`store_line` convert whole contiguous (or strided)
-/// spans between storage and compute precision.  For FP64 and FP32 these are
-/// identity pass-throughs (a memcpy / strided copy); for FP16/32 and
-/// BF16/32 they hit the batched conversion lanes in common::half /
-/// common::bfloat16, which is what makes mixed-precision storage
-/// competitive on CPUs (see PERF.md).  The batch hooks are element-wise
-/// bitwise-identical to the per-element `load`/`store` — solver hot paths
-/// may pick either form freely (the mixed-precision regression test asserts
-/// the whole-solver consequence of this).
+/// hooks: `load_line`/`store_line` convert whole contiguous spans (and
+/// `store_line_strided` scatters a strided one) between storage and compute
+/// precision.  For FP64 and FP32 these are identity pass-throughs (a memcpy
+/// / strided copy); for FP16/32 and BF16/32 they hit the batched conversion
+/// lanes in common::half / common::bfloat16, which is what makes
+/// mixed-precision storage competitive on CPUs (see PERF.md).  The batch
+/// hooks are element-wise bitwise-identical to the per-element
+/// `load`/`store` (tests/test_half_batch.cpp, tests/test_bfloat16.cpp).
 
 #include <cstddef>
 #include <cstring>
@@ -109,33 +108,6 @@ inline void store_line(const typename Policy::compute_t* src,
     convert_from_float(src, dst, n);
   } else {
     for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<S>(src[i]);
-  }
-}
-
-/// Strided batch load: `dst[i] = compute(src[i * stride])`.  For converting
-/// policies the elements are gathered (cheap 2-byte moves for binary16)
-/// into a small stack chunk and converted through the batch lane, so even
-/// non-unit-stride sweeps pay SIMD conversion cost, not scalar.
-template <class Policy>
-inline void load_line_strided(const typename Policy::storage_t* src,
-                              std::ptrdiff_t stride,
-                              typename Policy::compute_t* dst, std::size_t n) {
-  using S = typename Policy::storage_t;
-  using C = typename Policy::compute_t;
-  if (stride == 1) return load_line<Policy>(src, dst, n);
-  if constexpr (has_conversion_lane<S>) {
-    constexpr std::size_t kChunk = 256;
-    S tmp[kChunk];
-    for (std::size_t base = 0; base < n; base += kChunk) {
-      const std::size_t m = (n - base < kChunk) ? (n - base) : kChunk;
-      const S* s = src + static_cast<std::ptrdiff_t>(base) * stride;
-      for (std::size_t i = 0; i < m; ++i)
-        tmp[i] = s[static_cast<std::ptrdiff_t>(i) * stride];
-      convert_to_float(tmp, dst + base, m);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i)
-      dst[i] = static_cast<C>(src[static_cast<std::ptrdiff_t>(i) * stride]);
   }
 }
 

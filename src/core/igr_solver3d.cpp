@@ -39,11 +39,11 @@ using common::kRho;
 
 /// Primitive slices from one row of conservative values, each slice its
 /// own restrict parameter so the vectorizer needs no runtime alias
-/// versioning.  The single home of the prim arithmetic: the face pass of
-/// both flux kernels and the cell-prim rows of the streaming kernel all
-/// come through here (StoreRho distinguishes the face layout, which also
-/// keeps the reconstructed density, from cell rows, which read density off
-/// the stencil rows directly).
+/// versioning.  The single home of the prim arithmetic: the face pass and
+/// the cell-prim rows of the flux kernel both come through here (StoreRho
+/// distinguishes the face layout, which also keeps the reconstructed
+/// density, from cell rows, which read density off the stencil rows
+/// directly).
 template <bool StoreRho, class C>
 inline void prim_rows_impl(const C* __restrict qs, const C* __restrict mx,
                            const C* __restrict my, const C* __restrict mz,
@@ -83,14 +83,13 @@ struct FaceRowParams {
 /// One row of faces through the full interface pipeline — reconstruction,
 /// face primitives, non-physical fallback, floors, wave-speed bound,
 /// Rusanov assembly, optional viscous augmentation — with every loop
-/// unit-stride over the row.  This is the gathered-line sweep's per-face
-/// arithmetic verbatim (see flux_sweep), re-indexed from line offsets to
-/// row columns: `sc[c][t][i]` is variable c at the t-th stencil cell of
-/// face i, `lcp`/`rcp` are the (ir, u, v, w, p) rows of the face's left and
-/// right cells, and `pl_mom`/`pl_ir` point at the left cell so `+ P.st`
-/// reaches the right cell for the raw viscous taps.  Identical inputs flow
-/// through identical expressions, so the two kernels agree bitwise — the
-/// dispatch-equivalence and fused-pipeline tests pin this.
+/// unit-stride over the row: `sc[c][t][i]` is variable c at the t-th
+/// stencil cell of face i, `lcp`/`rcp` are the (ir, u, v, w, p) rows of the
+/// face's left and right cells, and `pl_mom`/`pl_ir` point at the left cell
+/// so `+ P.st` reaches the right cell for the raw viscous taps.  Both the
+/// phased and the fused schedules evaluate every face here, so they agree
+/// bitwise — the fused-pipeline tests and the flux RHS fingerprints pin
+/// this.
 template <int Dir, class C, class S, class ReconOp>
 inline void compute_face_row(const ReconOp& recon, std::size_t fn,
                              const C* (*sc)[6], const C* const* lcp,
@@ -309,38 +308,35 @@ void IgrSolver3D<Policy>::refresh_inv_rho_planes(common::StateField3<S>& q,
   const std::size_t row_len = static_cast<std::size_t>(nx) + 2 * ng;
   const common::ExecSpace exec = cfg_.exec();
   if constexpr (common::converts_storage<Policy>) {
-    if (cfg_.batch_half_conversion) {
-      // Whole ghosted rows through the batched conversion lanes: one batch
-      // load, a vector reciprocal, one batch store — same per-element values
-      // as the scalar path below.
-      exec.run_team([&](const common::ExecSpace::Team& t) {
-        std::vector<C> row(row_len);
-        long cb, ce;
-        t.chunk(k1 - k0, cb, ce);
-        for (long kk = cb; kk < ce; ++kk) {
-          const int k = k0 + static_cast<int>(kk);
-          for (int j = -ng; j < ny + ng; ++j) {
-            common::load_line<Policy>(&q[kRho](-ng, j, k), row.data(),
-                                      row_len);
-            for (std::size_t i = 0; i < row_len; ++i) row[i] = C(1) / row[i];
-            common::store_line<Policy>(row.data(), &inv_rho_(-ng, j, k),
-                                       row_len);
-          }
+    // Whole ghosted rows through the batched conversion lanes: one batch
+    // load, a vector reciprocal, one batch store per row.
+    exec.run_team([&](const common::ExecSpace::Team& t) {
+      std::vector<C> row(row_len);
+      long cb, ce;
+      t.chunk(k1 - k0, cb, ce);
+      for (long kk = cb; kk < ce; ++kk) {
+        const int k = k0 + static_cast<int>(kk);
+        for (int j = -ng; j < ny + ng; ++j) {
+          common::load_line<Policy>(&q[kRho](-ng, j, k), row.data(),
+                                    row_len);
+          for (std::size_t i = 0; i < row_len; ++i) row[i] = C(1) / row[i];
+          common::store_line<Policy>(row.data(), &inv_rho_(-ng, j, k),
+                                     row_len);
         }
-      });
-      return;
-    }
-  }
-  exec.for_each(k1 - k0, [&](long kk) {
-    const int k = k0 + static_cast<int>(kk);
-    for (int j = -ng; j < ny + ng; ++j) {
-      const S* pr = &q[kRho](-ng, j, k);
-      S* pir = &inv_rho_(-ng, j, k);
-      for (int i = 0; i < nx + 2 * ng; ++i) {
-        pir[i] = static_cast<S>(C(1) / static_cast<C>(pr[i]));
       }
-    }
-  });
+    });
+  } else {
+    exec.for_each(k1 - k0, [&](long kk) {
+      const int k = k0 + static_cast<int>(kk);
+      for (int j = -ng; j < ny + ng; ++j) {
+        const S* pr = &q[kRho](-ng, j, k);
+        S* pir = &inv_rho_(-ng, j, k);
+        for (int i = 0; i < nx + 2 * ng; ++i) {
+          pir[i] = static_cast<S>(C(1) / static_cast<C>(pr[i]));
+        }
+      }
+    });
+  }
 }
 
 template <class Policy>
@@ -352,130 +348,126 @@ void IgrSolver3D<Policy>::compute_sigma_source_planes(
   const C inv2dz = C(0.5) / static_cast<C>(grid_.dz());
   const C al = static_cast<C>(alpha_);
 
-  const std::ptrdiff_t sy = inv_rho_.stride(1);
-  const std::ptrdiff_t sz = inv_rho_.stride(2);
-
   if constexpr (common::converts_storage<Policy>) {
-    if (cfg_.batch_half_conversion) {
-      // Batched form with a rolling per-plane row cache: each thread
-      // streams a contiguous plane range and keeps the velocity rows
-      // u_a = m_a * (1/rho) of planes k-1, k, k+1 in a 3-plane ring, so
-      // every momentum/inv_rho row is converted once per plane visit
-      // instead of once per stencil position (the old slab form converted
-      // each row up to five times across adjacent (j,k) iterations).  Rows
-      // span i in [-1, nx] and j in [-1, ny] so both the in-row i∓1 taps
-      // and the j∓1 neighbor rows are in-ring; the products are the exact
-      // expressions of the per-position slab, so values are bitwise
-      // unchanged.
-      const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
-      const std::size_t rows_per_plane = static_cast<std::size_t>(ny) + 2;
-      const std::size_t plane_elems = 3 * rows_per_plane * row_len;
-      const common::ExecSpace exec = cfg_.exec();
-      exec.run_team([&](const common::ExecSpace::Team& t) {
-        std::vector<C> ring(3 * plane_elems);
-        std::vector<C> ir_row(row_len), mom_row(row_len);
-        std::vector<C> src_row(static_cast<std::size_t>(nx));
-        // Velocity row of component `a` at (j, plane k); ring slot cycles
-        // with k (k >= -1 here, so k+1 is a valid modulus argument).
-        auto vrow = [&](int k, int j, int a) -> C* {
-          return ring.data() +
-                 static_cast<std::size_t>((k + 1) % 3) * plane_elems +
-                 (static_cast<std::size_t>(j + 1) * 3 +
-                  static_cast<std::size_t>(a)) *
-                     row_len;
-        };
-        auto fill_plane = [&](int k) {
-          for (int j = -1; j <= ny; ++j) {
-            common::load_line<Policy>(&inv_rho_(-1, j, k), ir_row.data(),
-                                      row_len);
-            for (int a = 0; a < 3; ++a) {
-              common::load_line<Policy>(&q[kMomX + a](-1, j, k),
-                                        mom_row.data(), row_len);
-              C* v = vrow(k, j, a);
-              for (std::size_t i = 0; i < row_len; ++i)
-                v[i] = mom_row[i] * ir_row[i];
-            }
-          }
-        };
-        // Contiguous per-member plane chunks (the ring needs an ascending
-        // serial walk); remainder planes go to the low tids.
-        long cb, ce;
-        t.chunk(k1 - k0, cb, ce);
-        const int c0 = k0 + static_cast<int>(cb);
-        const int c1 = k0 + static_cast<int>(ce);
-        if (c0 < c1) {
-          fill_plane(c0 - 1);
-          fill_plane(c0);
-          for (int k = c0; k < c1; ++k) {
-            fill_plane(k + 1);
-            for (int j = 0; j < ny; ++j) {
-              for (int i = 0; i < nx; ++i) {
-                const std::size_t o = static_cast<std::size_t>(i) + 1;
-                fv::VelGrad<C> g;
-                for (int a = 0; a < 3; ++a) {
-                  const C* vc = vrow(k, j, a);
-                  const C* vjm = vrow(k, j - 1, a);
-                  const C* vjp = vrow(k, j + 1, a);
-                  const C* vkm = vrow(k - 1, j, a);
-                  const C* vkp = vrow(k + 1, j, a);
-                  g.g[a][0] = (vc[o + 1] - vc[o - 1]) * inv2dx;
-                  g.g[a][1] = (vjp[o] - vjm[o]) * inv2dy;
-                  g.g[a][2] = (vkp[o] - vkm[o]) * inv2dz;
-                }
-                const C d = g.div();
-                src_row[static_cast<std::size_t>(i)] =
-                    al * (g.tr_sq() + d * d);
-              }
-              common::store_line<Policy>(src_row.data(),
-                                         sigma_src_.row(j, k),
-                                         static_cast<std::size_t>(nx));
-            }
+    // Batched form with a rolling per-plane row cache: each thread
+    // streams a contiguous plane range and keeps the velocity rows
+    // u_a = m_a * (1/rho) of planes k-1, k, k+1 in a 3-plane ring, so
+    // every momentum/inv_rho row is converted once per plane visit
+    // instead of once per stencil position (the old slab form converted
+    // each row up to five times across adjacent (j,k) iterations).  Rows
+    // span i in [-1, nx] and j in [-1, ny] so both the in-row i∓1 taps
+    // and the j∓1 neighbor rows are in-ring; the products are the exact
+    // expressions of the per-position slab, so values are bitwise
+    // unchanged.
+    const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
+    const std::size_t rows_per_plane = static_cast<std::size_t>(ny) + 2;
+    const std::size_t plane_elems = 3 * rows_per_plane * row_len;
+    const common::ExecSpace exec = cfg_.exec();
+    exec.run_team([&](const common::ExecSpace::Team& t) {
+      std::vector<C> ring(3 * plane_elems);
+      std::vector<C> ir_row(row_len), mom_row(row_len);
+      std::vector<C> src_row(static_cast<std::size_t>(nx));
+      // Velocity row of component `a` at (j, plane k); ring slot cycles
+      // with k (k >= -1 here, so k+1 is a valid modulus argument).
+      auto vrow = [&](int k, int j, int a) -> C* {
+        return ring.data() +
+               static_cast<std::size_t>((k + 1) % 3) * plane_elems +
+               (static_cast<std::size_t>(j + 1) * 3 +
+                static_cast<std::size_t>(a)) *
+                   row_len;
+      };
+      auto fill_plane = [&](int k) {
+        for (int j = -1; j <= ny; ++j) {
+          common::load_line<Policy>(&inv_rho_(-1, j, k), ir_row.data(),
+                                    row_len);
+          for (int a = 0; a < 3; ++a) {
+            common::load_line<Policy>(&q[kMomX + a](-1, j, k),
+                                      mom_row.data(), row_len);
+            C* v = vrow(k, j, a);
+            for (std::size_t i = 0; i < row_len; ++i)
+              v[i] = mom_row[i] * ir_row[i];
           }
         }
-      });
-      return;
-    }
-  }
-
-  // Stencil taps hoisted into per-row stream pointers (the indexed-offset
-  // form defeats the vectorizer); same products, same bits.
-  cfg_.exec().for_each(k1 - k0, [&](long kk) {
-    const int k = k0 + static_cast<int>(kk);
-    for (int j = 0; j < ny; ++j) {
-      const S* pir = &inv_rho_(0, j, k);
-      const S* mx_ = &q[kMomX](0, j, k);
-      const S* my_ = &q[kMomY](0, j, k);
-      const S* mz_ = &q[kMomZ](0, j, k);
-      S* __restrict psrc = &sigma_src_(0, j, k);
-      const S* ir_jm = pir - sy;
-      const S* ir_jp = pir + sy;
-      const S* ir_km = pir - sz;
-      const S* ir_kp = pir + sz;
-      // The component loop is unrolled with named stream pointers — a base
-      // pointer re-loaded from an array per iteration defeats the
-      // vectorizer's data-reference analysis.  Straight unroll of the
-      // a = 0..2 loop; expressions (and bits) unchanged.
-      auto grad = [&](const S* m, int i, C* g3) {
-        g3[0] = (static_cast<C>(m[i + 1]) * static_cast<C>(pir[i + 1]) -
-                 static_cast<C>(m[i - 1]) * static_cast<C>(pir[i - 1])) *
-                inv2dx;
-        g3[1] = (static_cast<C>(m[i + sy]) * static_cast<C>(ir_jp[i]) -
-                 static_cast<C>(m[i - sy]) * static_cast<C>(ir_jm[i])) *
-                inv2dy;
-        g3[2] = (static_cast<C>(m[i + sz]) * static_cast<C>(ir_kp[i]) -
-                 static_cast<C>(m[i - sz]) * static_cast<C>(ir_km[i])) *
-                inv2dz;
       };
-      for (int i = 0; i < nx; ++i) {
-        fv::VelGrad<C> g;
-        grad(mx_, i, g.g[0]);
-        grad(my_, i, g.g[1]);
-        grad(mz_, i, g.g[2]);
-        const C d = g.div();
-        psrc[i] = static_cast<S>(al * (g.tr_sq() + d * d));
+      // Contiguous per-member plane chunks (the ring needs an ascending
+      // serial walk); remainder planes go to the low tids.
+      long cb, ce;
+      t.chunk(k1 - k0, cb, ce);
+      const int c0 = k0 + static_cast<int>(cb);
+      const int c1 = k0 + static_cast<int>(ce);
+      if (c0 < c1) {
+        fill_plane(c0 - 1);
+        fill_plane(c0);
+        for (int k = c0; k < c1; ++k) {
+          fill_plane(k + 1);
+          for (int j = 0; j < ny; ++j) {
+            for (int i = 0; i < nx; ++i) {
+              const std::size_t o = static_cast<std::size_t>(i) + 1;
+              fv::VelGrad<C> g;
+              for (int a = 0; a < 3; ++a) {
+                const C* vc = vrow(k, j, a);
+                const C* vjm = vrow(k, j - 1, a);
+                const C* vjp = vrow(k, j + 1, a);
+                const C* vkm = vrow(k - 1, j, a);
+                const C* vkp = vrow(k + 1, j, a);
+                g.g[a][0] = (vc[o + 1] - vc[o - 1]) * inv2dx;
+                g.g[a][1] = (vjp[o] - vjm[o]) * inv2dy;
+                g.g[a][2] = (vkp[o] - vkm[o]) * inv2dz;
+              }
+              const C d = g.div();
+              src_row[static_cast<std::size_t>(i)] =
+                  al * (g.tr_sq() + d * d);
+            }
+            common::store_line<Policy>(src_row.data(),
+                                       sigma_src_.row(j, k),
+                                       static_cast<std::size_t>(nx));
+          }
+        }
       }
-    }
-  });
+    });
+  } else {
+    // Stencil taps hoisted into per-row stream pointers (the indexed-offset
+    // form defeats the vectorizer); same products, same bits.
+    const std::ptrdiff_t sy = inv_rho_.stride(1);
+    const std::ptrdiff_t sz = inv_rho_.stride(2);
+    cfg_.exec().for_each(k1 - k0, [&](long kk) {
+      const int k = k0 + static_cast<int>(kk);
+      for (int j = 0; j < ny; ++j) {
+        const S* pir = &inv_rho_(0, j, k);
+        const S* mx_ = &q[kMomX](0, j, k);
+        const S* my_ = &q[kMomY](0, j, k);
+        const S* mz_ = &q[kMomZ](0, j, k);
+        S* __restrict psrc = &sigma_src_(0, j, k);
+        const S* ir_jm = pir - sy;
+        const S* ir_jp = pir + sy;
+        const S* ir_km = pir - sz;
+        const S* ir_kp = pir + sz;
+        // The component loop is unrolled with named stream pointers — a base
+        // pointer re-loaded from an array per iteration defeats the
+        // vectorizer's data-reference analysis.  Straight unroll of the
+        // a = 0..2 loop; expressions (and bits) unchanged.
+        auto grad = [&](const S* m, int i, C* g3) {
+          g3[0] = (static_cast<C>(m[i + 1]) * static_cast<C>(pir[i + 1]) -
+                   static_cast<C>(m[i - 1]) * static_cast<C>(pir[i - 1])) *
+                  inv2dx;
+          g3[1] = (static_cast<C>(m[i + sy]) * static_cast<C>(ir_jp[i]) -
+                   static_cast<C>(m[i - sy]) * static_cast<C>(ir_jm[i])) *
+                  inv2dy;
+          g3[2] = (static_cast<C>(m[i + sz]) * static_cast<C>(ir_kp[i]) -
+                   static_cast<C>(m[i - sz]) * static_cast<C>(ir_km[i])) *
+                  inv2dz;
+        };
+        for (int i = 0; i < nx; ++i) {
+          fv::VelGrad<C> g;
+          grad(mx_, i, g.g[0]);
+          grad(my_, i, g.g[1]);
+          grad(mz_, i, g.g[2]);
+          const C d = g.div();
+          psrc[i] = static_cast<S>(al * (g.tr_sq() + d * d));
+        }
+      }
+    });
+  }
 }
 
 template <class Policy>
@@ -524,369 +516,14 @@ void IgrSolver3D<Policy>::build_sigma_source_boundary(
   if (nz > 1) compute_sigma_source_planes(q, nz - 1, nz);
 }
 
-template <class Policy>
-template <int Dir, class ReconOp>
-void IgrSolver3D<Policy>::flux_sweep(common::StateField3<S>& q,
-                                     common::StateField3<S>& rhs,
-                                     ReconOp recon, bool overwrite,
-                                     const CellRegion& reg) {
-  constexpr int dir = Dir;
-  if (reg.empty()) return;
-  // The line segment runs along `dir` over the region's cells; everything
-  // below indexes relative to the segment start, so a restricted region
-  // performs the exact per-cell arithmetic of the full sweep.
-  const int s_lo = reg.lo[static_cast<std::size_t>(dir)];
-  const int n_dir = reg.hi[static_cast<std::size_t>(dir)] - s_lo;
-  const C d_dir = static_cast<C>((dir == 0)   ? grid_.dx()
-                                 : (dir == 1) ? grid_.dy()
-                                              : grid_.dz());
-  const C inv_d = C(1) / d_dir;
-  const C gam = static_cast<C>(cfg_.gamma);
-  const C gm1 = gam - C(1);
-  const C mu = static_cast<C>(cfg_.mu);
-  const C zeta = static_cast<C>(cfg_.zeta);
-  const bool viscous = (cfg_.mu > 0.0 || cfg_.zeta > 0.0);
-  const C rho_floor = static_cast<C>(cfg_.density_floor);
-  const C p_floor = static_cast<C>(cfg_.pressure_floor);
-  // Batched half<->float lanes for the line gather/scatter (FP16/32 only;
-  // dead for identity-storage policies).
-  const bool batch = cfg_.batch_half_conversion;
-
-  // The two tangential axes of this sweep (the line runs along `dir`).
-  const int axA = (dir == 0) ? 1 : 0;
-  const int axB = (dir == 2) ? 1 : 2;
-  const int a_lo = reg.lo[static_cast<std::size_t>(axA)];
-  const int a_hi = reg.hi[static_cast<std::size_t>(axA)];
-  const int b_lo = reg.lo[static_cast<std::size_t>(axB)];
-  const int b_hi = reg.hi[static_cast<std::size_t>(axB)];
-  const std::array<C, 3> dd{static_cast<C>(grid_.dx()),
-                            static_cast<C>(grid_.dy()),
-                            static_cast<C>(grid_.dz())};
-  const C inv2dA = C(0.5) / dd[static_cast<std::size_t>(axA)];
-  const C inv2dB = C(0.5) / dd[static_cast<std::size_t>(axB)];
-
-  // Map (tangential a, tangential b, line coordinate s) -> (i,j,k).
-  auto cell = [&](int line_a, int line_b, int s) -> std::array<int, 3> {
-    switch (dir) {
-      case 0: return {s, line_a, line_b};
-      case 1: return {line_a, s, line_b};
-      default: return {line_a, line_b, s};
-    }
-  };
-
-  // All fields share one block shape, hence one set of strides.
-  const std::ptrdiff_t st = q[0].stride(dir);
-  const std::ptrdiff_t stA = q[0].stride(axA);
-  const std::ptrdiff_t stB = q[0].stride(axB);
-
-  const common::ExecSpace exec = cfg_.exec();
-  // Flattened (lb, la) line index space, statically chunked per member —
-  // the collapse(2) replacement; every line writes a disjoint RHS segment.
-  const long n_lines =
-      static_cast<long>(b_hi - b_lo) * static_cast<long>(a_hi - a_lo);
-  const long na = a_hi - a_lo;
-  exec.run_team([&](const common::ExecSpace::Team& team) {
-    // Per-member line buffers — the CPU analogue of the paper's
-    // thread-local temporaries (§5.4).  Each line of cells (with ghosts) is
-    // gathered once into contiguous storage: the 5 conservative variables
-    // and Sigma, then the primitive line (1/rho, u, v, w, p) computed once
-    // per cell with a single division.  Reconstruction and the Riemann,
-    // viscous, and fallback paths then walk these with unit stride,
-    // multiplication-only.
-    const std::size_t line_len = static_cast<std::size_t>(n_dir) + 6;
-    const std::size_t fn = static_cast<std::size_t>(n_dir) + 1;
-    std::vector<C> lines((kNumVars + 1) * line_len);
-    std::vector<C> prims(5 * line_len);   // ir, u, v, w, p
-    std::vector<C> faces(2 * (kNumVars + 1) * fn);  // recon left/right states
-    std::vector<C> fprims(2 * 6 * fn);  // face prims: rho,ir,u,v,w,p (L/R)
-    std::vector<C> smax_buf(fn);
-    std::vector<unsigned char> fallback(fn);
-    std::vector<C> flux(kNumVars * fn);   // [c*fn + fi]
-    std::vector<C> out_row(static_cast<std::size_t>(n_dir));  // rhs scatter
-
-    C* const ir_l = prims.data();
-    C* const u_l = prims.data() + line_len;
-    C* const v_l = prims.data() + 2 * line_len;
-    C* const w_l = prims.data() + 3 * line_len;
-    C* const p_l = prims.data() + 4 * line_len;
-    C* const lf = faces.data();                       // [c*fn + fi] left
-    C* const rf = faces.data() + (kNumVars + 1) * fn; // [c*fn + fi] right
-    C* const lp = fprims.data();                      // [c*fn + fi] left
-    C* const rp = fprims.data() + 6 * fn;             // [c*fn + fi] right
-
-    long lb0, lb1;
-    team.chunk(n_lines, lb0, lb1);
-    for (long lidx = lb0; lidx < lb1; ++lidx) {
-      {
-        const int lb = b_lo + static_cast<int>(lidx / na);
-        const int la = a_lo + static_cast<int>(lidx % na);
-        const auto c0 = cell(la, lb, s_lo);
-        const std::size_t base = q[0].idx(c0[0], c0[1], c0[2]);
-        for (int c = 0; c <= kNumVars; ++c) {
-          const S* p = ((c < kNumVars) ? q[c].data() : sigma_.data()) + base;
-          C* line = lines.data() + static_cast<std::size_t>(c) * line_len;
-          if constexpr (common::converts_storage<Policy>) {
-            if (batch) {
-              // Whole-line conversion through the batched lanes (unit-stride
-              // for the x sweep; gathered for y/z) — bitwise-identical to
-              // the per-element loop below.
-              common::load_line_strided<Policy>(p - 3 * st, st, line,
-                                                line_len);
-              continue;
-            }
-          }
-          for (int s = -3; s < n_dir + 3; ++s)
-            line[s + 3] = static_cast<C>(p[s * st]);
-        }
-
-        // Primitive line: one division per cell; everything downstream of
-        // it multiplies (the register-resident discipline of §5.2).
-        {
-          const C* rho = lines.data();
-          const C* mx = lines.data() + 1 * line_len;
-          const C* my = lines.data() + 2 * line_len;
-          const C* mz = lines.data() + 3 * line_len;
-          const C* en = lines.data() + 4 * line_len;
-          for (std::size_t s = 0; s < line_len; ++s) {
-            const C ir = C(1) / rho[s];
-            ir_l[s] = ir;
-            u_l[s] = mx[s] * ir;
-            v_l[s] = my[s] * ir;
-            w_l[s] = mz[s] * ir;
-            p_l[s] = gm1 * (en[s] - C(0.5) * (mx[s] * u_l[s] +
-                                              my[s] * v_l[s] +
-                                              mz[s] * w_l[s]));
-          }
-        }
-
-        // Reconstruction, one tight vectorizable loop per variable: the
-        // scheme is a compile-time constant of this instantiation, so there
-        // is no per-face dispatch left to block SIMD.
-        for (int c = 0; c <= kNumVars; ++c) {
-          const C* line = lines.data() + static_cast<std::size_t>(c) * line_len;
-          C* ql = lf + static_cast<std::size_t>(c) * fn;
-          C* qr = rf + static_cast<std::size_t>(c) * fn;
-          for (std::size_t fi = 0; fi < fn; ++fi) {
-            const auto f = recon(line + fi);
-            ql[fi] = f.left;
-            qr[fi] = f.right;
-          }
-        }
-
-        // --- Face primitives: one vector division per side per face; the
-        // rest of the conversion is multiplication-only and vectorizes.
-        // Shared with the row-streaming kernel: one home for the face-prim
-        // arithmetic keeps the two kernels' bitwise contract a property of
-        // the code, not of parallel edits.
-        prim_face_row(lf, fn, gm1, lp);
-        prim_face_row(rf, fn, gm1, rp);
-
-        // --- Nonphysical-fallback mask.  High-order linear reconstruction
-        // can overshoot into a non-physical state at an under-resolved
-        // start-up discontinuity, before Sigma has developed to smooth it.
-        // The internal-energy positivity predicate is written
-        // multiplication-only so the mask pass vectorizes; the (rare)
-        // masked faces are then patched scalar with piecewise-constant
-        // (cell-average) face states — a conservative, local safeguard that
-        // leaves smooth regions (and the developed IGR solution) untouched.
-        unsigned any_fallback = 0;
-        for (std::size_t fi = 0; fi < fn; ++fi) {
-          const C rl = lf[fi], rr = rf[fi];
-          const C kel = lf[fn + fi] * lf[fn + fi] +
-                        lf[2 * fn + fi] * lf[2 * fn + fi] +
-                        lf[3 * fn + fi] * lf[3 * fn + fi];
-          const C ker = rf[fn + fi] * rf[fn + fi] +
-                        rf[2 * fn + fi] * rf[2 * fn + fi] +
-                        rf[3 * fn + fi] * rf[3 * fn + fi];
-          const bool bad =
-              !(rl > C(0)) || !(C(2) * rl * lf[4 * fn + fi] - kel > C(0)) ||
-              !(rr > C(0)) || !(C(2) * rr * rf[4 * fn + fi] - ker > C(0));
-          fallback[fi] = static_cast<unsigned char>(bad);
-          any_fallback |= static_cast<unsigned>(bad);
-        }
-        if (any_fallback) {
-          for (std::size_t fi = 0; fi < fn; ++fi) {
-            if (!fallback[fi]) continue;
-            const std::size_t il = fi + 2, ir = fi + 3;
-            for (int c = 0; c <= kNumVars; ++c) {
-              const C* sc =
-                  lines.data() + static_cast<std::size_t>(c) * line_len;
-              lf[static_cast<std::size_t>(c) * fn + fi] = sc[il];
-              rf[static_cast<std::size_t>(c) * fn + fi] = sc[ir];
-            }
-            // Cell-center primitives come off the cached line — no
-            // division.
-            lp[fi] = lf[fi];
-            lp[fn + fi] = ir_l[il];
-            lp[2 * fn + fi] = u_l[il];
-            lp[3 * fn + fi] = v_l[il];
-            lp[4 * fn + fi] = w_l[il];
-            lp[5 * fn + fi] = p_l[il];
-            rp[fi] = rf[fi];
-            rp[fn + fi] = ir_l[ir];
-            rp[2 * fn + fi] = u_l[ir];
-            rp[3 * fn + fi] = v_l[ir];
-            rp[4 * fn + fi] = w_l[ir];
-            rp[5 * fn + fi] = p_l[ir];
-          }
-        }
-
-        // --- Optional configured floors (high-Mach jet start-up
-        // robustness).  A triggered density floor leaves the cached
-        // reciprocal as an overestimate (1/rho >= 1/rho_floor), which only
-        // raises the wave-speed bound — the robust direction.
-        if (rho_floor > C(0)) {
-          for (std::size_t fi = 0; fi < fn; ++fi) {
-            lp[fi] = std::max(lp[fi], rho_floor);
-            rp[fi] = std::max(rp[fi], rho_floor);
-          }
-        }
-        if (p_floor > C(0)) {
-          for (std::size_t fi = 0; fi < fn; ++fi) {
-            lp[5 * fn + fi] = std::max(lp[5 * fn + fi], p_floor);
-            rp[5 * fn + fi] = std::max(rp[5 * fn + fi], p_floor);
-          }
-        }
-
-        // --- Rusanov (local Lax–Friedrichs) flux, assembled per component
-        // over all faces of the line: the wave-speed bound (one vector
-        // sqrt per side) and both physical fluxes vectorize; Sigma
-        // augments the pressure in both (eqs. 6-8; the slight wave-speed
-        // overestimate only adds robustness).
-        {
-          constexpr std::size_t kUn = 2 + static_cast<std::size_t>(Dir);
-          const C* sfl = lf + static_cast<std::size_t>(kNumVars) * fn;
-          const C* sfr = rf + static_cast<std::size_t>(kNumVars) * fn;
-          for (std::size_t fi = 0; fi < fn; ++fi) {
-            const C unl = lp[kUn * fn + fi];
-            const C unr = rp[kUn * fn + fi];
-            const C cl = std::sqrt(gam * std::max(lp[5 * fn + fi] + sfl[fi],
-                                                  C(0)) *
-                                   lp[fn + fi]);
-            const C cr = std::sqrt(gam * std::max(rp[5 * fn + fi] + sfr[fi],
-                                                  C(0)) *
-                                   rp[fn + fi]);
-            smax_buf[fi] = std::max(std::abs(unl) + cl, std::abs(unr) + cr);
-          }
-          for (std::size_t fi = 0; fi < fn; ++fi) {
-            const C rl = lp[fi], rr = rp[fi];
-            const C ul = lp[2 * fn + fi], ur = rp[2 * fn + fi];
-            const C vl = lp[3 * fn + fi], vr = rp[3 * fn + fi];
-            const C wwl = lp[4 * fn + fi], wwr = rp[4 * fn + fi];
-            const C unl = lp[kUn * fn + fi], unr = rp[kUn * fn + fi];
-            const C el = lf[4 * fn + fi], er = rf[4 * fn + fi];
-            const C ptl = lp[5 * fn + fi] + sfl[fi];
-            const C ptr = rp[5 * fn + fi] + sfr[fi];
-            const C sm = smax_buf[fi];
-
-            // Conservative states rebuilt from the (floored) primitives,
-            // exactly as the scalar rusanov_flux does.
-            const C qml[3] = {rl * ul, rl * vl, rl * wwl};
-            const C qmr[3] = {rr * ur, rr * vr, rr * wwr};
-
-            auto blend = [&](C fl_c, C fr_c, C ql_c, C qr_c) {
-              return C(0.5) * (fl_c + fr_c) - C(0.5) * sm * (qr_c - ql_c);
-            };
-            flux[fi] = blend(rl * unl, rr * unr, rl, rr);
-            C fml[3] = {qml[0] * unl, qml[1] * unl, qml[2] * unl};
-            C fmr[3] = {qmr[0] * unr, qmr[1] * unr, qmr[2] * unr};
-            fml[Dir] += ptl;
-            fmr[Dir] += ptr;
-            flux[fn + fi] = blend(fml[0], fmr[0], qml[0], qmr[0]);
-            flux[2 * fn + fi] = blend(fml[1], fmr[1], qml[1], qmr[1]);
-            flux[3 * fn + fi] = blend(fml[2], fmr[2], qml[2], qmr[2]);
-            flux[4 * fn + fi] =
-                blend((el + ptl) * unl, (er + ptr) * unr, el, er);
-          }
-        }
-
-        if (viscous) {
-          // Velocities along the line come from the cached primitive line;
-          // transverse derivatives pair the momentum fields with the
-          // persistent reciprocal-density field — every term is
-          // multiplication-only.
-          const S* pmom[3] = {q[kMomX].data() + base, q[kMomY].data() + base,
-                              q[kMomZ].data() + base};
-          const S* pir = inv_rho_.data() + inv_rho_.idx(c0[0], c0[1], c0[2]);
-          for (std::size_t fi = 0; fi < fn; ++fi) {
-            const std::size_t il = fi + 2, ir = fi + 3;
-            const std::ptrdiff_t ol =
-                (static_cast<std::ptrdiff_t>(fi) - 1) * st;
-            const std::ptrdiff_t orr = ol + st;
-            fv::VelGrad<C> g;
-            C uf[3];
-            const C* uvw[3] = {u_l, v_l, w_l};
-            for (int a = 0; a < 3; ++a) {
-              uf[a] = C(0.5) * (uvw[a][il] + uvw[a][ir]);
-              g.g[a][dir] = (uvw[a][ir] - uvw[a][il]) * inv_d;
-              const S* pm = pmom[a];
-              auto dv = [&](std::ptrdiff_t o, std::ptrdiff_t stT) -> C {
-                return static_cast<C>(pm[o + stT]) *
-                           static_cast<C>(pir[o + stT]) -
-                       static_cast<C>(pm[o - stT]) *
-                           static_cast<C>(pir[o - stT]);
-              };
-              g.g[a][axA] = C(0.5) * (dv(ol, stA) + dv(orr, stA)) * inv2dA;
-              g.g[a][axB] = C(0.5) * (dv(ol, stB) + dv(orr, stB)) * inv2dB;
-            }
-            const auto fv_ = fv::viscous_flux(g, uf, mu, zeta, dir);
-            for (int c = 0; c < kNumVars; ++c)
-              flux[static_cast<std::size_t>(c) * fn + fi] += fv_[c];
-          }
-        }
-
-        for (int c = 0; c < kNumVars; ++c) {
-          S* pr = rhs[c].data() + base;
-          const C* fc = flux.data() + static_cast<std::size_t>(c) * fn;
-          if constexpr (common::converts_storage<Policy>) {
-            if (batch) {
-              // Accumulate in a compute-precision scratch line and convert
-              // the whole line once, instead of a conversion round-trip per
-              // element — same element values as the scalar loops below.
-              C* row = out_row.data();
-              const std::size_t nd = static_cast<std::size_t>(n_dir);
-              if (overwrite) {
-                for (std::size_t s = 0; s < nd; ++s)
-                  row[s] = (fc[s] - fc[s + 1]) * inv_d;
-              } else {
-                common::load_line_strided<Policy>(pr, st, row, nd);
-                for (std::size_t s = 0; s < nd; ++s)
-                  row[s] += (fc[s] - fc[s + 1]) * inv_d;
-              }
-              common::store_line_strided<Policy>(row, pr, st, nd);
-              continue;
-            }
-          }
-          if (overwrite) {
-            // dir==0: the zero-fill is folded into this overwrite, and the
-            // store is unit-stride (st == 1), so it vectorizes.
-            for (int s = 0; s < n_dir; ++s) {
-              pr[s * st] = static_cast<S>((fc[s] - fc[s + 1]) * inv_d);
-            }
-          } else {
-            for (int s = 0; s < n_dir; ++s) {
-              const C cur = static_cast<C>(pr[s * st]);
-              pr[s * st] = static_cast<S>(cur + (fc[s] - fc[s + 1]) * inv_d);
-            }
-          }
-        }
-      }
-    }
-  });
-}
-
-/// Row-streaming form of one dimensional sweep: instead of gathering each
-/// sweep-aligned line of cells into contiguous scratch, faces are evaluated
-/// a *row* (unit-stride x span) at a time, reading the six stencil rows of
-/// each face row directly from the fields (identity-storage policies) or
-/// from a rolling ring of batch-converted rows (FP16/32).  All inner loops
-/// are unit-stride, the strided y/z gathers and scatters of the line form
-/// disappear, and for the transverse sweeps each face row is computed once
-/// and reused by the two cell rows it bounds (a rolling flux-row pair).
-/// Bitwise-identical to flux_sweep — same stencil values through the same
-/// per-face expressions (compute_face_row) and the same per-cell
-/// accumulation order — which the dispatch-equivalence tests assert, since
-/// the runtime-dispatch reference path keeps the gathered-line kernel.
+/// One dimensional flux sweep, row-streaming: faces are evaluated a *row*
+/// (unit-stride x span) at a time, reading the six stencil rows of each
+/// face row directly from the fields (identity-storage policies) or from a
+/// rolling ring of batch-converted rows (16-bit storage).  All inner loops
+/// are unit-stride, and for the transverse sweeps each face row is computed
+/// once and reused by the two cell rows it bounds (a rolling flux-row
+/// pair).  The per-face arithmetic lives in compute_face_row; the flux RHS
+/// fingerprints in tests/test_flux_dispatch.cpp pin its bits.
 template <class Policy>
 template <int Dir, class ReconOp>
 void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
@@ -899,7 +536,6 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
   const int nxr = reg.hi[0] - reg.lo[0];
   const C gam = static_cast<C>(cfg_.gamma);
   const bool viscous = (cfg_.mu > 0.0 || cfg_.zeta > 0.0);
-  const bool batch = cfg_.batch_half_conversion;
   const std::array<C, 3> dd{static_cast<C>(grid_.dx()),
                             static_cast<C>(grid_.dy()),
                             static_cast<C>(grid_.dz())};
@@ -923,7 +559,7 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
 
   const C gm1 = P.gm1;
   // Cell-primitive rows: ir, u, v, w, p from a row of conservative values —
-  // the gathered-line prim pass, re-spanned (one division per cell).
+  // the face prim pass over cell rows (one division per cell).
   auto cell_prims = [gm1](const C* rho, const C* mx, const C* my,
                           const C* mz, const C* en, std::size_t n, C* ir,
                           C* u, C* v, C* w, C* p) {
@@ -969,12 +605,7 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
             const C* crow;
             if constexpr (common::converts_storage<Policy>) {
               C* dst = conv.data() + static_cast<std::size_t>(c) * span;
-              if (batch) {
-                common::load_line<Policy>(row, dst, span);
-              } else {
-                for (std::size_t i = 0; i < span; ++i)
-                  dst[i] = static_cast<C>(row[i]);
-              }
+              common::load_line<Policy>(row, dst, span);
               crow = dst;
             } else {
               crow = row;
@@ -1008,22 +639,18 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
             const C* __restrict fc =
                 flux.data() + static_cast<std::size_t>(c) * fn;
             if constexpr (common::converts_storage<Policy>) {
-              if (batch) {
-                C* row = out_row.data();
-                const std::size_t nd = static_cast<std::size_t>(nxr);
-                if (overwrite) {
-                  for (std::size_t s = 0; s < nd; ++s)
-                    row[s] = (fc[s] - fc[s + 1]) * P.inv_d;
-                } else {
-                  common::load_line<Policy>(pr, row, nd);
-                  for (std::size_t s = 0; s < nd; ++s)
-                    row[s] += (fc[s] - fc[s + 1]) * P.inv_d;
-                }
-                common::store_line<Policy>(row, pr, nd);
-                continue;
+              C* row = out_row.data();
+              const std::size_t nd = static_cast<std::size_t>(nxr);
+              if (overwrite) {
+                for (std::size_t s = 0; s < nd; ++s)
+                  row[s] = (fc[s] - fc[s + 1]) * P.inv_d;
+              } else {
+                common::load_line<Policy>(pr, row, nd);
+                for (std::size_t s = 0; s < nd; ++s)
+                  row[s] += (fc[s] - fc[s + 1]) * P.inv_d;
               }
-            }
-            if (overwrite) {
+              common::store_line<Policy>(row, pr, nd);
+            } else if (overwrite) {
               for (int s = 0; s < nxr; ++s)
                 pr[s] = static_cast<S>((fc[s] - fc[s + 1]) * P.inv_d);
             } else {
@@ -1077,12 +704,7 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
                      (static_cast<std::size_t>(c) * 6 +
                       static_cast<std::size_t>(((si % 6) + 6) % 6)) *
                          fn;
-            if (batch) {
-              common::load_line<Policy>(row, dst, fn);
-            } else {
-              for (std::size_t i = 0; i < fn; ++i)
-                dst[i] = static_cast<C>(row[i]);
-            }
+            common::load_line<Policy>(row, dst, fn);
             return dst;
           } else {
             return row;
@@ -1165,21 +787,17 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
             const C* __restrict hi_c =
                 fhi + static_cast<std::size_t>(c) * fn;
             if constexpr (common::converts_storage<Policy>) {
-              if (batch) {
-                C* row = out_row.data();
-                if (overwrite) {
-                  for (std::size_t s = 0; s < fn; ++s)
-                    row[s] = (lo_c[s] - hi_c[s]) * P.inv_d;
-                } else {
-                  common::load_line<Policy>(pr, row, fn);
-                  for (std::size_t s = 0; s < fn; ++s)
-                    row[s] += (lo_c[s] - hi_c[s]) * P.inv_d;
-                }
-                common::store_line<Policy>(row, pr, fn);
-                continue;
+              C* row = out_row.data();
+              if (overwrite) {
+                for (std::size_t s = 0; s < fn; ++s)
+                  row[s] = (lo_c[s] - hi_c[s]) * P.inv_d;
+              } else {
+                common::load_line<Policy>(pr, row, fn);
+                for (std::size_t s = 0; s < fn; ++s)
+                  row[s] += (lo_c[s] - hi_c[s]) * P.inv_d;
               }
-            }
-            if (overwrite) {
+              common::store_line<Policy>(row, pr, fn);
+            } else if (overwrite) {
               for (std::size_t s = 0; s < fn; ++s)
                 pr[s] = static_cast<S>((lo_c[s] - hi_c[s]) * P.inv_d);
             } else {
@@ -1201,8 +819,9 @@ void IgrSolver3D<Policy>::flux_stream_all(common::StateField3<S>& q,
                                           common::StateField3<S>& rhs,
                                           ReconOp recon,
                                           const CellRegion& reg) {
-  // Same partition semantics as flux_sweep_all: the x sweep overwrites
-  // (folding the RHS zero-fill), y and z accumulate.
+  // The x sweep overwrites rhs, folding the zero-fill into its write-back
+  // and saving one full 5N traversal per RK stage; y and z accumulate.
+  // Regions partition the block, so every cell sees exactly one overwrite.
   flux_sweep_stream<0>(q, rhs, recon, /*overwrite=*/true, reg);
   flux_sweep_stream<1>(q, rhs, recon, /*overwrite=*/false, reg);
   flux_sweep_stream<2>(q, rhs, recon, /*overwrite=*/false, reg);
@@ -1222,26 +841,12 @@ void IgrSolver3D<Policy>::sigma_sweep(common::StateField3<S>& /*q*/) {
                            static_cast<C>(grid_.dz()),
                            cfg_.sigma_gauss_seidel ? SweepKind::kRedBlack
                                                    : SweepKind::kJacobi,
-                           cfg_.batch_half_conversion, cfg_.exec());
+                           cfg_.exec());
 }
 
 template <class Policy>
 void IgrSolver3D<Policy>::fill_sigma_boundary() {
   fill_sigma_ghosts(sigma_, sigma_bc_);
-}
-
-template <class Policy>
-template <class ReconOp>
-void IgrSolver3D<Policy>::flux_sweep_all(common::StateField3<S>& q,
-                                         common::StateField3<S>& rhs,
-                                         ReconOp recon,
-                                         const CellRegion& reg) {
-  // The dir==0 sweep overwrites rhs, folding the zero-fill into its
-  // write-back and saving one full 5N traversal per RK stage.  Regions
-  // partition the block, so every cell sees exactly one overwrite.
-  flux_sweep<0>(q, rhs, recon, /*overwrite=*/true, reg);
-  flux_sweep<1>(q, rhs, recon, /*overwrite=*/false, reg);
-  flux_sweep<2>(q, rhs, recon, /*overwrite=*/false, reg);
 }
 
 template <class Policy>
@@ -1349,13 +954,6 @@ void IgrSolver3D<Policy>::compute_fluxes_boundary(common::StateField3<S>& q,
   high.lo[as] = in.hi[as];
   if (!low.empty()) compute_fluxes_region(q, rhs, low, /*prepare=*/false);
   if (!high.empty()) compute_fluxes_region(q, rhs, high, /*prepare=*/false);
-}
-
-template <class Policy>
-void IgrSolver3D<Policy>::compute_fluxes_runtime_dispatch(
-    common::StateField3<S>& q, common::StateField3<S>& rhs) {
-  prepare_flux_pass(q);
-  flux_sweep_all(q, rhs, fv::ReconRuntime{recon_}, full_region());
 }
 
 template <class Policy>
@@ -1469,7 +1067,6 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
   const C dx = static_cast<C>(grid_.dx());
   const C dy = static_cast<C>(grid_.dy());
   const C dz = static_cast<C>(grid_.dz());
-  const bool batch = cfg_.batch_half_conversion;
 
   int ir_hi = -ng;
   auto ensure_ir = [&](int upto) {  // exclusive
@@ -1508,13 +1105,13 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
         if (p0 >= 0 && p0 < nz) {
           sweep_ghosts(sigma_, p0, 1);
           sigma_relax_planes<Policy>(sigma_, sigma_src_, inv_rho_, al, dx, dy,
-                                     dz, /*color=*/0, p0, p0 + 1, batch,
+                                     dz, /*color=*/0, p0, p0 + 1,
                                      cfg_.exec());
         }
         const int p1 = f - (2 * s - 1);
         if (p1 >= 0 && p1 < nz) {
           sigma_relax_planes<Policy>(sigma_, sigma_src_, inv_rho_, al, dx, dy,
-                                     dz, /*color=*/1, p1, p1 + 1, batch,
+                                     dz, /*color=*/1, p1, p1 + 1,
                                      cfg_.exec());
         }
       } else {
@@ -1527,7 +1124,7 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
           auto& out = (s % 2 == 1) ? sigma_scratch_ : sigma_;
           sweep_ghosts(in, p, 1);
           sigma_jacobi_planes<Policy>(out, in, sigma_src_, inv_rho_, al, dx,
-                                      dy, dz, p, p + 1, batch, cfg_.exec());
+                                      dy, dz, p, p + 1, cfg_.exec());
         }
       }
     }
@@ -1553,52 +1150,50 @@ void IgrSolver3D<Policy>::rk_update_planes(const fv::Rk3Stage& st, double dt,
   const C b = static_cast<C>(st.b);
   const C dtc = static_cast<C>(dt);
   if constexpr (common::converts_storage<Policy>) {
-    if (cfg_.batch_half_conversion) {
-      // Row-batched update: 3 batch loads + 1 batch store per component row
-      // replace 3 scalar conversions + 1 round-trip per element.
-      const std::size_t nxs = static_cast<std::size_t>(nx);
-      cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
-        std::vector<C> qn_row(nxs), qs_row(nxs), r_row(nxs);
-        long cb, ce;
-        t.chunk(k1 - k0, cb, ce);
-        for (long kk = cb; kk < ce; ++kk) {
-          const int k = k0 + static_cast<int>(kk);
-          for (int j = 0; j < ny; ++j) {
-            for (int c = 0; c < kNumVars; ++c) {
-              common::load_line<Policy>(q_[c].row(j, k), qn_row.data(), nxs);
-              common::load_line<Policy>(qstage_[c].row(j, k), qs_row.data(),
-                                        nxs);
-              common::load_line<Policy>(rhs_[c].row(j, k), r_row.data(), nxs);
-              for (std::size_t i = 0; i < nxs; ++i)
-                qs_row[i] = a * qn_row[i] + b * (qs_row[i] + dtc * r_row[i]);
-              common::store_line<Policy>(qs_row.data(), qstage_[c].row(j, k),
-                                         nxs);
-            }
+    // Row-batched update: 3 batch loads + 1 batch store per component row
+    // replace 3 scalar conversions + 1 round-trip per element.
+    const std::size_t nxs = static_cast<std::size_t>(nx);
+    cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
+      std::vector<C> qn_row(nxs), qs_row(nxs), r_row(nxs);
+      long cb, ce;
+      t.chunk(k1 - k0, cb, ce);
+      for (long kk = cb; kk < ce; ++kk) {
+        const int k = k0 + static_cast<int>(kk);
+        for (int j = 0; j < ny; ++j) {
+          for (int c = 0; c < kNumVars; ++c) {
+            common::load_line<Policy>(q_[c].row(j, k), qn_row.data(), nxs);
+            common::load_line<Policy>(qstage_[c].row(j, k), qs_row.data(),
+                                      nxs);
+            common::load_line<Policy>(rhs_[c].row(j, k), r_row.data(), nxs);
+            for (std::size_t i = 0; i < nxs; ++i)
+              qs_row[i] = a * qn_row[i] + b * (qs_row[i] + dtc * r_row[i]);
+            common::store_line<Policy>(qs_row.data(), qstage_[c].row(j, k),
+                                       nxs);
           }
         }
-      });
-      return;
-    }
-  }
-  // Row-pointer form (restrict: the three fields never alias) so the
-  // update vectorizes; the per-element expression is unchanged and cells
-  // are independent, so the c-outer order writes the same bits.
-  cfg_.exec().for_each(k1 - k0, [&](long kk) {
-    const int k = k0 + static_cast<int>(kk);
-    for (int j = 0; j < ny; ++j) {
-      for (int c = 0; c < kNumVars; ++c) {
-        const S* __restrict qn_row = q_[c].row(j, k);
-        S* __restrict qs_row = qstage_[c].row(j, k);
-        const S* __restrict r_row = rhs_[c].row(j, k);
-        for (int i = 0; i < nx; ++i) {
-          const C qn = static_cast<C>(qn_row[i]);
-          const C qs = static_cast<C>(qs_row[i]);
-          const C r = static_cast<C>(r_row[i]);
-          qs_row[i] = static_cast<S>(a * qn + b * (qs + dtc * r));
+      }
+    });
+  } else {
+    // Row-pointer form (restrict: the three fields never alias) so the
+    // update vectorizes; the per-element expression is unchanged and cells
+    // are independent, so the c-outer order writes the same bits.
+    cfg_.exec().for_each(k1 - k0, [&](long kk) {
+      const int k = k0 + static_cast<int>(kk);
+      for (int j = 0; j < ny; ++j) {
+        for (int c = 0; c < kNumVars; ++c) {
+          const S* __restrict qn_row = q_[c].row(j, k);
+          S* __restrict qs_row = qstage_[c].row(j, k);
+          const S* __restrict r_row = rhs_[c].row(j, k);
+          for (int i = 0; i < nx; ++i) {
+            const C qn = static_cast<C>(qn_row[i]);
+            const C qs = static_cast<C>(qs_row[i]);
+            const C r = static_cast<C>(r_row[i]);
+            qs_row[i] = static_cast<S>(a * qn + b * (qs + dtc * r));
+          }
         }
       }
-    }
-  });
+    });
+  }
 }
 
 template <class Policy>
@@ -1611,44 +1206,42 @@ void IgrSolver3D<Policy>::rk_stage1_planes(double dt, int k0, int k1) {
   const int nx = grid_.nx(), ny = grid_.ny();
   const C dtc = static_cast<C>(dt);
   if constexpr (common::converts_storage<Policy>) {
-    if (cfg_.batch_half_conversion) {
-      const std::size_t nxs = static_cast<std::size_t>(nx);
-      cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
-        std::vector<C> qn_row(nxs), r_row(nxs);
-        long cb, ce;
-        t.chunk(k1 - k0, cb, ce);
-        for (long kk = cb; kk < ce; ++kk) {
-          const int k = k0 + static_cast<int>(kk);
-          for (int j = 0; j < ny; ++j) {
-            for (int c = 0; c < kNumVars; ++c) {
-              common::load_line<Policy>(q_[c].row(j, k), qn_row.data(), nxs);
-              common::load_line<Policy>(rhs_[c].row(j, k), r_row.data(), nxs);
-              for (std::size_t i = 0; i < nxs; ++i)
-                qn_row[i] = qn_row[i] + dtc * r_row[i];
-              common::store_line<Policy>(qn_row.data(), qstage_[c].row(j, k),
-                                         nxs);
-            }
+    const std::size_t nxs = static_cast<std::size_t>(nx);
+    cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
+      std::vector<C> qn_row(nxs), r_row(nxs);
+      long cb, ce;
+      t.chunk(k1 - k0, cb, ce);
+      for (long kk = cb; kk < ce; ++kk) {
+        const int k = k0 + static_cast<int>(kk);
+        for (int j = 0; j < ny; ++j) {
+          for (int c = 0; c < kNumVars; ++c) {
+            common::load_line<Policy>(q_[c].row(j, k), qn_row.data(), nxs);
+            common::load_line<Policy>(rhs_[c].row(j, k), r_row.data(), nxs);
+            for (std::size_t i = 0; i < nxs; ++i)
+              qn_row[i] = qn_row[i] + dtc * r_row[i];
+            common::store_line<Policy>(qn_row.data(), qstage_[c].row(j, k),
+                                       nxs);
           }
         }
-      });
-      return;
-    }
-  }
-  cfg_.exec().for_each(k1 - k0, [&](long kk) {
-    const int k = k0 + static_cast<int>(kk);
-    for (int j = 0; j < ny; ++j) {
-      for (int c = 0; c < kNumVars; ++c) {
-        const S* __restrict qn_row = q_[c].row(j, k);
-        const S* __restrict r_row = rhs_[c].row(j, k);
-        S* __restrict qs_row = qstage_[c].row(j, k);
-        for (int i = 0; i < nx; ++i) {
-          const C qn = static_cast<C>(qn_row[i]);
-          const C r = static_cast<C>(r_row[i]);
-          qs_row[i] = static_cast<S>(qn + dtc * r);
+      }
+    });
+  } else {
+    cfg_.exec().for_each(k1 - k0, [&](long kk) {
+      const int k = k0 + static_cast<int>(kk);
+      for (int j = 0; j < ny; ++j) {
+        for (int c = 0; c < kNumVars; ++c) {
+          const S* __restrict qn_row = q_[c].row(j, k);
+          const S* __restrict r_row = rhs_[c].row(j, k);
+          S* __restrict qs_row = qstage_[c].row(j, k);
+          for (int i = 0; i < nx; ++i) {
+            const C qn = static_cast<C>(qn_row[i]);
+            const C r = static_cast<C>(r_row[i]);
+            qs_row[i] = static_cast<S>(qn + dtc * r);
+          }
         }
       }
-    }
-  });
+    });
+  }
 }
 
 template <class Policy>

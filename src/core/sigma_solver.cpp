@@ -227,48 +227,6 @@ inline void relax_row_gathered(const StencilRows<C>& b, int nx, C alpha,
   }
 }
 
-/// One full-field relaxation pass.  With `jacobi` true, reads `in` and
-/// writes `out` (distinct buffers, embarrassingly parallel across the
-/// execution space); otherwise updates in place in the natural
-/// lexicographic Gauss–Seidel order, which is inherently serial (kept as
-/// the reference ordering — it ignores `exec`).
-template <class Policy>
-void sweep(common::Field3<typename Policy::storage_t>& out,
-           const common::Field3<typename Policy::storage_t>& in,
-           const common::Field3<typename Policy::storage_t>& src,
-           const common::Field3<typename Policy::storage_t>& inv_rho,
-           typename Policy::compute_t alpha,
-           typename Policy::compute_t inv_dx2,
-           typename Policy::compute_t inv_dy2,
-           typename Policy::compute_t inv_dz2, bool jacobi,
-           const common::ExecSpace& exec) {
-  using C = typename Policy::compute_t;
-  using S = typename Policy::storage_t;
-  const int nx = out.nx(), ny = out.ny(), nz = out.nz();
-
-  const std::ptrdiff_t sy = inv_rho.stride(1);
-  const std::ptrdiff_t sz = inv_rho.stride(2);
-  const common::Field3<S>& sin_f = jacobi ? in : out;
-
-  auto relax_plane = [&](int k) {
-    for (int j = 0; j < ny; ++j) {
-      const S* pir = &inv_rho(0, j, k);
-      const S* psr = &src(0, j, k);
-      const S* ps = &sin_f(0, j, k);
-      S* po = &out(0, j, k);
-      for (int i = 0; i < nx; ++i) {
-        po[i] = static_cast<S>(relax_cell<C>(pir, psr, ps, i, sy, sz, alpha,
-                                             inv_dx2, inv_dy2, inv_dz2));
-      }
-    }
-  };
-  if (jacobi) {
-    exec.for_each(nz, [&](long k) { relax_plane(static_cast<int>(k)); });
-  } else {
-    for (int k = 0; k < nz; ++k) relax_plane(k);
-  }
-}
-
 /// Tentative relax values for a whole row.  Contiguous in i, no
 /// loop-carried dependence: the loop vectorizes, and in particular the
 /// per-cell diagonal division becomes a pipelined vector divide.  Each lane
@@ -323,8 +281,8 @@ inline void relax_row(const S* pir, const S* psr, const S* ps, int nx,
 /// the k∓1 planes, so letting adjacent planes update concurrently would be a
 /// formal data race on those bytes; within one phase all written planes
 /// share a k parity while reads only cross to the other parity.  Converges
-/// to the same fixed point as the serial sweep — tests/test_sigma_solver.cpp
-/// asserts this.
+/// to the same fixed point as Jacobi — tests/test_sigma_solver.cpp asserts
+/// this.
 template <class Policy>
 void sweep_red_black(common::Field3<typename Policy::storage_t>& sigma,
                      const common::Field3<typename Policy::storage_t>& src,
@@ -373,7 +331,7 @@ void sweep_red_black(common::Field3<typename Policy::storage_t>& sigma,
 /// updated color's values are compacted, batch-converted, and scattered
 /// back with stride 2.  Only the updated color's cells are ever read by the
 /// relax expression's taps (opposite parity) and only they are written, so
-/// the result is bitwise-equal to the per-element ordering.  The serial j
+/// the result is bitwise-equal to sweep_red_black.  The serial j
 /// walk within each plane streams through the rolling PlaneRowCache, so
 /// every center-plane sigma/inv_rho row converts once per plane visit
 /// instead of three times (eleven gathered rows per visit become seven).
@@ -431,48 +389,6 @@ void sweep_red_black_batched(
   }
 }
 
-/// Row-batched Jacobi pass for converting policies (reads `in`, writes
-/// `out`): whole rows are converted in through the rolling row cache (the
-/// read field is never written, so cached rows are trivially fresh),
-/// relaxed at compute precision, and converted back out in one batch store
-/// per row.
-template <class Policy>
-void sweep_jacobi_batched(
-    common::Field3<typename Policy::storage_t>& out,
-    const common::Field3<typename Policy::storage_t>& in,
-    const common::Field3<typename Policy::storage_t>& src,
-    const common::Field3<typename Policy::storage_t>& inv_rho,
-    typename Policy::compute_t alpha, typename Policy::compute_t inv_dx2,
-    typename Policy::compute_t inv_dy2, typename Policy::compute_t inv_dz2,
-    const common::ExecSpace& exec) {
-  using C = typename Policy::compute_t;
-  const int nx = out.nx(), ny = out.ny(), nz = out.nz();
-  const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
-
-  exec.run_team([&](const common::ExecSpace::Team& t) {
-    PlaneRowCache<Policy> cache(ny, row_len);
-    std::vector<C> aux(5 * row_len);
-    std::vector<C> vals(static_cast<std::size_t>(nx));
-    long cb, ce;
-    t.chunk(nz, cb, ce);
-    for (long kk = cb; kk < ce; ++kk) {
-      const int k = static_cast<int>(kk);
-      cache.reset(k);
-      for (int j = 0; j < ny; ++j) {
-        const auto rows = gather_rows<Policy>(cache, in, src, inv_rho, j, k,
-                                              row_len, aux.data());
-        relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2, inv_dz2,
-                              vals.data());
-        common::store_line<Policy>(vals.data(), out.row(j, k),
-                                   static_cast<std::size_t>(nx));
-      }
-    }
-  });
-}
-
-}  // namespace
-
-namespace {
 
 /// Shared body of the per-axis ghost fills.  For axes 0/1 the tangential k
 /// loop can be restricted to interior planes [kr0, kr1) — the per-plane rim
@@ -531,7 +447,7 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         typename Policy::compute_t dx,
                         typename Policy::compute_t dy,
                         typename Policy::compute_t dz, int color, int k0,
-                        int k1, bool batch, const common::ExecSpace& exec) {
+                        int k1, const common::ExecSpace& exec) {
   using C = typename Policy::compute_t;
   using S = typename Policy::storage_t;
   const int nx = sigma.nx(), ny = sigma.ny();
@@ -546,71 +462,68 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
   // may update concurrently while their reads only cross to the other
   // parity.
   if constexpr (common::converts_storage<Policy>) {
-    if (batch) {
-      // One per-plane row cache shared by both j-parity phases: phase 0
-      // converts the rows it touches, phase 1's gathers then hit every
-      // center-plane row (its j∓1 neighbors were phase-0 centers, its
-      // centers were phase-0 neighbors).  Valid across the phase boundary
-      // by the parity argument at PlaneRowCache: the lanes phase 0 wrote
-      // are never consumed by any tap feeding a stored value.  The team
-      // barrier between the phases keeps the race-freedom structure the
-      // implicit omp-for barrier used to provide.
-      const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
-      for (int k = k0; k < k1; ++k) {
+    // One per-plane row cache shared by both j-parity phases: phase 0
+    // converts the rows it touches, phase 1's gathers then hit every
+    // center-plane row (its j∓1 neighbors were phase-0 centers, its
+    // centers were phase-0 neighbors).  Valid across the phase boundary
+    // by the parity argument at PlaneRowCache: the lanes phase 0 wrote
+    // are never consumed by any tap feeding a stored value.  The team
+    // barrier between the phases keeps the race-freedom structure the
+    // implicit omp-for barrier used to provide.
+    const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
+    for (int k = k0; k < k1; ++k) {
+      exec.run_team([&](const common::ExecSpace::Team& t) {
+        PlaneRowCache<Policy> cache(ny, row_len);
+        cache.reset(k);
+        std::vector<C> aux(5 * row_len);
+        std::vector<C> tmp(static_cast<std::size_t>(nx));
+        std::vector<C> vals((static_cast<std::size_t>(nx) + 1) / 2);
+        for (int jphase = 0; jphase < 2; ++jphase) {
+          if (jphase == 1) t.barrier();
+          const long nj = (static_cast<long>(ny) - jphase + 1) / 2;
+          long cb, ce;
+          t.chunk(nj, cb, ce);
+          for (long jj = cb; jj < ce; ++jj) {
+            const int j = jphase + 2 * static_cast<int>(jj);
+            const auto rows = gather_rows<Policy>(cache, sigma, src,
+                                                  inv_rho, j, k, row_len,
+                                                  aux.data());
+            relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2,
+                                  inv_dz2, tmp.data());
+            const int i0 = (color + j + k) & 1;
+            std::size_t m = 0;
+            for (int i = i0; i < nx; i += 2) vals[m++] = tmp[i];
+            if (m > 0) {
+              common::store_line_strided<Policy>(vals.data(),
+                                                 &sigma(i0, j, k), 2, m);
+            }
+          }
+        }
+      });
+    }
+  } else {
+    const std::ptrdiff_t sy = inv_rho.stride(1);
+    const std::ptrdiff_t sz = inv_rho.stride(2);
+    for (int k = k0; k < k1; ++k) {
+      for (int jphase = 0; jphase < 2; ++jphase) {
+        const long nj = (static_cast<long>(ny) - jphase + 1) / 2;
         exec.run_team([&](const common::ExecSpace::Team& t) {
-          PlaneRowCache<Policy> cache(ny, row_len);
-          cache.reset(k);
-          std::vector<C> aux(5 * row_len);
           std::vector<C> tmp(static_cast<std::size_t>(nx));
-          std::vector<C> vals((static_cast<std::size_t>(nx) + 1) / 2);
-          for (int jphase = 0; jphase < 2; ++jphase) {
-            if (jphase == 1) t.barrier();
-            const long nj = (static_cast<long>(ny) - jphase + 1) / 2;
-            long cb, ce;
-            t.chunk(nj, cb, ce);
-            for (long jj = cb; jj < ce; ++jj) {
-              const int j = jphase + 2 * static_cast<int>(jj);
-              const auto rows = gather_rows<Policy>(cache, sigma, src,
-                                                    inv_rho, j, k, row_len,
-                                                    aux.data());
-              relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2,
-                                    inv_dz2, tmp.data());
-              const int i0 = (color + j + k) & 1;
-              std::size_t m = 0;
-              for (int i = i0; i < nx; i += 2) vals[m++] = tmp[i];
-              if (m > 0) {
-                common::store_line_strided<Policy>(vals.data(),
-                                                   &sigma(i0, j, k), 2, m);
-              }
+          long cb, ce;
+          t.chunk(nj, cb, ce);
+          for (long jj = cb; jj < ce; ++jj) {
+            const int j = jphase + 2 * static_cast<int>(jj);
+            const S* pir = &inv_rho(0, j, k);
+            const S* psr = &src(0, j, k);
+            S* ps = &sigma(0, j, k);
+            relax_row<C>(pir, psr, ps, nx, sy, sz, alpha, inv_dx2, inv_dy2,
+                         inv_dz2, tmp.data());
+            for (int i = (color + j + k) & 1; i < nx; i += 2) {
+              ps[i] = static_cast<S>(tmp[i]);
             }
           }
         });
       }
-      return;
-    }
-  }
-
-  const std::ptrdiff_t sy = inv_rho.stride(1);
-  const std::ptrdiff_t sz = inv_rho.stride(2);
-  for (int k = k0; k < k1; ++k) {
-    for (int jphase = 0; jphase < 2; ++jphase) {
-      const long nj = (static_cast<long>(ny) - jphase + 1) / 2;
-      exec.run_team([&](const common::ExecSpace::Team& t) {
-        std::vector<C> tmp(static_cast<std::size_t>(nx));
-        long cb, ce;
-        t.chunk(nj, cb, ce);
-        for (long jj = cb; jj < ce; ++jj) {
-          const int j = jphase + 2 * static_cast<int>(jj);
-          const S* pir = &inv_rho(0, j, k);
-          const S* psr = &src(0, j, k);
-          S* ps = &sigma(0, j, k);
-          relax_row<C>(pir, psr, ps, nx, sy, sz, alpha, inv_dx2, inv_dy2,
-                       inv_dz2, tmp.data());
-          for (int i = (color + j + k) & 1; i < nx; i += 2) {
-            ps[i] = static_cast<S>(tmp[i]);
-          }
-        }
-      });
     }
   }
 }
@@ -624,7 +537,7 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          typename Policy::compute_t dx,
                          typename Policy::compute_t dy,
                          typename Policy::compute_t dz, int k0, int k1,
-                         bool batch, const common::ExecSpace& exec) {
+                         const common::ExecSpace& exec) {
   using C = typename Policy::compute_t;
   using S = typename Policy::storage_t;
   const int nx = out.nx(), ny = out.ny();
@@ -637,48 +550,45 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
   const long total = static_cast<long>(k1 - k0) * ny;
 
   if constexpr (common::converts_storage<Policy>) {
-    if (batch) {
-      const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
-      exec.run_team([&](const common::ExecSpace::Team& t) {
-        PlaneRowCache<Policy> cache(ny, row_len);
-        int cached_k = INT_MIN;
-        std::vector<C> aux(5 * row_len);
-        std::vector<C> vals(static_cast<std::size_t>(nx));
-        long cb, ce;
-        t.chunk(total, cb, ce);
-        for (long idx = cb; idx < ce; ++idx) {
-          const int k = k0 + static_cast<int>(idx / ny);
-          const int j = static_cast<int>(idx % ny);
-          if (k != cached_k) {
-            cache.reset(k);
-            cached_k = k;
-          }
-          const auto rows = gather_rows<Policy>(cache, in, src, inv_rho, j,
-                                                k, row_len, aux.data());
-          relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2, inv_dz2,
-                                vals.data());
-          common::store_line<Policy>(vals.data(), out.row(j, k),
-                                     static_cast<std::size_t>(nx));
+    const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
+    exec.run_team([&](const common::ExecSpace::Team& t) {
+      PlaneRowCache<Policy> cache(ny, row_len);
+      int cached_k = INT_MIN;
+      std::vector<C> aux(5 * row_len);
+      std::vector<C> vals(static_cast<std::size_t>(nx));
+      long cb, ce;
+      t.chunk(total, cb, ce);
+      for (long idx = cb; idx < ce; ++idx) {
+        const int k = k0 + static_cast<int>(idx / ny);
+        const int j = static_cast<int>(idx % ny);
+        if (k != cached_k) {
+          cache.reset(k);
+          cached_k = k;
         }
-      });
-      return;
-    }
+        const auto rows = gather_rows<Policy>(cache, in, src, inv_rho, j,
+                                              k, row_len, aux.data());
+        relax_row_gathered<C>(rows, nx, alpha, inv_dx2, inv_dy2, inv_dz2,
+                              vals.data());
+        common::store_line<Policy>(vals.data(), out.row(j, k),
+                                   static_cast<std::size_t>(nx));
+      }
+    });
+  } else {
+    const std::ptrdiff_t sy = inv_rho.stride(1);
+    const std::ptrdiff_t sz = inv_rho.stride(2);
+    exec.for_each(total, [&](long idx) {
+      const int k = k0 + static_cast<int>(idx / ny);
+      const int j = static_cast<int>(idx % ny);
+      const S* pir = &inv_rho(0, j, k);
+      const S* psr = &src(0, j, k);
+      const S* ps = &in(0, j, k);
+      S* po = &out(0, j, k);
+      for (int i = 0; i < nx; ++i) {
+        po[i] = static_cast<S>(relax_cell<C>(pir, psr, ps, i, sy, sz, alpha,
+                                             inv_dx2, inv_dy2, inv_dz2));
+      }
+    });
   }
-
-  const std::ptrdiff_t sy = inv_rho.stride(1);
-  const std::ptrdiff_t sz = inv_rho.stride(2);
-  exec.for_each(total, [&](long idx) {
-    const int k = k0 + static_cast<int>(idx / ny);
-    const int j = static_cast<int>(idx % ny);
-    const S* pir = &inv_rho(0, j, k);
-    const S* psr = &src(0, j, k);
-    const S* ps = &in(0, j, k);
-    S* po = &out(0, j, k);
-    for (int i = 0; i < nx; ++i) {
-      po[i] = static_cast<S>(relax_cell<C>(pir, psr, ps, i, sy, sz, alpha,
-                                           inv_dx2, inv_dy2, inv_dz2));
-    }
-  });
 }
 
 template <class S>
@@ -731,59 +641,27 @@ void sigma_sweep_once(common::Field3<typename Policy::storage_t>& sigma,
                       typename Policy::compute_t dx,
                       typename Policy::compute_t dy,
                       typename Policy::compute_t dz, SweepKind kind,
-                      bool batch, const common::ExecSpace& exec) {
+                      const common::ExecSpace& exec) {
   using C = typename Policy::compute_t;
+  if (kind == SweepKind::kJacobi) {
+    sigma_jacobi_planes<Policy>(scratch, sigma, src, inv_rho, alpha, dx, dy,
+                                dz, 0, sigma.nz(), exec);
+    std::swap(sigma, scratch);
+    return;
+  }
   const C inv_dx2 = C(1) / (dx * dx);
   const C inv_dy2 = C(1) / (dy * dy);
   const C inv_dz2 = C(1) / (dz * dz);
-  // The row-batched passes only exist for converting policies; identity
+  // The row-batched pass only exists for converting policies; identity
   // storage reads at compute precision already, so batching would only add
-  // copies.  The lexicographic ordering keeps its serial per-element form.
-  constexpr bool kConverts = common::converts_storage<Policy>;
-  switch (kind) {
-    case SweepKind::kRedBlack:
-      if constexpr (kConverts) {
-        if (batch) {
-          sweep_red_black_batched<Policy>(sigma, src, inv_rho, alpha, inv_dx2,
-                                          inv_dy2, inv_dz2, exec);
-          break;
-        }
-      }
-      sweep_red_black<Policy>(sigma, src, inv_rho, alpha, inv_dx2, inv_dy2,
-                              inv_dz2, exec);
-      break;
-    case SweepKind::kGaussSeidelLex:
-      sweep<Policy>(sigma, sigma, src, inv_rho, alpha, inv_dx2, inv_dy2,
-                    inv_dz2, /*jacobi=*/false, exec);
-      break;
-    case SweepKind::kJacobi:
-      if constexpr (kConverts) {
-        if (batch) {
-          sweep_jacobi_batched<Policy>(scratch, sigma, src, inv_rho, alpha,
-                                       inv_dx2, inv_dy2, inv_dz2, exec);
-          std::swap(sigma, scratch);
-          break;
-        }
-      }
-      sweep<Policy>(scratch, sigma, src, inv_rho, alpha, inv_dx2, inv_dy2,
-                    inv_dz2, /*jacobi=*/true, exec);
-      std::swap(sigma, scratch);
-      break;
+  // copies.
+  if constexpr (common::converts_storage<Policy>) {
+    sweep_red_black_batched<Policy>(sigma, src, inv_rho, alpha, inv_dx2,
+                                    inv_dy2, inv_dz2, exec);
+  } else {
+    sweep_red_black<Policy>(sigma, src, inv_rho, alpha, inv_dx2, inv_dy2,
+                            inv_dz2, exec);
   }
-}
-
-template <class Policy>
-void sigma_sweep_once(common::Field3<typename Policy::storage_t>& sigma,
-                      common::Field3<typename Policy::storage_t>& scratch,
-                      const common::Field3<typename Policy::storage_t>& src,
-                      const common::Field3<typename Policy::storage_t>& inv_rho,
-                      typename Policy::compute_t alpha,
-                      typename Policy::compute_t dx,
-                      typename Policy::compute_t dy,
-                      typename Policy::compute_t dz, bool gauss_seidel) {
-  sigma_sweep_once<Policy>(sigma, scratch, src, inv_rho, alpha, dx, dy, dz,
-                           gauss_seidel ? SweepKind::kRedBlack
-                                        : SweepKind::kJacobi);
 }
 
 template <class Policy>
@@ -795,31 +673,16 @@ void sigma_solve(common::Field3<typename Policy::storage_t>& sigma,
                  typename Policy::compute_t dx,
                  typename Policy::compute_t dy,
                  typename Policy::compute_t dz,
-                 int sweeps, SweepKind kind, SigmaBcSpec bc, bool batch,
+                 int sweeps, SweepKind kind, SigmaBcSpec bc,
                  const common::ExecSpace& exec) {
   for (int s = 0; s < sweeps; ++s) {
     // Sweeps consume a single ghost layer.
     fill_sigma_ghosts(sigma, bc, 1);
     sigma_sweep_once<Policy>(sigma, scratch, src, inv_rho, alpha, dx, dy, dz,
-                             kind, batch, exec);
+                             kind, exec);
   }
   // Reconstruction downstream needs the full ghost depth.
   fill_sigma_ghosts(sigma, bc);
-}
-
-template <class Policy>
-void sigma_solve(common::Field3<typename Policy::storage_t>& sigma,
-                 common::Field3<typename Policy::storage_t>& scratch,
-                 const common::Field3<typename Policy::storage_t>& src,
-                 const common::Field3<typename Policy::storage_t>& inv_rho,
-                 typename Policy::compute_t alpha,
-                 typename Policy::compute_t dx,
-                 typename Policy::compute_t dy,
-                 typename Policy::compute_t dz,
-                 int sweeps, bool gauss_seidel, SigmaBcSpec bc) {
-  sigma_solve<Policy>(sigma, scratch, src, inv_rho, alpha, dx, dy, dz, sweeps,
-                      gauss_seidel ? SweepKind::kRedBlack : SweepKind::kJacobi,
-                      bc);
 }
 
 template <class Policy>
@@ -877,22 +740,13 @@ using common::Fp64;
   template void sigma_sweep_once<P>(                                           \
       common::Field3<P::storage_t>&, common::Field3<P::storage_t>&,            \
       const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
-      P::compute_t, P::compute_t, P::compute_t, P::compute_t, bool);           \
-  template void sigma_sweep_once<P>(                                           \
-      common::Field3<P::storage_t>&, common::Field3<P::storage_t>&,            \
-      const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
       P::compute_t, P::compute_t, P::compute_t, P::compute_t, SweepKind,       \
-      bool, const common::ExecSpace&);                                         \
-  template void sigma_solve<P>(                                                \
-      common::Field3<P::storage_t>&, common::Field3<P::storage_t>&,            \
-      const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
-      P::compute_t, P::compute_t, P::compute_t, P::compute_t, int, bool,       \
-      SigmaBcSpec);                                                            \
+      const common::ExecSpace&);                                               \
   template void sigma_solve<P>(                                                \
       common::Field3<P::storage_t>&, common::Field3<P::storage_t>&,            \
       const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
       P::compute_t, P::compute_t, P::compute_t, P::compute_t, int, SweepKind,  \
-      SigmaBcSpec, bool, const common::ExecSpace&);                            \
+      SigmaBcSpec, const common::ExecSpace&);                                  \
   template double sigma_residual<P>(                                           \
       const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
       const common::Field3<P::storage_t>&, P::compute_t, P::compute_t,         \
@@ -900,12 +754,11 @@ using common::Fp64;
   template void sigma_relax_planes<P>(                                         \
       common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,      \
       const common::Field3<P::storage_t>&, P::compute_t, P::compute_t,         \
-      P::compute_t, P::compute_t, int, int, int, bool,                         \
-      const common::ExecSpace&);                                               \
+      P::compute_t, P::compute_t, int, int, int, const common::ExecSpace&);    \
   template void sigma_jacobi_planes<P>(                                        \
       common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,      \
       const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
-      P::compute_t, P::compute_t, P::compute_t, P::compute_t, int, int, bool,  \
+      P::compute_t, P::compute_t, P::compute_t, P::compute_t, int, int,        \
       const common::ExecSpace&);
 
 IGR_INSTANTIATE_SIGMA(Fp64)

@@ -58,13 +58,10 @@ enum class SweepKind {
   /// decomposition-exact (rank count cannot change the bits), at the cost
   /// of one extra N-sized buffer and a slightly slower contraction rate.
   kJacobi,
-  /// In-place lexicographic Gauss–Seidel: the textbook serial ordering.
-  /// Kept as the reference the parallel ordering is validated against.
-  kGaussSeidelLex,
   /// In-place two-color (red–black) Gauss–Seidel: each half-pass updates
   /// one parity of (i+j+k) and is dependency-free, so it parallelizes
-  /// across k-planes and pipelines within a row.  Same fixed point as the
-  /// lexicographic ordering.  The default Gauss–Seidel flavor.
+  /// across k-planes and pipelines within a row.  Same fixed point as
+  /// Jacobi, reached in fewer sweeps.  The default.
   kRedBlack,
 };
 
@@ -119,8 +116,7 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         typename Policy::compute_t dx,
                         typename Policy::compute_t dy,
                         typename Policy::compute_t dz, int color, int k0,
-                        int k1, bool batch = true,
-                        const common::ExecSpace& exec = {});
+                        int k1, const common::ExecSpace& exec = {});
 
 /// One Jacobi pass restricted to planes k ∈ [k0, k1): reads `in` (planes
 /// k0-1..k1 and the rim ghosts of [k0,k1)), writes `out`.  The caller owns
@@ -135,7 +131,6 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          typename Policy::compute_t dx,
                          typename Policy::compute_t dy,
                          typename Policy::compute_t dz, int k0, int k1,
-                         bool batch = true,
                          const common::ExecSpace& exec = {});
 
 /// Relaxation sweeps for eq. (9).
@@ -157,21 +152,8 @@ void sigma_solve(common::Field3<typename Policy::storage_t>& sigma,
                  typename Policy::compute_t dx,
                  typename Policy::compute_t dy,
                  typename Policy::compute_t dz,
-                 int sweeps, SweepKind kind, SigmaBcSpec bc, bool batch = true,
+                 int sweeps, SweepKind kind, SigmaBcSpec bc,
                  const common::ExecSpace& exec = {});
-
-/// Back-compat flavor selector: `gauss_seidel` picks the parallel red–black
-/// ordering (the production Gauss–Seidel), false picks Jacobi.
-template <class Policy>
-void sigma_solve(common::Field3<typename Policy::storage_t>& sigma,
-                 common::Field3<typename Policy::storage_t>& scratch,
-                 const common::Field3<typename Policy::storage_t>& src,
-                 const common::Field3<typename Policy::storage_t>& inv_rho,
-                 typename Policy::compute_t alpha,
-                 typename Policy::compute_t dx,
-                 typename Policy::compute_t dy,
-                 typename Policy::compute_t dz,
-                 int sweeps, bool gauss_seidel, SigmaBcSpec bc);
 
 /// A single relaxation pass using the *current* ghost values of `sigma`
 /// (no internal ghost fill).  Distributed drivers call this in lockstep with
@@ -184,16 +166,12 @@ void sigma_solve(common::Field3<typename Policy::storage_t>& sigma,
 /// analogue of the fused GPU kernel's reciprocal arithmetic.  The only
 /// division left is the diagonal solve, one per cell.
 ///
-/// For the converting (FP16/32) policy, `batch` routes the red–black and
-/// Jacobi passes through per-row float scratch lines filled by the batched
+/// For the converting (16-bit storage) policies, the red–black and Jacobi
+/// passes read through per-row float scratch lines filled by the batched
 /// conversion lanes, with the current plane's sigma/inv_rho rows streamed
-/// through a rolling 3-row ring (the PR 4 velocity-row-ring pattern) so
-/// adjacent (j, k) visits reuse the converted rows they share instead of
-/// re-converting them per stencil position — bitwise-identical to the
-/// per-element path (`batch = false`, kept as the reference).  Identity-
-/// storage policies ignore `batch`, and the lexicographic ordering is
-/// always per-element (its loop-carried dependence is the point of keeping
-/// it).
+/// through a rolling 3-row ring so adjacent (j, k) visits reuse the
+/// converted rows they share instead of re-converting them per stencil
+/// position.  Identity-storage policies read the fields directly.
 template <class Policy>
 void sigma_sweep_once(common::Field3<typename Policy::storage_t>& sigma,
                       common::Field3<typename Policy::storage_t>& scratch,
@@ -203,18 +181,7 @@ void sigma_sweep_once(common::Field3<typename Policy::storage_t>& sigma,
                       typename Policy::compute_t dx,
                       typename Policy::compute_t dy,
                       typename Policy::compute_t dz, SweepKind kind,
-                      bool batch = true, const common::ExecSpace& exec = {});
-
-/// Back-compat flavor selector: `gauss_seidel` picks red–black, else Jacobi.
-template <class Policy>
-void sigma_sweep_once(common::Field3<typename Policy::storage_t>& sigma,
-                      common::Field3<typename Policy::storage_t>& scratch,
-                      const common::Field3<typename Policy::storage_t>& src,
-                      const common::Field3<typename Policy::storage_t>& inv_rho,
-                      typename Policy::compute_t alpha,
-                      typename Policy::compute_t dx,
-                      typename Policy::compute_t dy,
-                      typename Policy::compute_t dz, bool gauss_seidel);
+                      const common::ExecSpace& exec = {});
 
 /// Max-norm residual of the discrete eq. (9); used by tests and adaptive
 /// sweep-count studies.

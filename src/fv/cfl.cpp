@@ -10,6 +10,7 @@
 #include "common/bfloat16.hpp"
 #include "common/exec.hpp"
 #include "common/half.hpp"
+#include "common/precision.hpp"
 
 namespace igr::fv {
 
@@ -21,12 +22,13 @@ void accumulate_cfl_rates(const common::StateField3<T>& q,
                           CflRates& r) {
   const int nx = q.nx(), ny = q.ny();
 
-  // For binary16 storage, pull each row through the batched conversion
-  // lanes once instead of 6 scalar conversions per cell.  The rate math
-  // below is shared and stays in double either way: half -> float is exact
-  // and float -> double is exact, so both row forms feed identical values.
-  const bool batch_rows =
-      std::is_same_v<T, common::half> && cfg.batch_half_conversion;
+  // For 16-bit storage (binary16, bfloat16), pull each row through the
+  // batched conversion lanes once instead of 6 scalar conversions per cell;
+  // other storage is read in place.  The rate math is shared and stays in
+  // double: 16-bit -> float and float -> double are exact, so the converted
+  // rows feed the values a per-element cast would.
+  constexpr bool kLanes = common::has_conversion_lane<T>;
+  using Row = std::conditional_t<kLanes, float, T>;
   const std::size_t nxs = static_cast<std::size_t>(nx);
 
   // Each team member folds its plane chunk into local extrema and merges
@@ -39,62 +41,45 @@ void accumulate_cfl_rates(const common::StateField3<T>& q,
   double merged_min_rho = r.min_rho;
   exec.run_team([&](const common::ExecSpace::Team& t) {
     std::vector<float> row_buf;
-    if (batch_rows) row_buf.resize((common::kNumVars + 1) * nxs);
+    if constexpr (kLanes) row_buf.resize((common::kNumVars + 1) * nxs);
+    // Row of component c (kNumVars = Sigma) at (j, k), at Row precision.
+    auto row = [&](const common::Field3<T>& f, int c, int j,
+                   int k) -> const Row* {
+      if constexpr (kLanes) {
+        float* dst = row_buf.data() + static_cast<std::size_t>(c) * nxs;
+        common::convert_to_float(f.row(j, k), dst, nxs);
+        return dst;
+      } else {
+        return f.row(j, k);
+      }
+    };
     double max_rate = r.max_rate;
     double min_rho = r.min_rho;
     long cb, ce;
     t.chunk(k1 - k0, cb, ce);
     for (long kk = cb; kk < ce; ++kk) {
-    const int k = k0 + static_cast<int>(kk);
-    for (int j = 0; j < ny; ++j) {
-      if constexpr (std::is_same_v<T, common::half>) {
-        if (batch_rows) {
+      const int k = k0 + static_cast<int>(kk);
+      for (int j = 0; j < ny; ++j) {
+        const Row* qrow[common::kNumVars];
+        for (int c = 0; c < common::kNumVars; ++c) qrow[c] = row(q[c], c, j, k);
+        const Row* srow =
+            sigma ? row(*sigma, common::kNumVars, j, k) : nullptr;
+        for (int i = 0; i < nx; ++i) {
+          common::Cons<double> qc;
           for (int c = 0; c < common::kNumVars; ++c)
-            common::convert_to_float(q[c].row(j, k), row_buf.data() + c * nxs,
-                                     nxs);
-          if (sigma)
-            common::convert_to_float(
-                sigma->row(j, k),
-                row_buf.data() + common::kNumVars * nxs, nxs);
-          for (int i = 0; i < nx; ++i) {
-            common::Cons<double> qc;
-            for (int c = 0; c < common::kNumVars; ++c)
-              qc[c] = static_cast<double>(
-                  row_buf[static_cast<std::size_t>(c) * nxs + i]);
-            const auto w = eos.to_prim(qc);
-            const double sig =
-                sigma ? std::max(static_cast<double>(
-                                     row_buf[common::kNumVars * nxs + i]),
-                                 0.0)
-                      : 0.0;
-            const double cs =
-                eos.sound_speed(w.rho, std::max(w.p, 1e-300) + sig);
-            const double rate = (std::abs(w.u) + cs) / grid.dx() +
-                                (std::abs(w.v) + cs) / grid.dy() +
-                                (std::abs(w.w) + cs) / grid.dz();
-            max_rate = std::max(max_rate, rate);
-            min_rho = std::min(min_rho, w.rho);
-          }
-          continue;
+            qc[c] = static_cast<double>(qrow[c][i]);
+          const auto w = eos.to_prim(qc);
+          const double sig =
+              srow ? std::max(static_cast<double>(srow[i]), 0.0) : 0.0;
+          const double cs =
+              eos.sound_speed(w.rho, std::max(w.p, 1e-300) + sig);
+          const double rate = (std::abs(w.u) + cs) / grid.dx() +
+                              (std::abs(w.v) + cs) / grid.dy() +
+                              (std::abs(w.w) + cs) / grid.dz();
+          max_rate = std::max(max_rate, rate);
+          min_rho = std::min(min_rho, w.rho);
         }
       }
-      for (int i = 0; i < nx; ++i) {
-        common::Cons<double> qc;
-        for (int c = 0; c < common::kNumVars; ++c)
-          qc[c] = static_cast<double>(q[c](i, j, k));
-        const auto w = eos.to_prim(qc);
-        const double sig =
-            sigma ? std::max(static_cast<double>((*sigma)(i, j, k)), 0.0)
-                  : 0.0;
-        const double cs =
-            eos.sound_speed(w.rho, std::max(w.p, 1e-300) + sig);
-        const double rate = (std::abs(w.u) + cs) / grid.dx() +
-                            (std::abs(w.v) + cs) / grid.dy() +
-                            (std::abs(w.w) + cs) / grid.dz();
-        max_rate = std::max(max_rate, rate);
-        min_rho = std::min(min_rho, w.rho);
-      }
-    }
     }
     std::lock_guard<std::mutex> g(merge_mutex);
     merged_max_rate = std::max(merged_max_rate, max_rate);

@@ -127,7 +127,7 @@ inline FacePair<T> reconstruct_fixed(const T* s) {
   return reconstruct_vals<R>(s[0], s[1], s[2], s[3], s[4], s[5]);
 }
 
-/// Runtime-dispatched pointer variant; the reference path.  Hot loops should
+/// Runtime-dispatched pointer variant, for the 1-D solvers.  Hot loops should
 /// not call this per face — resolve the scheme once and use the functors
 /// below (ReconFixed) or `reconstruct_fixed` directly.
 template <class T>
@@ -141,28 +141,14 @@ FacePair<T> reconstruct(ReconScheme scheme, const T* s) {
   return {s[2], s[3]};
 }
 
-/// Zero-size functor binding the scheme at compile time; sweeps templated on
-/// a recon operator inline it into their face loops.
+/// Zero-size functor binding the scheme at compile time; the row-streaming
+/// flux sweeps, templated on a recon operator, inline it into their face
+/// loops (stencil rows, one value each).
 template <ReconScheme R>
 struct ReconFixed {
   template <class T>
-  FacePair<T> operator()(const T* s) const {
-    return reconstruct_fixed<R, T>(s);
-  }
-  /// Value form for row-streaming kernels (stencil rows, one value each).
-  template <class T>
   FacePair<T> vals(T s0, T s1, T s2, T s3, T s4, T s5) const {
     return reconstruct_vals<R, T>(s0, s1, s2, s3, s4, s5);
-  }
-};
-
-/// Runtime-bound recon operator: the pre-dispatch reference path, retained
-/// for equivalence testing of the compile-time instantiations.
-struct ReconRuntime {
-  ReconScheme scheme = ReconScheme::kFifth;
-  template <class T>
-  FacePair<T> operator()(const T* s) const {
-    return reconstruct(scheme, s);
   }
 };
 

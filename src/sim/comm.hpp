@@ -24,9 +24,7 @@
 /// sim::DistributedIgr overlaps halo exchange with interior flux sweeps.
 /// Both calls touch only the calling rank's fields and buffers plus other
 /// ranks' *published* buffers, so different ranks may call them concurrently
-/// from different threads.  The collective `exchange*` entry points compose
-/// post+complete sequentially over all ranks (the lockstep schedule tests
-/// use).
+/// from different threads.
 ///
 /// Ghost planes are resolved by *global plane ownership*, not neighbor
 /// adjacency: a block thinner than the ghost depth publishes its whole
@@ -185,32 +183,6 @@ class Comm {
       throw std::invalid_argument("Comm::wire: channel out of range");
     return wire_[static_cast<std::size_t>(channel)];
   }
-
-  // --- Collective (lockstep) exchanges — TEST-ONLY shims ----------------
-  //
-  // Legacy entry points kept for tests/test_comm.cpp, which uses them to
-  // pin the slab layout and multi-hop sourcing semantics without the
-  // post/compute/complete choreography.  Every production caller (the
-  // distributed driver, the overlap paths) folds onto the posted-epoch
-  // API (post_axis/complete_axis); new code must do the same — these shims
-  // cannot overlap compute with the exchange and serialize every rank
-  // through the calling thread.
-
-  /// TEST-ONLY.  Exchange ghost layers of one scalar field per rank.  Axes
-  /// are swept in x,y,z order with widening tangential extents, matching
-  /// the single-domain ghost-fill ordering so corner ghosts coincide.
-  template <class T>
-  void exchange(std::vector<common::Field3<T>*> fields) const;
-
-  /// TEST-ONLY.  Exchange all components of one state field per rank.
-  template <class T>
-  void exchange_state(std::vector<common::StateField3<T>*> states) const;
-
-  /// TEST-ONLY.  Single-axis exchange (x=0, y=1, z=2): posts every rank,
-  /// then completes every rank, through the general channel — the lockstep
-  /// composition of the posted-epoch building blocks.
-  template <class T>
-  void exchange_axis(std::vector<common::Field3<T>*>& fields, int axis) const;
 
   /// Minimum across per-rank values (the dt allreduce).
   [[nodiscard]] static double allreduce_min(const std::vector<double>& v);
@@ -561,57 +533,6 @@ bool Comm::complete_axis(int channel, int rank,
   }
   bytes_.fetch_add(unpacked, std::memory_order_relaxed);
   return true;
-}
-
-template <class T>
-void Comm::exchange_axis(std::vector<common::Field3<T>*>& fields,
-                         int axis) const {
-  // The per-rank pipeline reports aborts through complete_axis's return
-  // value; the collective wrappers have no caller to hand that to, so a
-  // poisoned communicator must fail loudly rather than return with stale
-  // ghosts.
-  if (transport_->multi_process())
-    throw std::logic_error(
-        "Comm: the collective exchange shims drive every rank from one "
-        "thread and are in-process only");
-  if (aborted()) {
-    std::string msg =
-        "Comm: exchange on an aborted communicator (a previous failure "
-        "poisoned it)";
-    const std::string why = abort_reason();
-    if (!why.empty()) msg += ": " + why;
-    throw std::runtime_error(msg);
-  }
-  const int R = ranks();
-  for (int r = 0; r < R; ++r) {
-    const common::Field3<T>* f = fields[static_cast<std::size_t>(r)];
-    post_axis(kChanGeneral, r, &f, 1, axis);
-  }
-  for (int r = 0; r < R; ++r) {
-    common::Field3<T>* f = fields[static_cast<std::size_t>(r)];
-    if (!complete_axis(kChanGeneral, r, &f, 1, axis))
-      throw std::runtime_error(
-          "Comm: exchange aborted mid-collective; ghost layers are "
-          "incomplete");
-  }
-}
-
-template <class T>
-void Comm::exchange(std::vector<common::Field3<T>*> fields) const {
-  for (int axis = 0; axis < 3; ++axis) exchange_axis(fields, axis);
-}
-
-template <class T>
-void Comm::exchange_state(
-    std::vector<common::StateField3<T>*> states) const {
-  for (int c = 0; c < common::kNumVars; ++c) {
-    std::vector<common::Field3<T>*> comp;
-    comp.reserve(states.size());
-    for (auto* s : states) comp.push_back(&(*s)[c]);
-    // One full axis sweep per component keeps the per-component ordering
-    // identical to the single-domain fill.
-    for (int axis = 0; axis < 3; ++axis) exchange_axis(comp, axis);
-  }
 }
 
 }  // namespace igr::sim

@@ -60,13 +60,35 @@ std::vector<Field3<double>> scatter(const Comm& comm) {
   return blocks;
 }
 
+/// Lockstep halo exchange of one field per rank along one axis (x=0, y=1,
+/// z=2): post every rank, then complete every rank, on the general channel.
+template <class T>
+void halo_exchange_axis(const Comm& comm,
+                        const std::vector<Field3<T>*>& fields, int axis) {
+  for (int r = 0; r < comm.ranks(); ++r) {
+    const Field3<T>* f = fields[static_cast<std::size_t>(r)];
+    comm.post_axis(Comm::kChanGeneral, r, &f, 1, axis);
+  }
+  for (int r = 0; r < comm.ranks(); ++r) {
+    Field3<T>* f = fields[static_cast<std::size_t>(r)];
+    ASSERT_TRUE(comm.complete_axis(Comm::kChanGeneral, r, &f, 1, axis));
+  }
+}
+
+/// All three axes in x, y, z order with widening tangential extents — the
+/// single-domain ghost-fill ordering, so corner ghosts coincide.
+template <class T>
+void halo_exchange(const Comm& comm, const std::vector<Field3<T>*>& fields) {
+  for (int axis = 0; axis < 3; ++axis) halo_exchange_axis(comm, fields, axis);
+}
+
 TEST(Comm, ExchangeFillsInteriorFaceGhosts) {
   const auto g = Grid::cube(kN);
   Comm comm(g, 2, 2, 1, true);
   auto blocks = scatter(comm);
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
-  comm.exchange(ptrs);
+  halo_exchange(comm, ptrs);
 
   // Rank 0's x-high ghosts must hold rank 1's first interior cells.
   const auto b0 = comm.decomp().block(0);
@@ -83,7 +105,7 @@ TEST(Comm, PeriodicWrapAcrossDomainBoundary) {
   auto blocks = scatter(comm);
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
-  comm.exchange(ptrs);
+  halo_exchange(comm, ptrs);
   // Rank 0's x-low ghosts wrap to rank 1's last interior cells.
   EXPECT_EQ(blocks[0](-1, 2, 2), cell_value(kN - 1, 2, 2));
   EXPECT_EQ(blocks[0](-3, 2, 2), cell_value(kN - 3, 2, 2));
@@ -107,7 +129,8 @@ TEST(Comm, SingleRankSelfExchangeEqualsPeriodicFill) {
 
   igr::eos::IdealGas eos(1.4);
   igr::fv::apply_bc(qa, igr::fv::BcSpec::all_periodic(), g, eos);
-  comm.exchange_state(std::vector<StateField3<double>*>{&qb});
+  // One full axis sweep per component, like the single-domain fill.
+  for (int c = 0; c < kNumVars; ++c) halo_exchange<double>(comm, {&qb[c]});
 
   for (int c = 0; c < kNumVars; ++c)
     for (int k = -kNg; k < kN + kNg; ++k)
@@ -137,7 +160,7 @@ TEST(Comm, DecomposedExchangeMatchesGlobalPeriodicFill) {
     auto blocks = scatter(comm);
     std::vector<Field3<double>*> ptrs;
     for (auto& b : blocks) ptrs.push_back(&b);
-    comm.exchange(ptrs);
+    halo_exchange(comm, ptrs);
     for (int r = 0; r < comm.ranks(); ++r) {
       const auto b = comm.decomp().block(r);
       for (int k = -kNg; k < b.n[2] + kNg; ++k)
@@ -161,7 +184,7 @@ TEST(Comm, NonPeriodicLeavesPhysicalGhostsUntouched) {
   blocks[0](-1, 0, 0) = -777.0;  // sentinel in a physical ghost
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
-  comm.exchange(ptrs);
+  halo_exchange(comm, ptrs);
   EXPECT_EQ(blocks[0](-1, 0, 0), -777.0);
   // But the interior face was exchanged.
   const auto b0 = comm.decomp().block(0);
@@ -175,7 +198,7 @@ TEST(Comm, TrafficMeteringCountsBytes) {
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
   comm.reset_traffic();
-  comm.exchange(ptrs);
+  halo_exchange(comm, ptrs);
   // Two ranks, x-axis only has interior+wrap faces: each rank receives
   // ng * (ny+2ng) * ... — just sanity-check nonzero and units of 8 bytes.
   EXPECT_GT(comm.bytes_exchanged(), 0u);
@@ -193,7 +216,7 @@ TEST(Comm, ByteMeteringCrossChecksDecompHaloCells) {
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
   comm.reset_traffic();
-  comm.exchange_axis(ptrs, 0);
+  halo_exchange_axis(comm, ptrs, 0);
   std::size_t expect = 0;
   for (int r = 0; r < comm.ranks(); ++r) {
     expect += comm.decomp().halo_cells(r, igr::mesh::Face::kXLo, kNg);
@@ -228,7 +251,7 @@ TEST(Comm, HalfWireMetersWireBytesAndRoundTripsExactValues) {
   std::vector<Field3<double>*> ptrs;
   for (auto& b : blocks) ptrs.push_back(&b);
   comm.reset_traffic();
-  comm.exchange_axis(ptrs, 0);
+  halo_exchange_axis(comm, ptrs, 0);
 
   std::size_t expect = 0;
   for (int r = 0; r < comm.ranks(); ++r) {
@@ -264,7 +287,7 @@ TEST(Comm, HalfWireQuartersFp64AndHalvesFp32Traffic) {
     std::vector<Field3<double>*> ptrs;
     for (auto& b : blocks) ptrs.push_back(&b);
     comm.reset_traffic();
-    comm.exchange(ptrs);
+    halo_exchange(comm, ptrs);
     return comm.bytes_exchanged();
   };
   auto run_float = [&](Comm::WirePrecision w) {
@@ -284,7 +307,7 @@ TEST(Comm, HalfWireQuartersFp64AndHalvesFp32Traffic) {
     std::vector<Field3<float>*> ptrs;
     for (auto& b : blocks) ptrs.push_back(&b);
     comm.reset_traffic();
-    comm.exchange(ptrs);
+    halo_exchange(comm, ptrs);
     return comm.bytes_exchanged();
   };
 
@@ -325,7 +348,7 @@ TEST(Comm, HalfWirePassesTwoByteStorageThroughBitwise) {
     std::vector<Field3<half>*> ptrs;
     for (auto& b : blocks) ptrs.push_back(&b);
     comm.reset_traffic();
-    comm.exchange(ptrs);
+    halo_exchange(comm, ptrs);
     bytes = comm.bytes_exchanged();
     return blocks;
   };
@@ -342,9 +365,9 @@ TEST(Comm, HalfWirePassesTwoByteStorageThroughBitwise) {
   }
 }
 
-TEST(Comm, PostCompleteSplitMatchesCollectiveExchange) {
+TEST(Comm, CompletionOrderDoesNotChangeGhosts) {
   // The nonblocking-style pipeline: post every rank first, then complete in
-  // reverse order — same ghosts as the lockstep collective call.
+  // reverse order — same ghosts as completing in rank order.
   const auto g = Grid::cube(kN);
   Comm comm(g, 3, 1, 1, true);
   auto split = scatter(comm);
@@ -360,7 +383,7 @@ TEST(Comm, PostCompleteSplitMatchesCollectiveExchange) {
       Field3<double>* f = &split[static_cast<std::size_t>(r)];
       ASSERT_TRUE(comm.complete_axis(Comm::kChanState, r, &f, 1, axis));
     }
-    comm.exchange_axis(cptrs, axis);
+    halo_exchange_axis(comm, cptrs, axis);
   }
   for (int r = 0; r < comm.ranks(); ++r) {
     const auto b = comm.decomp().block(r);

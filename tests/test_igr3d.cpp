@@ -115,9 +115,9 @@ TEST(Igr3D, ViscosityDecaysShearKineticEnergy) {
 
 TEST(Igr3D, MatchesExactRiemannOnSodAlongX) {
   // 1-D Sod tube embedded in 3-D (uniform in y,z).  Jacobi sweeps keep the
-  // Sigma field exactly symmetric in the transverse directions (Gauss–
-  // Seidel's lexicographic ordering breaks that symmetry at the iteration-
-  // error level).
+  // Sigma field exactly symmetric in the transverse directions (the red–
+  // black coloring depends on j and k, which breaks that symmetry at the
+  // iteration-error level).
   auto cfg = default_cfg();
   cfg.cfl = 0.35;
   cfg.sigma_gauss_seidel = false;

@@ -30,12 +30,11 @@ using igr::core::IgrSolver3D;
 using igr::mesh::Grid;
 
 /// The bench harness's Mach-10 single-jet workload at smoke size.
-IgrSolver3D<Fp16x32> make_jet_solver(bool batch, int n = 12) {
+IgrSolver3D<Fp16x32> make_jet_solver() {
+  const int n = 12;
   const auto jet = igr::app::single_engine();
-  auto cfg = jet.solver_config();
-  cfg.batch_half_conversion = batch;
   const Grid grid(n, n, n + n / 2, {0.0, 1.0}, {0.0, 1.0}, {0.0, 1.5});
-  IgrSolver3D<Fp16x32> s(grid, cfg, jet.make_bc());
+  IgrSolver3D<Fp16x32> s(grid, jet.solver_config(), jet.make_bc());
   s.init(jet.initial_condition(0.005));
   return s;
 }
@@ -72,46 +71,37 @@ void expect_dt_bits(double dt, std::uint64_t golden) {
 }
 
 TEST(MixedPrecisionStep, FixedRk3StepsMatchGolden) {
-  for (const bool batch : {true, false}) {
-    SCOPED_TRACE(batch);
-    auto s = make_jet_solver(batch);
-    for (int n = 0; n < 2; ++n) s.step_fixed(1e-4);
+  auto s = make_jet_solver();
+  for (int n = 0; n < 2; ++n) s.step_fixed(1e-4);
 
-    // The jet inflow must actually have stirred the state — otherwise the
-    // fingerprint would pin an all-ambient field.
-    bool perturbed = false;
-    const auto& g = s.grid();
-    for (int k = 0; k < g.nz() && !perturbed; ++k)
-      for (int j = 0; j < g.ny() && !perturbed; ++j)
-        for (int i = 0; i < g.nx() && !perturbed; ++i)
-          perturbed = std::abs(float(s.state()[3](i, j, k))) > 1e-6f;
-    ASSERT_TRUE(perturbed);
+  // The jet inflow must actually have stirred the state — otherwise the
+  // fingerprint would pin an all-ambient field.
+  bool perturbed = false;
+  const auto& g = s.grid();
+  for (int k = 0; k < g.nz() && !perturbed; ++k)
+    for (int j = 0; j < g.ny() && !perturbed; ++j)
+      for (int i = 0; i < g.nx() && !perturbed; ++i)
+        perturbed = std::abs(float(s.state()[3](i, j, k))) > 1e-6f;
+  ASSERT_TRUE(perturbed);
 
-    expect_fingerprints(s, 0x3289e8f96d97cb2bull, 0x7a6b5892d73d562bull);
-  }
+  expect_fingerprints(s, 0x3289e8f96d97cb2bull, 0x7a6b5892d73d562bull);
 }
 
 TEST(MixedPrecisionStep, CflDtMatchesGolden) {
-  for (const bool batch : {true, false}) {
-    SCOPED_TRACE(batch);
-    auto s = make_jet_solver(batch);
-    s.step_fixed(2e-4);
-    expect_dt_bits(igr::fv::compute_dt(s.state(), s.grid(), s.eos(),
-                                       s.config(), &s.sigma()),
-                   0x3f5398f662f4a761ull);
-  }
+  auto s = make_jet_solver();
+  s.step_fixed(2e-4);
+  expect_dt_bits(igr::fv::compute_dt(s.state(), s.grid(), s.eos(),
+                                     s.config(), &s.sigma()),
+                 0x3f5398f662f4a761ull);
 }
 
 TEST(MixedPrecisionStep, AdaptiveStepMatchesGolden) {
   // The full production entry point (CFL-limited step()) composes the CFL
   // scan, Sigma solve, flux sweeps, and RK update; one adaptive step is
   // pinned end to end, dt included.
-  for (const bool batch : {true, false}) {
-    SCOPED_TRACE(batch);
-    auto s = make_jet_solver(batch);
-    expect_dt_bits(s.step(), 0x3f7cb206bd28e156ull);
-    expect_fingerprints(s, 0xd4a633a3c80e0749ull, 0x0cee1bf70021519cull);
-  }
+  auto s = make_jet_solver();
+  expect_dt_bits(s.step(), 0x3f7cb206bd28e156ull);
+  expect_fingerprints(s, 0xd4a633a3c80e0749ull, 0x0cee1bf70021519cull);
 }
 
 }  // namespace

@@ -258,19 +258,6 @@ TEST(SigmaSolver, RedBlackResidualContractsAtFiveSweeps) {
   EXPECT_GT(r_rb, 0.0);
 }
 
-TEST(SigmaSolver, BoolOverloadSelectsRedBlack) {
-  // The config-level bool (sigma_gauss_seidel) maps to the red-black
-  // ordering; Jacobi remains the false branch.  Bitwise checks.
-  using igr::core::SweepKind;
-  Manufactured m(false);
-  Field3<double> a(kN, kN, kN, 3), b(kN, kN, kN, 3), scratch;
-  sigma_solve<Fp64>(a, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h, 7,
-                    /*gauss_seidel=*/true, SigmaBc::kPeriodic);
-  sigma_solve<Fp64>(b, scratch, m.src, m.inv_rho, m.alpha, m.h, m.h, m.h, 7,
-                    SweepKind::kRedBlack, SigmaBc::kPeriodic);
-  EXPECT_EQ(max_err(a, b), 0.0);
-}
-
 TEST(SigmaSolver, ZeroSourceGivesZeroSolution) {
   Field3<double> sigma(8, 8, 8, 3), scratch, src(8, 8, 8, 3), rho(8, 8, 8, 3);
   rho.fill(1.0);

@@ -398,6 +398,27 @@ TEST_F(TelemetryTest, TwoRankTcpRunMergesOneTracePerRankAndStreamsJsonl) {
   fs::remove_all(dir);
 }
 
+TEST_F(TelemetryTest, RunCaseJsonStaysValidWhenARunDiverges) {
+  // An FP16/32 Sedov blast at CFL 1 overflows binary16 within ten steps,
+  // so its energy diagnostics are NaN.  The report must still be valid
+  // JSON, with null for every non-finite number.
+  const auto dir = scratch_dir("nan");
+  const auto log = dir / "log.txt";
+  const auto json = dir / "cases.json";
+  const std::string cmd = bin("run_case") +
+                          " --case sedov --precision fp16x32 --n 16"
+                          " --steps 10 --cfl-scale 2.5 --json " +
+                          json.string();
+  ASSERT_EQ(run_cmd(cmd, log), 0) << slurp(log);
+  const std::string text = slurp(json);
+  EXPECT_NE(text.find("\"kinetic_energy\": null"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("nan"), std::string::npos) << text;
+  JsonValidator v(text);
+  EXPECT_TRUE(v.valid()) << text;
+  fs::remove_all(dir);
+}
+
 #endif  // IGR_BUILD_DIR
 #endif  // unix
 
