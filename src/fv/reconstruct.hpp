@@ -89,19 +89,13 @@ FacePair<T> reconstruct(ReconScheme scheme, const std::array<T, 6>& s) {
   return recon1(s);
 }
 
-/// Compile-time-dispatched pointer variant for hot loops walking contiguous
-/// line buffers: `s` points at q(i-2) for the face i+1/2.  Solvers resolve
-/// the scheme once per flux computation and instantiate their sweeps on it,
-/// so the per-face/per-variable dispatch below inlines away entirely and the
-/// face loops vectorize.  This is the single home of the stencil
-/// coefficients: the array-based named operators above and the runtime
-/// `reconstruct(scheme, s)` all forward here, which also makes the two
-/// dispatch styles bitwise-identical (tests/test_flux_dispatch.cpp).
-/// Value form of the 6-point stencil operators: the single home of the
-/// stencil arithmetic.  The pointer form below forwards here, and the
-/// row-streaming flux kernel calls it with one value per stencil row — so a
-/// gathered line and six strided rows feed the exact same expressions and
-/// produce the exact same bits.
+/// Value form of the 6-point stencil operators, with the scheme fixed at
+/// compile time: the single home of the stencil arithmetic.  The pointer
+/// form below (`s` points at q(i-2) for the face i+1/2) and the array-based
+/// named operators above forward here, and the row-streaming flux kernel
+/// calls it with one value per stencil row.  Solvers resolve the scheme
+/// once per flux computation, so no per-face dispatch remains and the face
+/// loops vectorize.
 template <ReconScheme R, class T>
 inline FacePair<T> reconstruct_vals(T s0, T s1, T s2, T s3, T s4, T s5) {
   if constexpr (R == ReconScheme::kFirst) {
@@ -125,20 +119,6 @@ inline FacePair<T> reconstruct_vals(T s0, T s1, T s2, T s3, T s4, T s5) {
 template <ReconScheme R, class T>
 inline FacePair<T> reconstruct_fixed(const T* s) {
   return reconstruct_vals<R>(s[0], s[1], s[2], s[3], s[4], s[5]);
-}
-
-/// Runtime-dispatched pointer variant, for the 1-D solvers.  Hot loops should
-/// not call this per face — resolve the scheme once and use the functors
-/// below (ReconFixed) or `reconstruct_fixed` directly.
-template <class T>
-FacePair<T> reconstruct(ReconScheme scheme, const T* s) {
-  switch (scheme) {
-    case ReconScheme::kFirst: return reconstruct_fixed<ReconScheme::kFirst>(s);
-    case ReconScheme::kThird: return reconstruct_fixed<ReconScheme::kThird>(s);
-    case ReconScheme::kFifth: return reconstruct_fixed<ReconScheme::kFifth>(s);
-    case ReconScheme::kWeno5: return reconstruct_fixed<ReconScheme::kWeno5>(s);
-  }
-  return {s[2], s[3]};
 }
 
 /// Zero-size functor binding the scheme at compile time; the row-streaming
