@@ -3,8 +3,8 @@
 /// process per rank, hand the team a shared rendezvous directory, and
 /// supervise.
 ///
-///   $ ./igr_launch --world 2 -- ./run_case --case sod-x --ranks 2,1,1 \
-///         --steps 20 --json out.json
+///   $ ./igr_launch --world 2 -- ./run_case --case sod-x --ranks 2,1,1
+///         --steps 20 --json out.json        (one command line, wrapped)
 ///
 /// Each rank is the command after `--` plus the transport flags
 /// (`--transport tcp --tp-rank R --tp-world N --tp-dir DIR`) appended by the

@@ -239,37 +239,36 @@ FlowDiagnostics Simulation<Policy>::diagnostics() const {
 
 template <class Policy>
 SolverHealth Simulation<Policy>::health() const {
-  if (multi_process()) {
-    // Scan the local block and merge globally: the rank interiors partition
-    // the global interior, so summed counters and reduced minima equal the
-    // single-gather scan bit for bit.  This is a collective (every process
-    // must reach it in the same schedule) but moves no field data.
-    SolverHealth h;
-    h.min_density = std::numeric_limits<double>::infinity();
-    h.min_pressure = std::numeric_limits<double>::infinity();
-    for (const int r : dist_->local_ranks()) {
-      const SolverHealth lh = scan_health(dist_->rank(r).state(), eos_);
-      h.cells += lh.cells;
-      h.nonfinite_cells += lh.nonfinite_cells;
-      h.negative_density_cells += lh.negative_density_cells;
-      h.nonpositive_pressure_cells += lh.nonpositive_pressure_cells;
-      h.min_density = std::min(h.min_density, lh.min_density);
-      h.min_pressure = std::min(h.min_pressure, lh.min_pressure);
-    }
-    const auto& comm = dist_->comm();
-    const auto sum_sz = [&comm](std::size_t v) {
-      return static_cast<std::size_t>(
-          comm.allreduce_sum_global(static_cast<double>(v)));
-    };
-    h.cells = sum_sz(h.cells);
-    h.nonfinite_cells = sum_sz(h.nonfinite_cells);
-    h.negative_density_cells = sum_sz(h.negative_density_cells);
-    h.nonpositive_pressure_cells = sum_sz(h.nonpositive_pressure_cells);
-    h.min_density = comm.allreduce_min_global(h.min_density);
-    h.min_pressure = comm.allreduce_min_global(h.min_pressure);
-    return h;
+  if (igr_) return scan_health(igr_->state(), eos_, igr_->config().exec());
+  if (weno_) {
+    // The baseline has no exec space; its scan stays serial.
+    return scan_health(weno_->state(), eos_, common::ExecSpace::serial());
   }
-  return scan_health(state(), eos_);
+  // Decomposed: scan each local rank block on its worker and merge.  The
+  // rank interiors partition the global interior, so summed counters and
+  // reduced minima equal the single-domain scan, and no field is gathered.
+  std::vector<SolverHealth> parts(dist_->local_ranks().size());
+  dist_->for_each_local_solver(
+      [&](std::size_t i, const core::IgrSolver3D<Policy>& s) {
+        parts[i] = scan_health(s.state(), eos_, s.config().exec());
+      });
+  SolverHealth h;
+  for (const auto& p : parts) h.merge(p);
+  if (!multi_process()) return h;
+  // Multi-process: a collective (every process must reach it in the same
+  // schedule) that moves only the counters and minima.
+  const auto& comm = dist_->comm();
+  const auto sum_sz = [&comm](std::size_t v) {
+    return static_cast<std::size_t>(
+        comm.allreduce_sum_global(static_cast<double>(v)));
+  };
+  h.cells = sum_sz(h.cells);
+  h.nonfinite_cells = sum_sz(h.nonfinite_cells);
+  h.negative_density_cells = sum_sz(h.negative_density_cells);
+  h.nonpositive_pressure_cells = sum_sz(h.nonpositive_pressure_cells);
+  h.min_density = comm.allreduce_min_global(h.min_density);
+  h.min_pressure = comm.allreduce_min_global(h.min_pressure);
+  return h;
 }
 
 namespace {

@@ -56,6 +56,9 @@ class Simulation {
 
   explicit Simulation(Params params);
 
+  /// Set the initial state.  `prim` is evaluated concurrently (across the
+  /// exec-space team and the rank workers), so it must be a pure function
+  /// of (x, y, z) — see core::PrimFn.
   void init(const core::PrimFn& prim);
 
   /// One CFL step; returns dt.
@@ -84,9 +87,12 @@ class Simulation {
   [[nodiscard]] std::uint64_t sigma_sweeps_done() const;
   [[nodiscard]] std::size_t memory_bytes() const;
   [[nodiscard]] FlowDiagnostics diagnostics() const;
-  /// Cheap NaN/Inf/negative-density/pressure scan of the (gathered) state —
+  /// Cheap NaN/Inf/negative-density/pressure scan of the global state —
   /// the guard signal for rollback/retry (see app/health.hpp for the
-  /// health policy).
+  /// health policy).  Runs on the team that owns the field: the solver's
+  /// exec space, or each rank block on its worker for a decomposed run
+  /// (merged without gathering; a collective under a multi-process
+  /// transport).
   [[nodiscard]] SolverHealth health() const;
   /// Global conservative state.  For a decomposed run this gathers the rank
   /// blocks into a cached global field (refreshed after a step).

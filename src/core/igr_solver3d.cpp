@@ -284,8 +284,12 @@ IgrSolver3D<Policy>::IgrSolver3D(const mesh::Grid& grid,
 
 template <class Policy>
 void IgrSolver3D<Policy>::init(const PrimFn& prim) {
-  const int nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-  for (int k = 0; k < nz; ++k) {
+  // One k-plane per work item: every cell is written by exactly one team
+  // member with the same expression, so the state bits do not depend on
+  // the team width or backend.  `prim` is called concurrently (see PrimFn).
+  const int nx = grid_.nx(), ny = grid_.ny();
+  cfg_.exec().for_each(grid_.nz(), [&](long kk) {
+    const int k = static_cast<int>(kk);
     for (int j = 0; j < ny; ++j) {
       for (int i = 0; i < nx; ++i) {
         const auto w = prim(grid_.x(i), grid_.y(j), grid_.z(k));
@@ -294,7 +298,7 @@ void IgrSolver3D<Policy>::init(const PrimFn& prim) {
           q_[c](i, j, k) = static_cast<S>(qc[c]);
       }
     }
-  }
+  });
   sigma_.fill(S{});
   time_ = 0.0;
   next_dt_valid_ = false;

@@ -43,6 +43,9 @@
 namespace igr::core {
 
 /// Initial condition: primitive state as a function of cell-center position.
+/// Solvers evaluate it concurrently across their exec-space team (and a
+/// decomposed run across its rank workers), so it must be a pure function
+/// of (x, y, z): capture by value, keep no shared mutable state.
 using PrimFn = std::function<common::Prim<double>(double, double, double)>;
 
 /// Half-open box of interior cells, [lo, hi) per axis.  The flux sweeps can
@@ -74,7 +77,9 @@ class IgrSolver3D {
               fv::BcSpec bc,
               fv::ReconScheme recon = fv::ReconScheme::kFifth);
 
-  /// Set the state from a primitive-variable initial condition.
+  /// Set the state from a primitive-variable initial condition, evaluated
+  /// over k-planes on the configured exec space (bitwise the same at every
+  /// width; `prim` must be pure, see PrimFn).
   void init(const PrimFn& prim);
 
   /// Advance one step at the CFL-limited dt; returns the dt taken.

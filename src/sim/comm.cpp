@@ -45,11 +45,41 @@ Comm::Comm(const mesh::Grid& global, int rx, int ry, int rz, bool periodic,
         }
       }
     }
-    transport_ = make_tcp_transport(spec_, slots, readers);
+    transport_ = make_tcp_transport(spec_, slots, readers, frame_caps(mp_ng_));
   } else {
     transport_ = std::make_unique<InProcTransport>(slots);
   }
   scratch_.resize(slots);
+}
+
+FrameCaps Comm::frame_caps(int ng) const {
+  // Payloads at 8-byte storage with every state component: no channel
+  // posts more fields, and no storage type is wider.
+  constexpr std::uint64_t kMaxBytesPerCell = common::kNumVars * 8;
+  FrameCaps caps;
+  caps.blob = FrameCaps::kMinBlobCap;
+  for (int r = 0; r < decomp_.ranks(); ++r) {
+    const auto b = decomp_.block(r);
+    const std::uint64_t cells = static_cast<std::uint64_t>(b.n[0]) *
+                                static_cast<std::uint64_t>(b.n[1]) *
+                                static_cast<std::uint64_t>(b.n[2]);
+    caps.blob = std::max(caps.blob, kMaxBytesPerCell * cells);
+    for (int axis = 0; axis < 3; ++axis) {
+      // Same slab shape as post_axis: published planes times the
+      // tangential extent, widened by the ghosts of earlier axes.
+      int ta, tb;
+      detail::tangential_axes(axis, ta, tb);
+      int lo_a, hi_a, lo_b, hi_b;
+      detail::tangential_range(ta, axis, ng, b.n.data(), lo_a, hi_a);
+      detail::tangential_range(tb, axis, ng, b.n.data(), lo_b, hi_b);
+      const std::uint64_t slab =
+          static_cast<std::uint64_t>(published_planes(b.n[axis], ng)) *
+          static_cast<std::uint64_t>(hi_a - lo_a) *
+          static_cast<std::uint64_t>(hi_b - lo_b);
+      caps.halo = std::max(caps.halo, kMaxBytesPerCell * slab);
+    }
+  }
+  return caps;
 }
 
 mesh::Grid Comm::local_grid(int rank) const {

@@ -281,6 +281,10 @@ class Comm {
   int source_ranks(int rank, int axis, int ng,
                    int out[2 * kMaxGhostDepth]) const;
 
+  /// Frame-length caps of a tcp team on this decomposition at ghost depth
+  /// `ng` (see FrameCaps): the largest slab and block any rank publishes.
+  [[nodiscard]] FrameCaps frame_caps(int ng) const;
+
   mesh::Grid global_;
   mesh::Decomp decomp_;
   TransportSpec spec_;

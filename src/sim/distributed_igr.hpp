@@ -137,8 +137,25 @@ class DistributedIgr {
     grind_.set_cells_per_step(comm_.global_grid().cells());
   }
 
+  /// Each local rank evaluates `prim` over its block on its own worker
+  /// (`prim` must be pure, see core::PrimFn).
   void init(const core::PrimFn& prim) {
-    for (auto& s : ranks_) s->init(prim);
+    for_each_local_solver(
+        [&prim](std::size_t, core::IgrSolver3D<Policy>& s) { s.init(prim); });
+  }
+
+  /// Run `fn(local index, solver)` once per local rank, each on its own
+  /// RankTeam worker (inline: in rank order), and wait for all of them.
+  /// For whole-field passes outside the time step (initial conditions,
+  /// health scans): unlike a step phase it exchanges nothing, so it skips
+  /// the poisoned-communicator check and the fault injector's phase hook,
+  /// whose counters deterministic fault plans are written against.
+  template <class Fn>
+  void for_each_local_solver(Fn&& fn) {
+    team_->run([this, &fn](int li) {
+      const auto i = static_cast<std::size_t>(li);
+      fn(i, *ranks_[i]);
+    });
   }
 
   /// One step at the globally reduced CFL dt; returns dt.

@@ -229,14 +229,30 @@ class InProcTransport final : public Transport {
   std::vector<std::vector<unsigned char>> buffers_;
 };
 
+/// Longest payloads a legitimate member of a tcp team sends, per frame
+/// family.  The receive path rejects a longer frame before allocating for
+/// it; send_blob refuses a longer blob (trace fragments are unbounded).
+/// Comm derives both from the decomposition (Comm::frame_caps).
+struct FrameCaps {
+  /// Widest halo slab: every state component of the largest published
+  /// slab of any rank block, at 8-byte storage.
+  std::uint64_t halo = 0;
+  /// Largest blob: a whole rank block of every state component at 8-byte
+  /// storage (the gather-to-root payloads), and at least kMinBlobCap so
+  /// trace fragments of small-grid runs fit.
+  std::uint64_t blob = 0;
+  static constexpr std::uint64_t kMinBlobCap = std::uint64_t{1} << 30;
+};
+
 /// Build the loopback-socket backend for `spec` (defined in
 /// transport_tcp.cpp).  `readers[axis]` is the fixed set of peer ranks that
 /// read this rank's published slabs along that axis — the inverse of the
 /// ghost-plane source resolution, supplied by Comm so both sides of the
-/// relation come from one encoding.  Throws TransportError when the team
-/// fails to rendezvous within the spec's connect timeout.
+/// relation come from one encoding.  `caps` bounds every frame length (see
+/// FrameCaps).  Throws TransportError when the team fails to rendezvous
+/// within the spec's connect timeout.
 [[nodiscard]] std::unique_ptr<Transport> make_tcp_transport(
     const TransportSpec& spec, std::size_t nslots,
-    const std::array<std::vector<int>, 3>& readers);
+    const std::array<std::vector<int>, 3>& readers, const FrameCaps& caps);
 
 }  // namespace igr::sim

@@ -5,6 +5,21 @@
 /// `len` payload bytes (length-prefixed framing).  Loopback-only and both
 /// ends are the same binary, so fields travel in native endianness.
 ///
+/// Frame-length caps: `len` comes off the wire, so the receive thread
+/// checks it against a per-kind cap *before* allocating the payload.  Each
+/// cap is the longest frame a legitimate team member sends:
+///   halo       FrameCaps::halo — the largest published slab of the
+///              decomposition, every state component at 8 B (Comm derives
+///              it);
+///   blob       FrameCaps::blob — a whole rank block at the same width, at
+///              least 1 GiB for trace fragments (send_blob refuses more);
+///   control    8 B (one double of a reduction; barriers carry none);
+///   abort      kMaxAbortReason bytes (longer reasons are truncated);
+///   heartbeat, goodbye   0 B.
+/// Any other kind (a hello after rendezvous included), or a longer frame,
+/// latches an abort reason naming the peer, the kind and the length, and
+/// ends that peer's receive thread.
+///
 /// Topology: a full mesh of TCP connections.  Rank r listens on an
 /// ephemeral 127.0.0.1 port published as `<dir>/port.r` (atomic
 /// temp+rename), dials every lower rank, and accepts every higher one; a
@@ -73,6 +88,9 @@ enum FrameKind : std::uint16_t {
   kAbort = 7,      ///< payload = latched abort reason of the sender
 };
 
+/// Longest abort reason put on the wire (see the frame-length caps above).
+constexpr std::size_t kMaxAbortReason = 4096;
+
 enum CtlTag : std::uint16_t {
   kTagBarrier = 1,
   kTagBarrierAck = 2,
@@ -128,11 +146,13 @@ bool recv_all(int fd, void* p, std::size_t n) {
 class TcpTransport final : public Transport {
  public:
   TcpTransport(const TransportSpec& spec, std::size_t nslots,
-               const std::array<std::vector<int>, 3>& readers)
+               const std::array<std::vector<int>, 3>& readers,
+               const FrameCaps& caps)
       : Transport(nslots),
         world_(spec.world),
         rank_(spec.rank),
         readers_(readers),
+        caps_(caps),
         hb_period_s_(spec.heartbeat_period_s),
         liveness_s_(spec.liveness_timeout_s) {
     if (world_ < 1 || rank_ < 0 || rank_ >= world_)
@@ -276,6 +296,16 @@ class TcpTransport final : public Transport {
 
   void send_blob(int peer, int tag, const unsigned char* data,
                  std::size_t n) override {
+    if (n > caps_.blob) {
+      // The receiver would reject the frame; fail here, and poison the
+      // fabric so the receiver does not wait for it.
+      const std::string why = "blob of " + std::to_string(n) +
+                              " bytes to rank " + std::to_string(peer) +
+                              " exceeds the team's frame cap of " +
+                              std::to_string(caps_.blob);
+      abort_exchanges(why);
+      throw std::length_error("TcpTransport: " + why);
+    }
     if (!send_frame(peer, kBlob, static_cast<std::uint16_t>(tag), 0, 0, data,
                     n)) {
       const std::string why = "blob send to rank " + std::to_string(peer) +
@@ -308,7 +338,7 @@ class TcpTransport final : public Transport {
     // report the socket close.  First abort wins; re-entry from a failing
     // notification send is cut off by the flag.
     if (abort_notified_.exchange(true)) return;
-    const std::string reason = abort_reason();
+    const std::string reason = abort_reason().substr(0, kMaxAbortReason);
     for (int p = 0; p < world_; ++p) {
       if (p == rank_ || fds_[static_cast<std::size_t>(p)] < 0) continue;
       send_frame(p, kAbort, 0, 0, 0,
@@ -627,6 +657,17 @@ class TcpTransport final : public Transport {
                         std::to_string(peer));
         return;
       }
+      const std::uint64_t cap = frame_cap(h.kind);
+      if (cap == kUnknownKind || h.len > cap) {
+        abort_exchanges(
+            "tcp transport: rank " + std::to_string(peer) +
+            " sent a frame of kind " + std::to_string(h.kind) + " and " +
+            std::to_string(h.len) + " bytes (" +
+            (cap == kUnknownKind ? std::string("unknown kind")
+                                 : "cap " + std::to_string(cap)) +
+            ")");
+        return;
+      }
       std::vector<unsigned char> payload(static_cast<std::size_t>(h.len));
       if (h.len != 0 && !recv_all(fd, payload.data(), payload.size())) {
         on_disconnect(peer);
@@ -668,14 +709,32 @@ class TcpTransport final : public Transport {
           state_[static_cast<std::size_t>(peer)] = kDone;
           break;
         default:
-          lk.unlock();
-          abort_exchanges("tcp transport: unknown frame kind " +
-                          std::to_string(h.kind) + " from rank " +
-                          std::to_string(peer));
-          return;
+          break;  // unreachable: frame_cap() rejected every other kind
       }
       lk.unlock();
       cv_.notify_all();
+    }
+  }
+
+  static constexpr std::uint64_t kUnknownKind = ~std::uint64_t{0};
+
+  /// Longest legitimate payload of a frame kind the receive loop accepts,
+  /// or kUnknownKind (see the frame-length caps in the file comment).
+  [[nodiscard]] std::uint64_t frame_cap(std::uint16_t kind) const {
+    switch (kind) {
+      case kHalo:
+        return caps_.halo;
+      case kBlob:
+        return caps_.blob;
+      case kCtl:
+        return sizeof(double);
+      case kAbort:
+        return kMaxAbortReason;
+      case kHeartbeat:
+      case kGoodbye:
+        return 0;
+      default:
+        return kUnknownKind;
     }
   }
 
@@ -713,6 +772,7 @@ class TcpTransport final : public Transport {
   const int world_;
   const int rank_;
   const std::array<std::vector<int>, 3> readers_;
+  const FrameCaps caps_;
   const double hb_period_s_;
   const double liveness_s_;
 
@@ -753,15 +813,15 @@ class TcpTransport final : public Transport {
 
 std::unique_ptr<Transport> make_tcp_transport(
     const TransportSpec& spec, std::size_t nslots,
-    const std::array<std::vector<int>, 3>& readers) {
-  return std::make_unique<TcpTransport>(spec, nslots, readers);
+    const std::array<std::vector<int>, 3>& readers, const FrameCaps& caps) {
+  return std::make_unique<TcpTransport>(spec, nslots, readers, caps);
 }
 
 #else  // !IGR_HAVE_TCP_TRANSPORT
 
 std::unique_ptr<Transport> make_tcp_transport(
     const TransportSpec&, std::size_t,
-    const std::array<std::vector<int>, 3>&) {
+    const std::array<std::vector<int>, 3>&, const FrameCaps&) {
   throw TransportError(
       "tcp transport is unavailable on this platform (no BSD sockets)");
 }

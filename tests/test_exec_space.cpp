@@ -3,19 +3,27 @@
 /// team launch, barrier phase ordering), then the solver-level guarantees —
 /// Serial vs OpenMP bitwise on state fingerprints AND per-step dt for both
 /// RHS schedules and every storage precision, thread-count invariance at
-/// widths 1/2/4, and the distributed driver with a multi-threaded exec
-/// space inside each rank worker (the configuration the TSan tree races).
+/// widths 1/2/4, the distributed driver with a multi-threaded exec
+/// space inside each rank worker (the configuration the TSan tree races),
+/// and the whole-field passes outside the step: initial-condition
+/// evaluation and the health scan, single-domain and per rank worker.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "app/health.hpp"
+#include "app/simulation.hpp"
 #include "cases/runner.hpp"
 #include "common/exec.hpp"
+#include "common/hash.hpp"
+#include "core/igr_solver3d.hpp"
+#include "sim/distributed_igr.hpp"
 
 namespace {
 
@@ -234,6 +242,169 @@ TEST(ExecSpaceDistributed, PerRankTeamsBitwiseEqualSerialSingleDomain) {
         for (int i = 0; i < 12; ++i)
           ASSERT_EQ(qa[c](i, j, k), qb[c](i, j, k))
               << "c=" << c << " @ " << i << "," << j << "," << k;
+}
+
+// --- Whole-field passes outside the step: IC evaluation, health scan -----
+
+using igr::common::Prim;
+using igr::common::SolverConfig;
+using igr::core::IgrSolver3D;
+using igr::mesh::Grid;
+
+/// The exec spaces of the width-invariance checks.  Without an OpenMP
+/// runtime (the TSan tree) the OpenMP widths run on the std::thread team,
+/// so the sanitizer race-checks the concurrent callbacks.
+std::vector<ExecSpace> invariance_spaces() {
+  return {ExecSpace::serial(), ExecSpace(ExecBackend::kOpenMP, 2),
+          ExecSpace(ExecBackend::kOpenMP, 3),
+          ExecSpace(ExecBackend::kOpenMP, 4)};
+}
+
+SolverConfig config_on(const ExecSpace& exec) {
+  SolverConfig cfg;
+  cfg.exec_backend = exec.backend();
+  cfg.exec_threads = exec.threads();
+  return cfg;
+}
+
+/// Varies along all three axes, so a plane or row written by the wrong
+/// member (or twice) moves the fingerprint.
+Prim<double> graded_ic(double x, double y, double z) {
+  Prim<double> w;
+  w.rho = 1.0 + 0.3 * x + 0.2 * y * y + 0.1 * z;
+  w.u = 0.5 * x * z;
+  w.v = -0.25 * y;
+  w.w = 0.125 * (x + y + z);
+  w.p = 1.0 + 0.05 * x * y * z;
+  return w;
+}
+
+Grid ic_grid() {
+  return Grid(20, 12, 13, {0.0, 1.0}, {0.0, 0.6}, {0.0, 0.65});
+}
+
+template <class Policy>
+void expect_init_width_invariant() {
+  std::uint64_t ref = 0;
+  for (const auto& exec : invariance_spaces()) {
+    IgrSolver3D<Policy> s(ic_grid(), config_on(exec),
+                          igr::fv::BcSpec::all_periodic());
+    s.init(graded_ic);
+    const std::uint64_t fnv = igr::common::state_fnv1a(s.state());
+    if (exec.backend() == ExecBackend::kSerial) ref = fnv;
+    EXPECT_EQ(fnv, ref) << "width " << exec.threads();
+  }
+}
+
+TEST(ExecSpaceInit, StateBitsAreWidthInvariantFp64) {
+  expect_init_width_invariant<Fp64>();
+}
+
+TEST(ExecSpaceInit, StateBitsAreWidthInvariantFp16) {
+  expect_init_width_invariant<Fp16x32>();
+}
+
+void expect_same_health(const igr::app::SolverHealth& a,
+                        const igr::app::SolverHealth& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.cells, b.cells) << what;
+  EXPECT_EQ(a.nonfinite_cells, b.nonfinite_cells) << what;
+  EXPECT_EQ(a.negative_density_cells, b.negative_density_cells) << what;
+  EXPECT_EQ(a.nonpositive_pressure_cells, b.nonpositive_pressure_cells)
+      << what;
+  EXPECT_EQ(a.min_density, b.min_density) << what;
+  EXPECT_EQ(a.min_pressure, b.min_pressure) << what;
+}
+
+/// Bad cells in different k-planes (so in different team chunks): a NaN,
+/// two negative densities, and three nonpositive pressures of which two
+/// are negative.  `set(c, i, j, k, v)` writes one global cell.
+template <class Set>
+void plant_bad_cells(Set&& set) {
+  set(igr::common::kEnergy, 3, 4, 1, std::nan(""));
+  set(igr::common::kRho, 17, 2, 5, -0.5);
+  set(igr::common::kRho, 1, 11, 12, -2.0);
+  set(igr::common::kMomX, 8, 6, 7, 40.0);   // kinetic energy above E
+  set(igr::common::kMomY, 12, 9, 10, 60.0);
+  set(igr::common::kEnergy, 5, 5, 3, 0.0);  // p == 0 at rest
+  set(igr::common::kMomX, 5, 5, 3, 0.0);
+  set(igr::common::kMomY, 5, 5, 3, 0.0);
+  set(igr::common::kMomZ, 5, 5, 3, 0.0);
+}
+
+TEST(ExecSpaceHealth, ScanIsWidthInvariant) {
+  IgrSolver3D<Fp64> s(ic_grid(), SolverConfig{},
+                      igr::fv::BcSpec::all_periodic());
+  s.init(graded_ic);
+  auto& q = s.state();
+  plant_bad_cells([&q](int c, int i, int j, int k, double v) {
+    q[c](i, j, k) = v;
+  });
+  const igr::eos::IdealGas eos(1.4);
+  const auto ref = igr::app::scan_health(q, eos, ExecSpace::serial());
+  EXPECT_EQ(ref.cells, 20u * 12u * 13u);
+  EXPECT_EQ(ref.nonfinite_cells, 1u);
+  EXPECT_EQ(ref.negative_density_cells, 2u);
+  EXPECT_EQ(ref.nonpositive_pressure_cells, 3u);
+  EXPECT_EQ(ref.min_density, -2.0);
+  EXPECT_LT(ref.min_pressure, 0.0);
+  for (const auto& exec : invariance_spaces())
+    expect_same_health(igr::app::scan_health(q, eos, exec), ref,
+                       "width " + std::to_string(exec.threads()));
+  // More members than planes: the empty chunks merge as no-ops.
+  expect_same_health(
+      igr::app::scan_health(q, eos, ExecSpace(ExecBackend::kOpenMP, 16)),
+      ref, "width 16");
+}
+
+TEST(ExecSpaceDistributed, RankWorkerInitMatchesWindowedSingleDomain) {
+  // Each rank evaluates the IC over its block window on its own worker,
+  // inside a 2-wide exec space; the assembled state is the single-domain
+  // init bit for bit.
+  const Grid g = ic_grid();
+  const SolverConfig cfg = config_on(ExecSpace::serial());
+  IgrSolver3D<Fp64> single(g, cfg, igr::fv::BcSpec::all_periodic());
+  single.init(graded_ic);
+  igr::sim::DistOptions opts;
+  opts.threads_per_rank = 2;
+  igr::sim::DistributedIgr<Fp64> dist(g, 2, 2, 1, cfg,
+                                      igr::fv::BcSpec::all_periodic(),
+                                      igr::fv::ReconScheme::kFifth, opts);
+  dist.init(graded_ic);
+  EXPECT_EQ(igr::common::state_fnv1a(dist.gather()),
+            igr::common::state_fnv1a(single.state()));
+}
+
+TEST(ExecSpaceDistributed, HealthOfRankBlocksEqualsSingleDomainScan) {
+  using Sim = igr::app::Simulation<Fp64>;
+  Sim::Params p;
+  p.grid = ic_grid();
+  p.bc = igr::fv::BcSpec::all_periodic();
+  p.ranks = {2, 2, 1};
+  p.dist.threads_per_rank = 2;
+  Sim sim(p);
+  sim.init(graded_ic);
+  auto& dist = sim.dist();
+  plant_bad_cells([&dist](int c, int i, int j, int k, double v) {
+    for (const int r : dist.local_ranks()) {
+      const auto b = dist.comm().decomp().block(r);
+      const int li = i - b.lo[0], lj = j - b.lo[1], lk = k - b.lo[2];
+      if (li >= 0 && li < b.n[0] && lj >= 0 && lj < b.n[1] && lk >= 0 &&
+          lk < b.n[2])
+        dist.rank(r).state()[c](li, lj, lk) = v;
+    }
+  });
+
+  IgrSolver3D<Fp64> single(p.grid, p.cfg, p.bc);
+  single.init(graded_ic);
+  auto& q = single.state();
+  plant_bad_cells([&q](int c, int i, int j, int k, double v) {
+    q[c](i, j, k) = v;
+  });
+  const auto ref = igr::app::scan_health(q, igr::eos::IdealGas(p.cfg.gamma),
+                                         ExecSpace::serial());
+  EXPECT_EQ(ref.negative_density_cells, 2u);
+  expect_same_health(sim.health(), ref, "2x2x1 ranks");
 }
 
 }  // namespace

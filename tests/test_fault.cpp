@@ -46,8 +46,10 @@ TEST(FaultPlan, ParseRoundTrip) {
 
   EXPECT_FALSE(sim::FaultPlan{}.armed());
   EXPECT_EQ(sim::FaultPlan{}.describe(), "disarmed");
-  EXPECT_THROW(sim::FaultPlan::parse("frobnicate=1"), std::invalid_argument);
-  EXPECT_THROW(sim::FaultPlan::parse("post=banana"), std::invalid_argument);
+  EXPECT_THROW((void)sim::FaultPlan::parse("frobnicate=1"),
+               std::invalid_argument);
+  EXPECT_THROW((void)sim::FaultPlan::parse("post=banana"),
+               std::invalid_argument);
 }
 
 TEST(FaultPlan, SeededPlansAreDeterministicAndArmed) {
@@ -228,7 +230,8 @@ common::StateField3<double> uniform_state(int n, double rho, double e) {
 
 TEST(Health, CleanStateIsHealthy) {
   const eos::IdealGas eos(1.4);
-  const auto h = app::scan_health(uniform_state(4, 1.0, 2.5), eos);
+  const auto h = app::scan_health(uniform_state(4, 1.0, 2.5), eos,
+                                  common::ExecSpace::serial());
   EXPECT_TRUE(h.healthy());
   EXPECT_TRUE(h.healthy(/*strict_pressure=*/true));
   EXPECT_EQ(h.cells, 64u);
@@ -241,7 +244,7 @@ TEST(Health, NanAndNegativeDensityAreAlwaysFatal) {
   auto q = uniform_state(4, 1.0, 2.5);
   q[common::kEnergy](1, 2, 3) = std::nan("");
   q[common::kRho](0, 0, 0) = -0.5;
-  const auto h = app::scan_health(q, eos);
+  const auto h = app::scan_health(q, eos, common::ExecSpace::serial());
   EXPECT_EQ(h.nonfinite_cells, 1u);
   EXPECT_EQ(h.negative_density_cells, 1u);
   EXPECT_FALSE(h.healthy());
@@ -254,7 +257,7 @@ TEST(Health, NonpositivePressureFailsOnlyStrictScans) {
   const eos::IdealGas eos(1.4);
   auto q = uniform_state(4, 1.0, 2.5);
   q[common::kMomX](2, 2, 2) = 3.0;  // ke = 4.5 > E = 2.5
-  const auto h = app::scan_health(q, eos);
+  const auto h = app::scan_health(q, eos, common::ExecSpace::serial());
   EXPECT_EQ(h.nonpositive_pressure_cells, 1u);
   EXPECT_TRUE(h.healthy());
   EXPECT_FALSE(h.healthy(/*strict_pressure=*/true));

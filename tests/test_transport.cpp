@@ -10,11 +10,18 @@
 /// wire width, the TCP team must reproduce the in-process team's state
 /// fingerprint AND its per-step dt trajectory hash exactly.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -113,7 +120,8 @@ TEST(TransportSpec, KindParsesAndRejects) {
             sim::TransportSpec::Kind::kInProc);
   EXPECT_EQ(sim::TransportSpec::parse_kind("tcp"),
             sim::TransportSpec::Kind::kTcp);
-  EXPECT_THROW(sim::TransportSpec::parse_kind("rdma"), std::invalid_argument);
+  EXPECT_THROW((void)sim::TransportSpec::parse_kind("rdma"),
+               std::invalid_argument);
   sim::TransportSpec s;
   EXPECT_STREQ(s.kind_name(), "inproc");
   s.kind = sim::TransportSpec::Kind::kTcp;
@@ -133,6 +141,7 @@ sim::TransportSpec pair_spec(int rank, const fs::path& dir) {
 }
 
 constexpr std::size_t kPairSlots = 3 * 3 * 2;  // channels x axes x world
+constexpr sim::FrameCaps kPairCaps{1u << 20, 1u << 20};
 
 TEST(TcpFabric, PublishAcquireCollectivesAndBlobs) {
   const auto dir = scratch_dir("fabric");
@@ -144,7 +153,7 @@ TEST(TcpFabric, PublishAcquireCollectivesAndBlobs) {
   auto rank0 = [&] {
     try {
       auto t = sim::make_tcp_transport(pair_spec(0, dir), kPairSlots,
-                                       readers_of_0);
+                                       readers_of_0, kPairCaps);
       t->set_wait_timeout(30.0);
       // slot(channel 0, axis 0, src 1) = (0*3+0)*2 + 1
       const unsigned char* p = t->acquire(1, 1, /*src_rank=*/1);
@@ -166,7 +175,7 @@ TEST(TcpFabric, PublishAcquireCollectivesAndBlobs) {
   auto rank1 = [&] {
     try {
       auto t = sim::make_tcp_transport(pair_spec(1, dir), kPairSlots,
-                                       readers_of_1);
+                                       readers_of_1, kPairCaps);
       t->set_wait_timeout(30.0);
       auto& buf = t->send_buffer(1);
       buf = {0xAB, 0x00, 0x00, 0x04};
@@ -198,7 +207,7 @@ TEST(TcpFabric, WaitTimeoutLatchesAPreciseReason) {
 
   auto rank0 = [&] {
     auto t = sim::make_tcp_transport(pair_spec(0, dir), kPairSlots,
-                                     no_readers);
+                                     no_readers, kPairCaps);
     t->set_wait_timeout(0.4);
     // Rank 1 is alive (heartbeating) but never publishes: the bounded wait
     // must expire with a reason naming the peer, not hang.
@@ -208,7 +217,7 @@ TEST(TcpFabric, WaitTimeoutLatchesAPreciseReason) {
   };
   auto rank1 = [&] {
     auto t = sim::make_tcp_transport(pair_spec(1, dir), kPairSlots,
-                                     no_readers);
+                                     no_readers, kPairCaps);
     // Stay alive until rank 0 has timed out (its abort poisons us too, via
     // the broadcast kAbort frame; destruction is then orderly).
     for (int i = 0; i < 100 && !t->aborted(); ++i)
@@ -229,7 +238,7 @@ TEST(TcpFabric, PeerGoodbyeDuringAWaitIsASchedulingError) {
 
   auto rank0 = [&] {
     auto t = sim::make_tcp_transport(pair_spec(0, dir), kPairSlots,
-                                     no_readers);
+                                     no_readers, kPairCaps);
     t->set_wait_timeout(30.0);
     t->barrier();
     // Rank 1 exits cleanly after the barrier; a wait on it must classify
@@ -239,7 +248,7 @@ TEST(TcpFabric, PeerGoodbyeDuringAWaitIsASchedulingError) {
   };
   auto rank1 = [&] {
     auto t = sim::make_tcp_transport(pair_spec(1, dir), kPairSlots,
-                                     no_readers);
+                                     no_readers, kPairCaps);
     t->set_wait_timeout(30.0);
     t->barrier();
     // Destructor sends the goodbye.
@@ -259,7 +268,8 @@ TEST(TcpFabric, MissedHeartbeatsDeclareAWedgedPeerDead) {
   auto rank0 = [&] {
     auto spec = pair_spec(0, dir);
     spec.liveness_timeout_s = 0.4;  // declare silence fatal quickly
-    auto t = sim::make_tcp_transport(spec, kPairSlots, no_readers);
+    auto t =
+        sim::make_tcp_transport(spec, kPairSlots, no_readers, kPairCaps);
     t->set_wait_timeout(0.0);  // no wall bound: liveness must trigger alone
     (void)t->acquire(1, 1, /*src_rank=*/1);
     reason = t->abort_reason();
@@ -267,7 +277,8 @@ TEST(TcpFabric, MissedHeartbeatsDeclareAWedgedPeerDead) {
   auto rank1 = [&] {
     auto spec = pair_spec(1, dir);
     spec.heartbeat_period_s = 3600.0;  // a wedged rank: alive but silent
-    auto t = sim::make_tcp_transport(spec, kPairSlots, no_readers);
+    auto t =
+        sim::make_tcp_transport(spec, kPairSlots, no_readers, kPairCaps);
     for (int i = 0; i < 200 && !t->aborted(); ++i)
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
   };
@@ -275,6 +286,93 @@ TEST(TcpFabric, MissedHeartbeatsDeclareAWedgedPeerDead) {
   t0.join();
   t1.join();
   EXPECT_NE(reason.find("missed heartbeats"), std::string::npos) << reason;
+  fs::remove_all(dir);
+}
+
+/// The 32-byte frame header of the tcp wire protocol (transport_tcp.cpp),
+/// replicated so a test can speak the protocol as a misbehaving peer.
+struct WireHeader {
+  std::uint32_t magic;
+  std::uint16_t kind;
+  std::uint16_t a;
+  std::uint16_t b;
+  std::uint16_t src;
+  std::uint32_t reserved;
+  std::uint64_t seq;
+  std::uint64_t len;
+};
+static_assert(sizeof(WireHeader) == 32, "wire header is 32 B");
+constexpr std::uint32_t kWireMagic = 0x49475254u;
+constexpr std::uint16_t kWireHello = 1;
+constexpr std::uint16_t kWireHalo = 2;
+
+/// Dial rank 0 of a 2-rank team in `dir` as rank 1 and send the hello;
+/// returns the connected socket, or -1.
+int dial_as_rank1(const fs::path& dir) {
+  int port = -1;
+  for (int i = 0; i < 3000 && port < 0; ++i) {
+    std::ifstream in(dir / "port.0");
+    if (!(in >> port)) {
+      port = -1;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  if (port < 0) return -1;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  const WireHeader hello{kWireMagic, kWireHello, 1, 0, 1, 0, /*world=*/2, 0};
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::send(fd, &hello, sizeof hello, MSG_NOSIGNAL) != sizeof hello) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(TcpFabric, OversizedFrameLengthLatchesAReasonBeforeAllocating) {
+  // A header with a valid magic but a 1 TiB length: the receive thread
+  // must reject it against the halo cap instead of allocating.  Were a
+  // bad_alloc to escape that thread, std::terminate would end this test.
+  const auto dir = scratch_dir("oversize");
+  std::array<std::vector<int>, 3> no_readers{{{}, {}, {}}};
+  std::unique_ptr<sim::Transport> t;
+  std::string error;
+  std::thread rank0([&] {
+    try {
+      t = sim::make_tcp_transport(pair_spec(0, dir), kPairSlots, no_readers,
+                                  kPairCaps);
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  });
+  const int fd = dial_as_rank1(dir);
+  rank0.join();
+  ASSERT_GE(fd, 0) << "could not dial rank 0";
+  ASSERT_EQ(error, "");
+
+  const std::uint64_t len = std::uint64_t{1} << 40;
+  const WireHeader bad{kWireMagic, kWireHalo, 0, 0, 1, 0, 1, len};
+  ASSERT_EQ(::send(fd, &bad, sizeof bad, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof bad));
+  for (int i = 0; i < 500 && !t->aborted(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_TRUE(t->aborted());
+  const std::string why = t->abort_reason();
+  EXPECT_NE(why.find("rank 1"), std::string::npos) << why;
+  EXPECT_NE(why.find("kind 2"), std::string::npos) << why;
+  EXPECT_NE(why.find(std::to_string(len) + " bytes"), std::string::npos)
+      << why;
+
+  // The send side refuses what the receive side would reject.
+  const std::vector<unsigned char> big(kPairCaps.blob + 1);
+  EXPECT_THROW(t->send_blob(1, /*tag=*/7, big.data(), big.size()),
+               std::length_error);
+  t.reset();
+  ::close(fd);
   fs::remove_all(dir);
 }
 
