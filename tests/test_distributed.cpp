@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/igr_solver3d.hpp"
 #include "sim/distributed_igr.hpp"
@@ -75,7 +77,8 @@ TEST_P(DistributedLayouts, BitwiseMatchesSingleDomainWithJacobi) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, DistributedLayouts,
-                         ::testing::Values(std::array<int, 3>{2, 1, 1},
+                         ::testing::Values(std::array<int, 3>{1, 1, 1},
+                                           std::array<int, 3>{2, 1, 1},
                                            std::array<int, 3>{1, 2, 1},
                                            std::array<int, 3>{1, 1, 2},
                                            std::array<int, 3>{2, 2, 1},
@@ -136,46 +139,33 @@ TEST(Distributed, NonPeriodicOutflowMatchesSingleDomain) {
 }
 
 TEST(Distributed, EightRankFusedMatchesSingleDomainBitwise) {
-  // Rank solvers built with the fused pipeline (the default): streamed
-  // flux blocks and the interleaved source build run inside every phase
-  // the driver orchestrates, while the single-domain side additionally
-  // runs the full fused step (plane-pipelined sweeps under the Neumann
-  // sigma boundary, RK fold, dt fold).  Jacobi sweeps keep the
-  // decomposition exact, so the 2x2x2 run must stay bitwise-identical to
-  // the single-domain fused solver — state and adaptive dt — and both must
-  // match the phased reference.
-  auto cfg = jacobi_cfg();
-  ASSERT_TRUE(cfg.fused_rhs);
+  // The single-domain side runs the full fused step (plane-pipelined sweeps
+  // under the Neumann sigma boundary, streamed flux blocks, RK fold, dt
+  // fold); the ranks run the per-phase schedule with the same streamed
+  // flux blocks inside every phase.  Jacobi sweeps keep the decomposition
+  // exact, so the 2x2x2 run must stay bitwise-identical to the fused
+  // solver — state and adaptive dt.
+  const auto cfg = jacobi_cfg();
   const auto g = Grid::cube(kN);
   const auto bc = BcSpec::all_outflow();
 
   IgrSolver3D<Fp64> fused_single(g, cfg, bc);
   fused_single.init(smooth_ic());
-  auto phased_cfg = cfg;
-  phased_cfg.fused_rhs = false;
-  IgrSolver3D<Fp64> phased_single(g, phased_cfg, bc);
-  phased_single.init(smooth_ic());
   DistributedIgr<Fp64> dist(g, 2, 2, 2, cfg, bc);
   dist.init(smooth_ic());
 
   for (int step = 0; step < 2; ++step) {
     const double dt_fused = fused_single.step();
-    const double dt_phased = phased_single.step();
     const double dt_dist = dist.step();
-    ASSERT_EQ(dt_fused, dt_phased) << "step " << step;
     ASSERT_EQ(dt_fused, dt_dist) << "step " << step;
   }
   const auto gathered = dist.gather();
   for (int c = 0; c < kNumVars; ++c)
     for (int k = 0; k < kN; ++k)
       for (int j = 0; j < kN; ++j)
-        for (int i = 0; i < kN; ++i) {
+        for (int i = 0; i < kN; ++i)
           ASSERT_EQ(fused_single.state()[c](i, j, k), gathered[c](i, j, k))
               << "comp " << c << " cell " << i << "," << j << "," << k;
-          ASSERT_EQ(fused_single.state()[c](i, j, k),
-                    phased_single.state()[c](i, j, k))
-              << "comp " << c << " cell " << i << "," << j << "," << k;
-        }
 }
 
 TEST(Distributed, CflStepMatchesSingleDomainDt) {
@@ -300,95 +290,65 @@ TEST(Distributed, RejectsNonPeriodicThinBlockNearBoundary) {
                std::invalid_argument);
 }
 
-TEST(Distributed, SerialScheduleMatchesParallelSchedule) {
-  // The inline lockstep schedule is the reference the concurrent
-  // phase-barrier schedule must reproduce bitwise.
-  const auto g = Grid::cube(kN);
+/// Step a single-domain solver and a `layout` decomposition of the
+/// periodic cube `n` side by side (adaptive dt when `adaptive`, else a
+/// fixed 2e-3), then require identical dts, state, and Sigma.
+void expect_layout_matches_single_domain(int n, std::array<int, 3> layout,
+                                         int steps, bool adaptive) {
+  SCOPED_TRACE(std::to_string(layout[0]) + "x" + std::to_string(layout[1]) +
+               "x" + std::to_string(layout[2]) + " n=" + std::to_string(n));
+  const auto g = Grid::cube(n);
   const auto cfg = jacobi_cfg();
   const auto bc = BcSpec::all_periodic();
-
-  igr::sim::DistOptions serial;
-  serial.parallel = false;
-  DistributedIgr<Fp64> ds(g, 2, 2, 1, cfg, bc, igr::fv::ReconScheme::kFifth,
-                          serial);
-  DistributedIgr<Fp64> dp(g, 2, 2, 1, cfg, bc);
-  ds.init(smooth_ic());
-  dp.init(smooth_ic());
-  for (int step = 0; step < 3; ++step) {
-    ds.step_fixed(2e-3);
-    dp.step_fixed(2e-3);
+  IgrSolver3D<Fp64> single(g, cfg, bc);
+  single.init(smooth_ic());
+  DistributedIgr<Fp64> dist(g, layout[0], layout[1], layout[2], cfg, bc);
+  dist.init(smooth_ic());
+  for (int step = 0; step < steps; ++step) {
+    if (adaptive) {
+      const double dt_s = single.step();
+      const double dt_d = dist.step();
+      ASSERT_EQ(dt_s, dt_d) << "step " << step;
+    } else {
+      single.step_fixed(2e-3);
+      dist.step_fixed(2e-3);
+    }
   }
-  const auto a = ds.gather();
-  const auto b = dp.gather();
-  for (int c = 0; c < kNumVars; ++c)
-    for (int k = 0; k < kN; ++k)
-      for (int j = 0; j < kN; ++j)
-        for (int i = 0; i < kN; ++i)
-          ASSERT_EQ(a[c](i, j, k), b[c](i, j, k));
+  const auto q = dist.gather();
+  const auto sigma = dist.gather_sigma();
+  for (int k = 0; k < n; ++k)
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < n; ++i) {
+        for (int c = 0; c < kNumVars; ++c)
+          ASSERT_EQ(single.state()[c](i, j, k), q[c](i, j, k))
+              << "comp " << c << " cell " << i << "," << j << "," << k;
+        ASSERT_EQ(single.sigma()(i, j, k), sigma(i, j, k))
+            << "sigma cell " << i << "," << j << "," << k;
+      }
 }
 
-TEST(Distributed, OverlapSplitDoesNotChangeBits) {
-  const auto g = Grid::cube(kN);
-  const auto cfg = jacobi_cfg();
-  const auto bc = BcSpec::all_periodic();
-
-  igr::sim::DistOptions no_overlap;
-  no_overlap.overlap_halo = false;
-  DistributedIgr<Fp64> da(g, 2, 1, 2, cfg, bc, igr::fv::ReconScheme::kFifth,
-                          no_overlap);
-  DistributedIgr<Fp64> db(g, 2, 1, 2, cfg, bc);  // overlap on (default)
-  da.init(smooth_ic());
-  db.init(smooth_ic());
-  for (int step = 0; step < 2; ++step) {
-    da.step_fixed(2e-3);
-    db.step_fixed(2e-3);
-  }
-  const auto a = da.gather();
-  const auto b = db.gather();
-  for (int c = 0; c < kNumVars; ++c)
-    for (int k = 0; k < kN; ++k)
-      for (int j = 0; j < kN; ++j)
-        for (int i = 0; i < kN; ++i)
-          ASSERT_EQ(a[c](i, j, k), b[c](i, j, k));
+TEST(Distributed, ConcurrentScheduleMatchesSingleDomain) {
+  // Rank workers step concurrently, synchronized only by phase barriers
+  // and the pairwise halo epochs; the run must reproduce the single-domain
+  // bits, Sigma and adaptive dt included.
+  expect_layout_matches_single_domain(kN, {2, 2, 1}, 3, /*adaptive=*/true);
 }
 
-TEST(Distributed, OverlapStateSourceSplitDoesNotChangeBits) {
+TEST(Distributed, OverlapSplitMatchesSingleDomain) {
+  // Interior flux sweeps run while the final Sigma z exchange is in
+  // flight; the boundary slabs finish after it lands.  Split along z with
+  // two ranks on z, so both slabs border an exchanged face.
+  expect_layout_matches_single_domain(kN, {2, 1, 2}, 2, /*adaptive=*/true);
+}
+
+TEST(Distributed, OverlapStateSourceSplitMatchesSingleDomain) {
   // The state-exchange overlap: z halos are posted, the z-interior Sigma
   // source is built while they are in flight, then the boundary planes
-  // complete after the z ghosts land.  Must be bitwise-identical to the
-  // non-overlapped exchange-then-build schedule.  Layouts include nz = 2
-  // and nz = 1 local blocks, where the interior/boundary split degenerates.
-  const auto cfg = jacobi_cfg();
-  const auto bc = BcSpec::all_periodic();
-  struct Case {
-    int n;
-    std::array<int, 3> layout;
-  };
-  for (const auto& c : {Case{kN, {2, 1, 2}}, Case{kN, {1, 1, 8}},
-                        Case{8, {1, 2, 8}}}) {
-    const auto g = Grid::cube(c.n);
-    igr::sim::DistOptions no_overlap;
-    no_overlap.overlap_state = false;
-    DistributedIgr<Fp64> da(g, c.layout[0], c.layout[1], c.layout[2], cfg, bc,
-                            igr::fv::ReconScheme::kFifth, no_overlap);
-    DistributedIgr<Fp64> db(g, c.layout[0], c.layout[1], c.layout[2], cfg,
-                            bc);  // overlap_state on (default)
-    da.init(smooth_ic());
-    db.init(smooth_ic());
-    for (int step = 0; step < 2; ++step) {
-      da.step_fixed(2e-3);
-      db.step_fixed(2e-3);
-    }
-    const auto a = da.gather();
-    const auto b = db.gather();
-    for (int comp = 0; comp < kNumVars; ++comp)
-      for (int k = 0; k < c.n; ++k)
-        for (int j = 0; j < c.n; ++j)
-          for (int i = 0; i < c.n; ++i)
-            ASSERT_EQ(a[comp](i, j, k), b[comp](i, j, k))
-                << c.layout[0] << "x" << c.layout[1] << "x" << c.layout[2]
-                << " comp " << comp << " cell " << i << "," << j << "," << k;
-  }
+  // complete after the z ghosts land.  Layouts include nz = 2 and nz = 1
+  // local blocks, where the interior/boundary split degenerates.
+  expect_layout_matches_single_domain(kN, {2, 1, 2}, 2, /*adaptive=*/false);
+  expect_layout_matches_single_domain(kN, {1, 1, 8}, 2, /*adaptive=*/false);
+  expect_layout_matches_single_domain(8, {1, 2, 8}, 2, /*adaptive=*/false);
 }
 
 TEST(Distributed, Fp16x32HalfWireStaysBitwiseEqualToSingleDomain) {

@@ -141,40 +141,42 @@ void expect_bitwise_equal(const cases::CaseSpec& spec,
   EXPECT_EQ(fnv_a, fnv_b) << "state fingerprint diverged";
 }
 
-/// Serial vs the default OpenMP exec space, both RHS schedules, one
-/// precision policy.  The jet case covers the full kernel surface: inflow +
-/// outflow BCs, the fused wavefront, the Sigma relaxation, the CFL fold.
+/// Serial vs the default OpenMP exec space, one precision policy, on both
+/// RHS schedules: the single-domain fused step, or (`decomposed`) the
+/// per-phase schedule of a 2x1x1 in-process run.  The jet case covers the
+/// full kernel surface: inflow + outflow BCs, the fused wavefront, the
+/// Sigma relaxation, the CFL fold.
 template <class Policy>
-void serial_vs_default(bool fused) {
+void serial_vs_default(bool decomposed) {
   const auto* spec = cases::find("jet-single");
   ASSERT_NE(spec, nullptr);
   cases::RunOptions serial = cases::golden_options(*spec);
-  serial.fused_rhs = fused;
+  if (decomposed) serial.ranks = {2, 1, 1};
   serial.exec = ExecBackend::kSerial;
   cases::RunOptions ambient = serial;
   ambient.exec = ExecBackend::kOpenMP;
   ambient.threads = 0;  // the historical bare-pragma schedule
   expect_bitwise_equal<Policy>(*spec, serial, ambient,
-                               fused ? "fused" : "phased");
+                               decomposed ? "phased 2x1x1" : "fused");
 }
 
 TEST(ExecSpaceBitwise, SerialMatchesDefaultFusedFp64) {
-  serial_vs_default<Fp64>(true);
-}
-TEST(ExecSpaceBitwise, SerialMatchesDefaultFusedFp32) {
-  serial_vs_default<Fp32>(true);
-}
-TEST(ExecSpaceBitwise, SerialMatchesDefaultFusedFp16) {
-  serial_vs_default<Fp16x32>(true);
-}
-TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp64) {
   serial_vs_default<Fp64>(false);
 }
-TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp32) {
+TEST(ExecSpaceBitwise, SerialMatchesDefaultFusedFp32) {
   serial_vs_default<Fp32>(false);
 }
-TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp16) {
+TEST(ExecSpaceBitwise, SerialMatchesDefaultFusedFp16) {
   serial_vs_default<Fp16x32>(false);
+}
+TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp64) {
+  serial_vs_default<Fp64>(true);
+}
+TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp32) {
+  serial_vs_default<Fp32>(true);
+}
+TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp16) {
+  serial_vs_default<Fp16x32>(true);
 }
 
 TEST(ExecSpaceBitwise, ThreadCountCannotMoveABit) {
@@ -198,11 +200,11 @@ TEST(ExecSpaceBitwise, ThreadCountCannotMoveABit) {
 
 TEST(ExecSpaceBitwise, SedovPhasedSerialMatchesThreads) {
   // A second workload shape (point blast, all-outflow BCs) through the
-  // phased schedule, Serial vs a 2-wide team.
+  // phased schedule of a 2x1x1 run, Serial vs a 2-wide team per rank.
   const auto* spec = cases::find("sedov");
   ASSERT_NE(spec, nullptr);
   cases::RunOptions serial = cases::golden_options(*spec);
-  serial.fused_rhs = false;
+  serial.ranks = {2, 1, 1};
   serial.exec = ExecBackend::kSerial;
   cases::RunOptions wide = serial;
   wide.exec = ExecBackend::kOpenMP;
