@@ -61,7 +61,6 @@ const char* recon_name(fv::ReconScheme r) {
 }
 
 Row report_row(Row r, const igr::bench::GrindSample& s) {
-  r.threads = igr::bench::bench_overrides().exec_threads;
   r.grind_ns = s.grind_ns;
   r.has_phases = s.has_phases;
   r.phase_ns = s.phase_ns;
@@ -87,28 +86,31 @@ Row report_row(Row r, const igr::bench::GrindSample& s) {
 
 template <class Policy>
 Row run_one(SchemeKind scheme, fv::ReconScheme recon, int n, int warmup,
-            int steps) {
+            int steps, int threads) {
   Row r;
+  r.threads = threads;
   r.scheme = (scheme == SchemeKind::kIgr) ? "igr" : "baseline_weno_hllc";
   r.precision = std::string(Policy::name);
   r.recon = recon_name(scheme == SchemeKind::kIgr ? recon
                                                   : fv::ReconScheme::kWeno5);
   return report_row(std::move(r),
                     bench::measure_grind<Policy>(scheme, n, warmup, steps,
-                                                 recon));
+                                                 recon, threads));
 }
 
 template <class Policy>
 Row run_case_row(const igr::cases::CaseSpec& spec, int n, int warmup,
-                 int steps) {
+                 int steps, int threads) {
   Row r;
+  r.threads = threads;
   r.workload = spec.name;
   r.scheme = "igr";
   r.precision = std::string(Policy::name);
   r.recon = recon_name(fv::ReconScheme::kFifth);
   return report_row(std::move(r),
                     bench::measure_case_grind<Policy>(
-                        spec, SchemeKind::kIgr, n, warmup, steps));
+                        spec, SchemeKind::kIgr, n, warmup, steps,
+                        fv::ReconScheme::kFifth, threads));
 }
 
 void write_json(const std::string& path, const std::string& label, int n,
@@ -124,8 +126,6 @@ void write_json(const std::string& path, const std::string& label, int n,
   std::fprintf(f, "  \"metric\": \"grind_ns_per_cell_step\",\n");
   std::fprintf(f, "  \"half_backend\": \"%s\",\n",
                std::string(common::half_batch::backend_name()).c_str());
-  std::fprintf(f, "  \"fused_rhs\": %s,\n",
-               bench::bench_overrides().fused_rhs ? "true" : "false");
   std::fprintf(f, "  \"grid\": [%d, %d, %d],\n", n, n, n + n / 2);
   std::fprintf(f, "  \"warmup_steps\": %d,\n", warmup);
   std::fprintf(f, "  \"timed_steps\": %d,\n", steps);
@@ -173,10 +173,6 @@ int main(int argc, char** argv) {
   while (args.next()) {
     if (args.is("--smoke")) {
       smoke = true;
-    } else if (args.is("--phased")) {
-      bench::bench_overrides().fused_rhs = false;
-    } else if (args.is("--block")) {
-      bench::bench_overrides().fused_flux_block = args.int_value(1);
     } else if (args.is("--n")) {
       n = args.int_value(1);
     } else if (args.is("--warmup")) {
@@ -234,27 +230,26 @@ int main(int argc, char** argv) {
   // IGR: every precision × reconstruction order (Table 3's rows, extended
   // with the recon sweep so dispatch-level regressions are visible) — once
   // per requested exec-space width (one ambient pass without --threads).
-  const auto igr_rows = [&](int threads) {
-    bench::bench_overrides().exec_threads = threads;
+  const auto igr_rows = [&](int t) {
     for (auto recon : kAll)
-      rows.push_back(run_one<Fp64>(SchemeKind::kIgr, recon, n, warmup,
-                                   steps));
+      rows.push_back(run_one<Fp64>(SchemeKind::kIgr, recon, n, warmup, steps,
+                                   t));
     for (auto recon : kAll)
-      rows.push_back(run_one<Fp32>(SchemeKind::kIgr, recon, n, warmup,
-                                   steps));
-    for (auto recon : kAll)
-      rows.push_back(
-          run_one<Fp16x32>(SchemeKind::kIgr, recon, n, warmup, steps));
+      rows.push_back(run_one<Fp32>(SchemeKind::kIgr, recon, n, warmup, steps,
+                                   t));
     for (auto recon : kAll)
       rows.push_back(
-          run_one<Bf16x32>(SchemeKind::kIgr, recon, n, warmup, steps));
+          run_one<Fp16x32>(SchemeKind::kIgr, recon, n, warmup, steps, t));
+    for (auto recon : kAll)
+      rows.push_back(
+          run_one<Bf16x32>(SchemeKind::kIgr, recon, n, warmup, steps, t));
     // Per-case grind rows (recon5, all IGR precisions): grind tracked per
     // scenario shape, not jet-only.
     for (const auto* spec : case_specs) {
-      rows.push_back(run_case_row<Fp64>(*spec, n, warmup, steps));
-      rows.push_back(run_case_row<Fp32>(*spec, n, warmup, steps));
-      rows.push_back(run_case_row<Fp16x32>(*spec, n, warmup, steps));
-      rows.push_back(run_case_row<Bf16x32>(*spec, n, warmup, steps));
+      rows.push_back(run_case_row<Fp64>(*spec, n, warmup, steps, t));
+      rows.push_back(run_case_row<Fp32>(*spec, n, warmup, steps, t));
+      rows.push_back(run_case_row<Fp16x32>(*spec, n, warmup, steps, t));
+      rows.push_back(run_case_row<Bf16x32>(*spec, n, warmup, steps, t));
     }
   };
   if (thread_widths.empty()) {
@@ -265,11 +260,10 @@ int main(int argc, char** argv) {
   // Baseline: WENO5+HLLC at FP64 (the state of the art the paper beats) and
   // FP32 (timing-only; unstable below FP64 per §4.3).  Always ambient: the
   // baseline does not go through the exec-space layer.
-  bench::bench_overrides().exec_threads = 0;
   rows.push_back(run_one<Fp64>(SchemeKind::kBaselineWeno,
-                               fv::ReconScheme::kWeno5, n, warmup, steps));
+                               fv::ReconScheme::kWeno5, n, warmup, steps, 0));
   rows.push_back(run_one<Fp32>(SchemeKind::kBaselineWeno,
-                               fv::ReconScheme::kWeno5, n, warmup, steps));
+                               fv::ReconScheme::kWeno5, n, warmup, steps, 0));
 
   write_json(out, label, n, warmup, steps, rows);
   return 0;

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "app/simulation.hpp"
 #include "cases/case.hpp"
@@ -17,44 +16,23 @@
 
 namespace igr::bench {
 
-/// Process-wide bench overrides (CLI-settable), applied by make_case_sim /
-/// make_jet_sim: `fused_rhs` flips the IGR solver between the fused
-/// pipeline (default) and the phased reference — `bench_grind --phased` —
-/// so pre/post grind comparisons can alternate both schedules from one
-/// binary; `exec_threads` widens the in-rank kernel teams (`bench_grind
-/// --threads`).
-struct BenchOverrides {
-  bool fused_rhs = true;
-  int fused_flux_block = 0;  ///< 0 = keep the SolverConfig default.
-  int exec_threads = 0;      ///< Exec-space width (0 = ambient).
-};
-inline BenchOverrides& bench_overrides() {
-  static BenchOverrides o;
-  return o;
-}
-
 /// Any registered case as a bench workload, built through the front-door
-/// options layer: a cases::RunOptions request (bench overrides folded in)
-/// lowered by RunOptions::to_params, plus the bench-only knobs the options
-/// layer deliberately does not carry (per-phase timing, the fused flux
-/// block-size sweep).
+/// options layer: a cases::RunOptions request lowered by
+/// RunOptions::to_params, with per-phase timing on for the bench JSON.
+/// `threads` is the exec-space width of the in-rank kernels (0 = ambient;
+/// `bench_grind --threads`).
 template <class Policy>
-app::Simulation<Policy> make_case_sim(const cases::CaseSpec& spec,
-                                      app::SchemeKind scheme, int n = 32,
-                                      fv::ReconScheme recon =
-                                          fv::ReconScheme::kFifth) {
+app::Simulation<Policy> make_case_sim(
+    const cases::CaseSpec& spec, app::SchemeKind scheme, int n = 32,
+    fv::ReconScheme recon = fv::ReconScheme::kFifth, int threads = 0) {
   cases::RunOptions opts;
   opts.n = n;
   opts.scheme = scheme;
   opts.recon = recon;
-  opts.fused_rhs = bench_overrides().fused_rhs;
-  opts.threads = bench_overrides().exec_threads;
+  opts.threads = threads;
   // Per-phase attribution for the bench JSON (sub-0.5% sampling overhead).
   opts.phase_timing = true;
-  auto params = opts.to_params<Policy>(spec);
-  if (bench_overrides().fused_flux_block > 0)
-    params.cfg.fused_flux_block = bench_overrides().fused_flux_block;
-  app::Simulation<Policy> sim(std::move(params));
+  app::Simulation<Policy> sim(opts.to_params<Policy>(spec));
   sim.init(spec.initial());
   return sim;
 }
@@ -66,12 +44,12 @@ app::Simulation<Policy> make_case_sim(const cases::CaseSpec& spec,
 /// seeded initial condition), so the jet rows route through the same
 /// options seam as every `--case` row.
 template <class Policy>
-app::Simulation<Policy> make_jet_sim(app::SchemeKind scheme, int n = 32,
-                                     fv::ReconScheme recon =
-                                         fv::ReconScheme::kFifth) {
+app::Simulation<Policy> make_jet_sim(
+    app::SchemeKind scheme, int n = 32,
+    fv::ReconScheme recon = fv::ReconScheme::kFifth, int threads = 0) {
   const cases::CaseSpec* spec = cases::find("jet-single");
   if (!spec) throw std::logic_error("case registry lost 'jet-single'");
-  return make_case_sim<Policy>(*spec, scheme, n, recon);
+  return make_case_sim<Policy>(*spec, scheme, n, recon, threads);
 }
 
 /// One grind measurement: wall ns/cell/step plus, for the single-domain IGR
@@ -112,8 +90,9 @@ GrindSample measure_sim_grind(app::Simulation<Policy>& sim, int warmup,
 /// Grind of the paper's jet workload (the historical bench rows).
 template <class Policy>
 GrindSample measure_grind(app::SchemeKind scheme, int n, int warmup, int steps,
-                          fv::ReconScheme recon = fv::ReconScheme::kFifth) {
-  auto sim = make_jet_sim<Policy>(scheme, n, recon);
+                          fv::ReconScheme recon = fv::ReconScheme::kFifth,
+                          int threads = 0) {
+  auto sim = make_jet_sim<Policy>(scheme, n, recon, threads);
   return measure_sim_grind(sim, warmup, steps);
 }
 
@@ -123,8 +102,9 @@ GrindSample measure_case_grind(const cases::CaseSpec& spec,
                                app::SchemeKind scheme, int n, int warmup,
                                int steps,
                                fv::ReconScheme recon =
-                                   fv::ReconScheme::kFifth) {
-  auto sim = make_case_sim<Policy>(spec, scheme, n, recon);
+                                   fv::ReconScheme::kFifth,
+                               int threads = 0) {
+  auto sim = make_case_sim<Policy>(spec, scheme, n, recon, threads);
   return measure_sim_grind(sim, warmup, steps);
 }
 

@@ -64,7 +64,7 @@ constexpr int kExitRetryable = 75;
       "                [--precision fp64|fp32|fp16x32|bf16x32] [--scheme igr|weno]\n"
       "                [--recon 1|3|5] [--ranks rx,ry,rz|N] [--jacobi]\n"
       "                [--exec serial|openmp] [--threads T]\n"
-      "                [--phased] [--vtk out.vtk] [--json out.json]\n"
+      "                [--vtk out.vtk] [--json out.json]\n"
       "                [--save ckpt.bin] [--restart ckpt.bin]\n"
       "  observability (see README 'Observability'):\n"
       "                [--phase-timing] [--telemetry out.jsonl]\n"
@@ -288,8 +288,6 @@ int main(int argc, char** argv) {
       cli.run.threads = args.int_value(0, 4096);
     } else if (args.is("--jacobi")) {
       cli.run.jacobi_sweeps = true;
-    } else if (args.is("--phased")) {
-      cli.run.fused_rhs = false;
     } else if (args.is("--phase-timing")) {
       cli.run.phase_timing = true;
     } else if (args.is("--telemetry")) {

@@ -95,7 +95,6 @@ typename app::Simulation<Policy>::Params RunOptions::to_params(
   typename app::Simulation<Policy>::Params params;
   params.grid = spec.grid(n > 0 ? n : spec.default_n);
   params.cfg = spec.config();
-  params.cfg.fused_rhs = fused_rhs;
   params.cfg.phase_timing = phase_timing;
   params.cfg.cfl *= cfl_scale;
   if (jacobi_sweeps) params.cfg.sigma_gauss_seidel = false;

@@ -53,7 +53,6 @@ struct RunOptions {
   std::array<int, 3> ranks{1, 1, 1};  ///< Decomposed layout (IGR only).
   app::SchemeKind scheme = app::SchemeKind::kIgr;
   fv::ReconScheme recon = fv::ReconScheme::kFifth;
-  bool fused_rhs = true;
   /// Jacobi Sigma sweeps (decomposition-exact: rank layout cannot change
   /// the bits) instead of the default red–black Gauss–Seidel.
   bool jacobi_sweeps = false;

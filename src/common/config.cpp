@@ -14,8 +14,6 @@ void SolverConfig::validate() const {
     throw std::invalid_argument("cfl must lie in (0,1]");
   if (density_floor < 0.0 || pressure_floor < 0.0)
     throw std::invalid_argument("floors must be non-negative");
-  if (fused_flux_block < 1)
-    throw std::invalid_argument("fused_flux_block must be positive");
   if (exec_threads < 0 || exec_threads > 4096)
     throw std::invalid_argument("exec_threads out of range [0,4096]");
 }

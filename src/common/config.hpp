@@ -28,21 +28,7 @@ struct SolverConfig {
   // --- Time integration ---
   double cfl = 0.4;          ///< Advective CFL number for SSP-RK3.
 
-  // --- Fused RHS pipeline (Algorithm 1 on CPU) ---
-  /// Stream each RK stage through memory once: the Sigma source, the
-  /// relaxation sweeps (pipelined across k-planes as a wavefront where the
-  /// Sigma boundary handling permits), the three flux sweeps, the RK convex
-  /// update, and the CFL reduction for the next step's dt all advance a
-  /// rolling window of k-planes instead of running as full-grid passes.
-  /// Bitwise-identical (state *and* dt) to the phased schedule, which is
-  /// kept behind `false`.
-  bool fused_rhs = true;
-  /// k-plane block thickness of the streamed flux/RK stage.  Clamped up to
-  /// the reconstruction stencil radius (3) internally: the trailing RK
-  /// update may only touch planes the z-flux front no longer reads.  Larger
-  /// blocks amortize the re-evaluated z-faces at block seams; smaller
-  /// blocks keep the rolling window cache-resident.
-  int fused_flux_block = 8;  // measured best on the bench host; see PERF.md
+  // --- Diagnostics ---
   /// Record the per-phase wall-time breakdown (common::PhaseProfile).  Off
   /// by default; the bench harness enables it for its JSON report.
   bool phase_timing = false;

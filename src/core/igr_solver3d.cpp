@@ -87,9 +87,9 @@ struct FaceRowParams {
 /// stencil cell of face i, `lcp`/`rcp` are the (ir, u, v, w, p) rows of the
 /// face's left and right cells, and `pl_mom`/`pl_ir` point at the left cell
 /// so `+ P.st` reaches the right cell for the raw viscous taps.  Both the
-/// phased and the fused schedules evaluate every face here, so they agree
-/// bitwise — the fused-pipeline tests and the flux RHS fingerprints pin
-/// this.
+/// fused single-domain step and the decomposed per-phase step evaluate
+/// every face here, so they agree bitwise — the fused-pipeline tests and
+/// the flux RHS fingerprints pin this.
 template <int Dir, class C, class S, class ReconOp>
 inline void compute_face_row(const ReconOp& recon, std::size_t fn,
                              const C* (*sc)[6], const C* const* lcp,
@@ -266,18 +266,18 @@ IgrSolver3D<Policy>::IgrSolver3D(const mesh::Grid& grid,
       recon_(recon),
       eos_(cfg.gamma),
       alpha_(cfg.alpha_factor * grid.min_dx() * grid.min_dx()),
-      q_(grid.nx(), grid.ny(), grid.nz(), 3),
-      qstage_(grid.nx(), grid.ny(), grid.nz(), 3),
-      rhs_(grid.nx(), grid.ny(), grid.nz(), 3),
-      sigma_(grid.nx(), grid.ny(), grid.nz(), 3),
-      sigma_src_(grid.nx(), grid.ny(), grid.nz(), 3),
-      inv_rho_(grid.nx(), grid.ny(), grid.nz(), 3) {
+      q_(grid.nx(), grid.ny(), grid.nz(), kNg),
+      qstage_(grid.nx(), grid.ny(), grid.nz(), kNg),
+      rhs_(grid.nx(), grid.ny(), grid.nz(), kNg),
+      sigma_(grid.nx(), grid.ny(), grid.nz(), kNg),
+      sigma_src_(grid.nx(), grid.ny(), grid.nz(), kNg),
+      inv_rho_(grid.nx(), grid.ny(), grid.nz(), kNg) {
   cfg_.validate();
   profile_.enable(cfg_.phase_timing);
   sigma_bc_ = sigma_bc_from(bc_);
   if (!cfg_.sigma_gauss_seidel) {
     sigma_scratch_ =
-        common::Field3<S>(grid.nx(), grid.ny(), grid.nz(), 3);
+        common::Field3<S>(grid.nx(), grid.ny(), grid.nz(), kNg);
   }
   grind_.set_cells_per_step(grid.cells());
 }
@@ -484,7 +484,7 @@ void IgrSolver3D<Policy>::compute_sigma_source(common::StateField3<S>& q) {
   // taps read.
   const int nz = grid_.nz();
   const int ng = q.ng();
-  const int chunk = std::max(flux_block(), 4);
+  constexpr int chunk = kFluxBlock;
   int ir_hi = -ng;  // first ghosted plane not yet refreshed
   auto ensure_ir = [&](int upto) {  // exclusive
     upto = std::min(upto, nz + ng);
@@ -878,36 +878,22 @@ void IgrSolver3D<Policy>::compute_fluxes_region(common::StateField3<S>& q,
          rhs.nz() == grid_.nz());
   assert(q.ng() == sigma_.ng() && rhs.ng() == sigma_.ng());
   if (prepare) prepare_flux_pass(q);
-  if (cfg_.fused_rhs) {
-    // Stream the region in k-blocks: all three sweeps of a block run while
-    // its planes are cache-resident.  Blocks partition the region, each
-    // cell still sees exactly the x-overwrite → y → z accumulation of one
-    // whole-region call, and every face flux is a pure function of its
-    // stencil — so the split is bitwise-free, the same property the
-    // interior/boundary overlap split relies on.  (The z seams re-evaluate
-    // one face per block; flux_block() amortizes that.)
-    const auto kz = static_cast<std::size_t>(2);
-    const int B = flux_block();
-    fv::dispatch_recon(recon_, [&](auto recon) {
-      for (int b0 = reg.lo[kz]; b0 < reg.hi[kz]; b0 += B) {
-        CellRegion sub = reg;
-        sub.lo[kz] = b0;
-        sub.hi[kz] = std::min(b0 + B, reg.hi[kz]);
-        flux_stream_all(q, rhs, recon, sub);
-      }
-    });
-    return;
-  }
-  fv::dispatch_recon(recon_,
-                     [&](auto recon) { flux_stream_all(q, rhs, recon, reg); });
-}
-
-template <class Policy>
-int IgrSolver3D<Policy>::flux_block() const {
-  // The trailing RK update of block b-1 may only touch planes the z-flux
-  // stencil of block b no longer reads, which needs B >= the stencil
-  // radius (the field ghost depth).
-  return std::max(cfg_.fused_flux_block, sigma_.ng());
+  // Stream the region in k-blocks: all three sweeps of a block run while
+  // its planes are cache-resident.  Blocks partition the region, each cell
+  // still sees exactly the x-overwrite → y → z accumulation of one
+  // whole-region call, and every face flux is a pure function of its
+  // stencil — so the split is bitwise-free, the same property the
+  // interior/boundary overlap split relies on.  (The z seams re-evaluate
+  // one face per block; kFluxBlock amortizes that.)
+  const auto kz = static_cast<std::size_t>(2);
+  fv::dispatch_recon(recon_, [&](auto recon) {
+    for (int b0 = reg.lo[kz]; b0 < reg.hi[kz]; b0 += kFluxBlock) {
+      CellRegion sub = reg;
+      sub.lo[kz] = b0;
+      sub.hi[kz] = std::min(b0 + kFluxBlock, reg.hi[kz]);
+      flux_stream_all(q, rhs, recon, sub);
+    }
+  });
 }
 
 template <class Policy>
@@ -967,36 +953,9 @@ void IgrSolver3D<Policy>::compute_rhs(common::StateField3<S>& q,
     common::PhaseScope t(profile_, common::PhaseProfile::kBc);
     apply_domain_bc(q);
   }
-
-  if (alpha_ > 0.0 && cfg_.sigma_sweeps > 0) {
-    {
-      common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
-      build_sigma_source(q);
-    }
-    common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps);
-    for (int s = 0; s < cfg_.sigma_sweeps; ++s) {
-      fill_sigma_ghosts(sigma_, sigma_bc_, 1);  // sweeps need one layer
-      sigma_sweep(q);
-    }
-    fill_sigma_boundary();  // reconstruction needs the full depth
-  } else {
-    sigma_.fill(S{});
-  }
-
-  common::PhaseScope t(profile_, common::PhaseProfile::kFlux);
-  compute_fluxes(q, rhs);
-}
-
-template <class Policy>
-void IgrSolver3D<Policy>::compute_rhs_fused(common::StateField3<S>& q,
-                                            common::StateField3<S>& rhs) {
-  {
-    common::PhaseScope t(profile_, common::PhaseProfile::kBc);
-    apply_domain_bc(q);
-  }
   fused_sigma_phase(q);
   common::PhaseScope t(profile_, common::PhaseProfile::kFlux);
-  compute_fluxes(q, rhs);  // streams k-blocks under cfg.fused_rhs
+  compute_fluxes(q, rhs);
 }
 
 template <class Policy>
@@ -1009,11 +968,11 @@ void IgrSolver3D<Policy>::fused_sigma_phase(common::StateField3<S>& q) {
       sigma_bc_.side(2, 1) == SigmaBc::kPeriodic) {
     // A periodic Sigma wrap *along z* makes plane 0's sweep s read plane
     // nz-1's post-sweep-(s-1) values — which an ascending plane stream has
-    // not produced yet when its front is near 0.  Sweeps stay phased here;
-    // the interleaved source build and the streamed flux/RK stages still
-    // apply.  Periodic x/y faces are no obstacle: their wraps are per-plane
-    // rim fills reading the same plane's post-previous-sweep interior,
-    // exactly the snapshot the phased fill takes.
+    // not produced yet when its front is near 0.  Sweeps stay full-field
+    // passes here; the interleaved source build and the streamed flux/RK
+    // stages still apply.  Periodic x/y faces are no obstacle: their wraps
+    // are per-plane rim fills reading the same plane's post-previous-sweep
+    // interior, exactly the snapshot a whole-field fill takes.
     {
       common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
       build_sigma_source(q);
@@ -1050,11 +1009,11 @@ void IgrSolver3D<Policy>::fused_sigma_phase(common::StateField3<S>& q) {
 ///     at front k+2s, while c0(s+1,k) runs at front k+2s — same front,
 ///     earlier sweep slot first.  ✓
 /// Ghost handling: each sweep's one-layer rim fill of plane p runs in the
-/// c0 slot (p is still entirely post-sweep-(s-1) there — the values the
-/// phased per-sweep fill_sigma_ghosts snapshot holds), and the Neumann z
-/// ghost planes are copied when the boundary planes 0 / nz-1 hit their c0
+/// c0 slot (p is still entirely post-sweep-(s-1) there — the values a
+/// whole-field per-sweep fill_sigma_ghosts snapshot holds), and the Neumann
+/// z ghost planes are copied when the boundary planes 0 / nz-1 hit their c0
 /// slot, again from post-(s-1) values.  Both colors then read that same
-/// snapshot, exactly like the phased schedule.
+/// snapshot, exactly like the per-phase schedule of sim::DistributedIgr.
 template <class Policy>
 void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
   const int nz = grid_.nz();
@@ -1062,11 +1021,11 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
   const int sweeps = cfg_.sigma_sweeps;
   // The pipeline performs `sweeps` logical relaxation passes without going
   // through sigma_sweep(); credit them up front so the meter agrees with
-  // the phased schedule.
+  // the per-phase schedule.
   sigma_sweeps_done_ += static_cast<std::uint64_t>(sweeps);
   const bool rb = cfg_.sigma_gauss_seidel;
   const int depth = rb ? 2 * sweeps - 1 : sweeps - 1;
-  const int chunk = std::max(flux_block(), 4);
+  constexpr int chunk = kFluxBlock;
   const C al = static_cast<C>(alpha_);
   const C dx = static_cast<C>(grid_.dx());
   const C dy = static_cast<C>(grid_.dy());
@@ -1076,7 +1035,7 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
   auto ensure_ir = [&](int upto) {  // exclusive
     upto = std::min(upto, nz + ng);
     if (upto > ir_hi) {
-      // Attributed to the source phase like the phased schedule's
+      // Attributed to the source phase like the per-phase schedule's
       // refresh-inside-build, so the breakdowns stay comparable.
       common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
       refresh_inv_rho_planes(q, ir_hi, upto);
@@ -1122,7 +1081,7 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
         const int p = f - (s - 1);
         if (p >= 0 && p < nz) {
           // Sweep s reads the buffer sweep s-1 wrote (sigma_ first) and
-          // writes the other; one swap at the end mirrors the phased
+          // writes the other; one swap at the end mirrors the per-phase
           // per-sweep field swaps.
           auto& in = (s % 2 == 1) ? sigma_ : sigma_scratch_;
           auto& out = (s % 2 == 1) ? sigma_scratch_ : sigma_;
@@ -1256,7 +1215,7 @@ void IgrSolver3D<Policy>::fused_flux_rk(common::StateField3<S>& q,
   assert(q.nx() == grid_.nx() && q.ny() == grid_.ny() && q.nz() == grid_.nz());
   assert(q.ng() == sigma_.ng() && rhs.ng() == sigma_.ng());
   const int nz = grid_.nz();
-  const int B = flux_block();
+  constexpr int B = kFluxBlock;
 
   // The RK write-back trails the flux front by one block: the z-flux lines
   // of block b read state planes down to b*B - 3, so once block b is swept,
@@ -1305,7 +1264,7 @@ void IgrSolver3D<Policy>::finish_step(double dt) {
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::step_fixed_fused(double dt) {
+void IgrSolver3D<Policy>::step_fixed(double dt) {
   grind_.begin_step();
   dt_rates_ = fv::CflRates{};
   for (int si = 0; si < 3; ++si) {
@@ -1328,28 +1287,11 @@ void IgrSolver3D<Policy>::step_fixed_fused(double dt) {
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::step_fixed(double dt) {
-  if (cfg_.fused_rhs) {
-    step_fixed_fused(dt);
-    return;
-  }
-  grind_.begin_step();
-  begin_step();
-  for (const auto& st : fv::kRk3Stages) {
-    compute_rhs(qstage_, rhs_);
-    common::PhaseScope t(profile_, common::PhaseProfile::kRkDt);
-    rk_update(st, dt);
-  }
-  finish_step(dt);
-  grind_.end_step();
-}
-
-template <class Policy>
 double IgrSolver3D<Policy>::step() {
   // The warm-start Sigma from the previous step feeds the wave-speed bound.
-  // A fused previous step already folded this exact reduction — same state,
-  // same Sigma, exact max/min — into its final RK traversal.
-  if (cfg_.fused_rhs && next_dt_valid_) {
+  // A previous step already folded this exact reduction — same state, same
+  // Sigma, exact max/min — into its final RK traversal.
+  if (next_dt_valid_) {
     const double dt = next_dt_;
     step_fixed(dt);
     return dt;

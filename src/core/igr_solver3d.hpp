@@ -13,16 +13,16 @@
 /// families, and the Sigma source into one GPU kernel with thread-local
 /// temporaries, interleaving the elliptic solve with the x-direction sweep
 /// (Algorithm 1).  The CPU port realizes the same traversal discipline with
-/// a fused, k-plane-streaming RHS pipeline (SolverConfig::fused_rhs, the
-/// default): per RK stage, a rolling window of planes flows once through
-/// the Sigma-source build, the ≤5 warm-started relaxation sweeps (pipelined
-/// across planes as a red–black/Jacobi wavefront where the Sigma boundary
-/// handling permits), and the three flux sweeps streamed in k-blocks, with
-/// the SSP-RK3 convex update trailing the flux front and the CFL reduction
-/// for the next step's dt folded into the final stage's write-back.  Every
-/// slot of the pipeline reads exactly the values the phased schedule would
-/// show it, so results — state *and* dt — are bitwise-identical to the
-/// phased reference path kept behind `fused_rhs = false`.
+/// a fused, k-plane-streaming RHS pipeline: per RK stage, a rolling window
+/// of planes flows once through the Sigma-source build, the ≤5 warm-started
+/// relaxation sweeps (pipelined across planes as a red–black/Jacobi
+/// wavefront where the Sigma boundary handling permits), and the three flux
+/// sweeps streamed in k-blocks, with the SSP-RK3 convex update trailing the
+/// flux front and the CFL reduction for the next step's dt folded into the
+/// final stage's write-back.  Every slot of the pipeline reads exactly the
+/// values a phase-by-phase schedule would show it, so results — state *and*
+/// dt — are bitwise-identical to the per-phase step sim::DistributedIgr
+/// composes from the piecewise API below (test-enforced on a 1x1x1 layout).
 
 #include <array>
 #include <cstdint>
@@ -72,6 +72,7 @@ class IgrSolver3D {
  public:
   using S = typename Policy::storage_t;
   using C = typename Policy::compute_t;
+  static constexpr int kNg = 3;  ///< Ghost depth of every solver field.
 
   IgrSolver3D(const mesh::Grid& grid, const common::SolverConfig& cfg,
               fv::BcSpec bc,
@@ -87,19 +88,12 @@ class IgrSolver3D {
   /// Advance one step with a caller-chosen dt (used by convergence tests).
   void step_fixed(double dt);
 
-  /// RHS of the semi-discrete system for state `q` (ghosts are filled here).
-  /// Public so tests can probe spatial accuracy and conservation directly.
-  /// This is the *phased* schedule — one full-grid pass per phase — kept as
-  /// the bitwise reference for the fused pipeline regardless of
-  /// cfg.fused_rhs (step_fixed is what dispatches on the toggle).
+  /// RHS of the semi-discrete system for state `q` (ghosts are filled
+  /// here): BC fill → Sigma source and pipelined relaxation wavefront →
+  /// k-block-streamed flux sweeps, the same RHS a step evaluates per stage
+  /// (the RK/dt folds live in step_fixed, not here).  Public so tests can
+  /// probe spatial accuracy and conservation directly.
   void compute_rhs(common::StateField3<S>& q, common::StateField3<S>& rhs);
-
-  /// The fused plane-streaming evaluation of the same RHS: Sigma source →
-  /// pipelined relaxation wavefront → k-block-streamed flux sweeps, one
-  /// rolling pass over memory.  Bitwise-identical to compute_rhs (the RK/dt
-  /// folds live in the fused step path, not here).
-  void compute_rhs_fused(common::StateField3<S>& q,
-                         common::StateField3<S>& rhs);
 
   [[nodiscard]] common::StateField3<S>& state() { return q_; }
   [[nodiscard]] const common::StateField3<S>& state() const { return q_; }
@@ -131,7 +125,7 @@ class IgrSolver3D {
     return sigma_sweeps_done_;
   }
 
-  /// The fused step caches the next step's CFL dt (its reduction is folded
+  /// step_fixed caches the next step's CFL dt (its reduction is folded
   /// into the final RK stage's traversal).  Mutating state()/sigma_field()
   /// externally between steps invalidates that fold — call this afterwards
   /// so the next step() rescans instead of using the stale cache.
@@ -141,9 +135,8 @@ class IgrSolver3D {
   [[nodiscard]] common::Cons<double> conserved_totals() const;
 
   // --- Piecewise API for distributed drivers (sim::DistributedIgr) ---
-  // These expose the phases of compute_rhs so a driver can interleave halo
-  // exchanges in lockstep across ranks.  Single-rank use composes them in
-  // exactly the order compute_rhs does.
+  // These expose the phases of compute_rhs as whole-block passes so a
+  // driver can interleave halo exchanges across ranks.
 
   /// Physical-boundary ghost fill only (no Sigma work, no fluxes).
   void apply_domain_bc(common::StateField3<S>& q);
@@ -176,9 +169,9 @@ class IgrSolver3D {
   /// Preconditions: `q` and `rhs` must have this solver's block shape and
   /// ghost depth (asserted).  With viscosity enabled *and* the Sigma solve
   /// active, the viscous path reads the reciprocal-density cache refreshed
-  /// by build_sigma_source — call that on the same `q` first (compute_rhs
-  /// and the distributed driver both do); with the Sigma solve disabled the
-  /// cache is refreshed here.
+  /// by build_sigma_source — call that on the same `q` first (the
+  /// distributed driver does; compute_rhs refreshes it in its Sigma phase);
+  /// with the Sigma solve disabled the cache is refreshed here.
   void compute_fluxes(common::StateField3<S>& q, common::StateField3<S>& rhs);
   /// Interior part of compute_fluxes with respect to one axis: only cells
   /// at least one ghost depth (3) away from the two block faces of `axis`,
@@ -259,11 +252,15 @@ class IgrSolver3D {
     return {{0, 0, 0}, {grid_.nx(), grid_.ny(), grid_.nz()}};
   }
 
-  // --- Fused plane-streaming pipeline (cfg.fused_rhs) ---
-  /// k-block thickness of the streamed flux stage.  At least the ghost
-  /// depth: the trailing RK update of block b-1 must not touch planes the
-  /// z-flux stencil of block b still reads.
-  [[nodiscard]] int flux_block() const;
+  // --- Fused plane-streaming pipeline ---
+  /// k-block thickness of the streamed flux stage (and of the source
+  /// build's chunks).  Larger blocks amortize the re-evaluated z faces at
+  /// block seams; smaller ones keep the rolling window cache-resident (8
+  /// measured best, see PERF.md).
+  static constexpr int kFluxBlock = 8;
+  // The trailing RK update of block b-1 must not touch planes the z-flux
+  // stencil of block b still reads.
+  static_assert(kFluxBlock >= kNg, "flux blocks must span the ghost depth");
   /// Ghost fill + Sigma solve of one RHS evaluation, plane-pipelined where
   /// the Sigma boundary handling permits (see the .cpp for the wavefront
   /// schedule and its dependency argument).
@@ -280,11 +277,10 @@ class IgrSolver3D {
   /// RK update restricted to planes [k0, k1).
   void rk_update_planes(const fv::Rk3Stage& st, double dt, int k0, int k1);
   /// First-stage RK update reading q_ directly: qstage = q + dt * rhs.
-  /// Bitwise the phased `0*qn + 1*(qstage + dt*rhs)` with qstage a fresh
+  /// Bitwise the per-phase `0*qn + 1*(qstage + dt*rhs)` with qstage a fresh
   /// copy of q (±0*x + y == y for every y the copy construction can
   /// produce), which lets the fused step skip begin_step's 5N copy.
   void rk_stage1_planes(double dt, int k0, int k1);
-  void step_fixed_fused(double dt);
 
   mesh::Grid grid_;
   common::SolverConfig cfg_;
@@ -310,10 +306,10 @@ class IgrSolver3D {
   common::PhaseProfile profile_;
   std::uint64_t sigma_sweeps_done_ = 0;
 
-  /// Next-step CFL cache: the fused final RK stage accumulates the CFL
-  /// extrema over the freshly written state and warm Sigma — the same
-  /// values the phased step() scans at the top of the next step — so
-  /// step() skips the dedicated 6N pass.
+  /// Next-step CFL cache: the final RK stage accumulates the CFL extrema
+  /// over the freshly written state and warm Sigma — the same values a
+  /// dedicated scan at the top of the next step would read — so step()
+  /// skips that 6N pass.
   fv::CflRates dt_rates_{};
   double next_dt_ = 0.0;
   bool next_dt_valid_ = false;

@@ -9,8 +9,7 @@
 
 namespace igr::sim {
 
-RankTeam::RankTeam(int ranks, bool parallel, int threads_per_rank,
-                   int hardware_share_ranks)
+RankTeam::RankTeam(int ranks, int threads_per_rank, int hardware_share_ranks)
     : ranks_(ranks) {
   if (ranks < 1) throw std::invalid_argument("RankTeam: ranks must be >= 1");
   if (threads_per_rank < 0)
@@ -23,7 +22,6 @@ RankTeam::RankTeam(int ranks, bool parallel, int threads_per_rank,
   } else {
     threads_per_rank_ = threads_per_rank;
   }
-  if (!parallel) return;
   workers_.reserve(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r) {
     workers_.emplace_back([this, r] { worker_main(r); });
@@ -40,10 +38,6 @@ RankTeam::~RankTeam() {
 }
 
 void RankTeam::run(const std::function<void(int)>& fn) {
-  if (!parallel()) {
-    for (int r = 0; r < ranks_; ++r) fn(r);
-    return;
-  }
   std::unique_lock<std::mutex> lk(mu_);
   fn_ = &fn;
   done_ = 0;

@@ -12,9 +12,7 @@
 ///
 /// Workers pin their OpenMP team size on startup so R ranks x T threads
 /// never oversubscribe the machine (scaling benches run T = 1 to measure
-/// rank parallelism alone).  A team constructed with parallel = false runs
-/// every phase inline on the calling thread, rank by rank — the lockstep
-/// reference schedule the concurrent one is validated against bitwise.
+/// rank parallelism alone).
 
 #include <condition_variable>
 #include <cstdint>
@@ -28,13 +26,13 @@ namespace igr::sim {
 
 class RankTeam {
  public:
-  /// Spawn `ranks` workers (parallel) or configure inline execution.
-  /// `threads_per_rank` caps each worker's OpenMP team; 0 divides the
-  /// hardware evenly (at least 1).  `hardware_share_ranks` is the number
-  /// of ranks sharing this machine for that division — a multi-process
-  /// team runs one local rank but must still split the cores across the
-  /// whole team (0: same as `ranks`, the in-process case).
-  explicit RankTeam(int ranks, bool parallel = true, int threads_per_rank = 0,
+  /// Spawn `ranks` workers.  `threads_per_rank` caps each worker's OpenMP
+  /// team; 0 divides the hardware evenly (at least 1).
+  /// `hardware_share_ranks` is the number of ranks sharing this machine
+  /// for that division — a multi-process team runs one local rank but must
+  /// still split the cores across the whole team (0: same as `ranks`, the
+  /// in-process case).
+  explicit RankTeam(int ranks, int threads_per_rank = 0,
                     int hardware_share_ranks = 0);
   ~RankTeam();
 
@@ -42,13 +40,11 @@ class RankTeam {
   RankTeam& operator=(const RankTeam&) = delete;
 
   /// Execute `fn(rank)` for every rank and wait for all of them (phase
-  /// barrier).  Parallel mode runs each rank on its worker; inline mode
-  /// calls them sequentially in rank order.  The first exception thrown by
-  /// any rank is rethrown here after the phase completes.
+  /// barrier), each rank on its worker.  The first exception thrown by any
+  /// rank is rethrown here after the phase completes.
   void run(const std::function<void(int)>& fn);
 
   [[nodiscard]] int ranks() const { return ranks_; }
-  [[nodiscard]] bool parallel() const { return !workers_.empty(); }
   [[nodiscard]] int threads_per_rank() const { return threads_per_rank_; }
 
  private:
