@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -66,6 +67,7 @@ constexpr std::uint32_t storage_code() {
   return sizeof(T);
 }
 
+/// Name of a storage tag this build writes, or null for any other tag.
 const char* precision_of(std::uint32_t tag) {
   switch (tag) {
     case 2: return "fp16";
@@ -73,7 +75,7 @@ const char* precision_of(std::uint32_t tag) {
     case 8: return "fp64";
     case 0x0102: return "bf16";
   }
-  return "unknown";
+  return nullptr;
 }
 
 /// Component count above which a header is treated as corrupt rather than a
@@ -186,6 +188,12 @@ HeaderInfo read_header_info(std::ifstream& in, const std::string& path) {
             " in " + path + " (corrupt header?)");
   check(info.h.nx > 0 && info.h.ny > 0 && info.h.nz > 0,
         "non-positive dims in " + path + " (corrupt header?)");
+  if (!precision_of(info.h.storage_bytes)) {
+    std::ostringstream os;
+    os << "unknown storage tag 0x" << std::hex << info.h.storage_bytes
+       << " in " << path << " (corrupt header?)";
+    throw std::runtime_error("checkpoint: " + os.str());
+  }
   info.payload_offset = static_cast<long>(sizeof(CheckpointHeader));
   if (info.h.version == 2) {
     info.crc.resize(static_cast<std::size_t>(info.h.num_vars));
@@ -206,6 +214,36 @@ HeaderInfo read_header_info(std::ifstream& in, const std::string& path) {
     }
     info.payload_offset +=
         static_cast<long>((info.crc.size() + 1) * sizeof(std::uint32_t));
+  }
+
+  // The declared sizes must add up to the file's own before any of them
+  // sizes an allocation or a read loop (v1 headers carry no CRC, so this is
+  // their only guard).  The low byte of the tag is the element size.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::string dims = std::to_string(info.h.nx) + "x" +
+                           std::to_string(info.h.ny) + "x" +
+                           std::to_string(info.h.nz);
+  std::uint64_t payload = (info.h.storage_bytes & 0xffu) *
+                          static_cast<std::uint64_t>(info.h.num_vars);
+  for (const std::int32_t n : {info.h.nx, info.h.ny, info.h.nz}) {
+    const auto un = static_cast<std::uint64_t>(n);
+    check(payload <= kMax / un, "payload size of " + dims +
+                                    " cells overflows in " + path +
+                                    " (corrupt header?)");
+    payload *= un;
+  }
+  const auto offset = static_cast<std::uint64_t>(info.payload_offset);
+  in.seekg(0, std::ios::end);
+  const auto file_bytes = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(info.payload_offset);
+  check(static_cast<bool>(in), "cannot measure the size of " + path);
+  if (payload != file_bytes - offset) {
+    throw std::runtime_error(
+        std::string("checkpoint: ") +
+        (payload > file_bytes - offset ? "truncated payload in "
+                                       : "trailing bytes after payload in ") +
+        path + ": header declares " + std::to_string(payload) + " bytes (" +
+        dims + " cells), file holds " + std::to_string(file_bytes - offset));
   }
   return info;
 }
@@ -405,10 +443,6 @@ CheckpointValidation validate_checkpoint(const std::string& path) {
         throw std::runtime_error("checkpoint: " + os.str());
       }
     }
-    // Exactly at EOF?  Trailing bytes mean the file is not what the header
-    // claims (e.g. two checkpoints concatenated by a broken copy).
-    in.peek();
-    check(in.eof(), "trailing bytes after payload in " + path);
     v.ok = true;
   } catch (const std::exception& e) {
     v.ok = false;

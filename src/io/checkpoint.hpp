@@ -65,7 +65,10 @@ template <class T>
 double read_checkpoint(const std::string& path, common::StateField3<T>& q);
 
 /// Peek at a checkpoint's header without loading the data (v2 headers are
-/// CRC-verified; a torn header throws).
+/// CRC-verified; a torn header throws).  Every reader first rejects unknown
+/// storage tags and any header whose declared payload size — overflow-
+/// checked — differs from the file's, so a crafted header can size neither
+/// an allocation nor a read loop.
 CheckpointHeader read_checkpoint_header(const std::string& path);
 
 /// Scalar-field flavor (num_vars = 1 in the header): the IGR solvers
@@ -90,7 +93,8 @@ struct CheckpointValidation {
 };
 
 /// Stream `path` end to end: header (and its CRC for v2), exact payload
-/// size, and every component CRC (v2).  Never throws — a missing or corrupt
+/// size (checked before any read is sized by the header), and every
+/// component CRC (v2).  Never throws — a missing or corrupt
 /// file reports `ok = false` with the reason.  v1 files validate structure
 /// and size only (they carry no checksums).
 CheckpointValidation validate_checkpoint(const std::string& path);

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/igr_solver3d.hpp"
 #include "io/checkpoint.hpp"
@@ -288,6 +290,78 @@ TEST(CheckpointV2, UnsupportedVersionRejected) {
   expect_throw_containing(
       [&] { igr::io::read_checkpoint_header(path.string()); },
       "unsupported version 99");
+  fs::remove(path);
+}
+
+/// A 112-byte v1 file (no CRC section): `h` followed by zero bytes — the
+/// shape of a crafted or bit-rotted header a resume scan may meet.
+void write_crafted_v1(const std::string& path,
+                      const igr::io::CheckpointHeader& h) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(&h), sizeof(h));
+  const std::string pad(112 - sizeof(h), '\0');
+  out.write(pad.data(), static_cast<std::streamsize>(pad.size()));
+}
+
+igr::io::CheckpointHeader crafted_header(std::uint32_t storage, int nx,
+                                         int ny, int nz) {
+  igr::io::CheckpointHeader h;
+  h.version = 1;
+  h.storage_bytes = storage;
+  h.nx = nx;
+  h.ny = ny;
+  h.nz = nz;
+  h.ng = 3;
+  h.num_vars = kNumVars;
+  return h;
+}
+
+TEST(CheckpointV2, UnknownStorageTagRejectedBeforeReading) {
+  // Low byte 0 made every row zero bytes long: validation then spun
+  // through 2^60 zero-byte reads instead of failing.
+  const auto path = fs::temp_directory_path() / "igr_ckpt_badtag.bin";
+  write_crafted_v1(path.string(),
+                   crafted_header(0x0100u, 1, 1 << 30, 1 << 30));
+  const auto v = igr::io::validate_checkpoint(path.string());
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.error.find("unknown storage tag 0x100"), std::string::npos)
+      << v.error;
+  expect_throw_containing(
+      [&] { igr::io::read_checkpoint_header(path.string()); },
+      "unknown storage tag 0x100");
+  fs::remove(path);
+}
+
+TEST(CheckpointV2, DeclaredSizeCheckedAgainstFileBeforeAllocating) {
+  // nx = 2^31-1 at fp64 asked for a 16 GiB row before reading one payload
+  // byte; the header's sizes must instead be checked against the file.
+  const auto path = fs::temp_directory_path() / "igr_ckpt_hugerow.bin";
+  write_crafted_v1(path.string(), crafted_header(8, 2147483647, 1, 1));
+  const auto v = igr::io::validate_checkpoint(path.string());
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.error.find("truncated payload in " + path.string() +
+                         ": header declares 85899345880 bytes "
+                         "(2147483647x1x1 cells), file holds 64"),
+            std::string::npos)
+      << v.error;
+
+  // Dims whose byte count does not fit in 64 bits.
+  write_crafted_v1(path.string(),
+                   crafted_header(8, 2147483647, 2147483647, 2147483647));
+  expect_throw_containing(
+      [&] { igr::io::read_checkpoint_header(path.string()); },
+      "payload size of 2147483647x2147483647x2147483647 cells overflows");
+
+  // A valid file with bytes appended is rejected up front, too.
+  igr::io::write_checkpoint(path.string(), make_state<double>(6), 0.0);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out.put('x');
+  }
+  const auto t = igr::io::validate_checkpoint(path.string());
+  EXPECT_FALSE(t.ok);
+  EXPECT_NE(t.error.find("trailing bytes after payload"), std::string::npos)
+      << t.error;
   fs::remove(path);
 }
 
