@@ -94,9 +94,9 @@ struct CheckpointValidation {
 
 /// Stream `path` end to end: header (and its CRC for v2), exact payload
 /// size (checked before any read is sized by the header), and every
-/// component CRC (v2).  Never throws — a missing or corrupt
-/// file reports `ok = false` with the reason.  v1 files validate structure
-/// and size only (they carry no checksums).
+/// component CRC (v2).  Never throws — a missing or corrupt file reports
+/// `ok = false` with the reason.  v1 files validate structure and size only
+/// (they carry no checksums).
 CheckpointValidation validate_checkpoint(const std::string& path);
 
 // --- Checkpoint manifest -------------------------------------------------

@@ -474,20 +474,24 @@ class DistributedIgr {
     }
   }
 
-  /// Physical-face fill + interior-face exchange, interleaved per axis in
-  /// the same x,y,z order as the single-domain ghost fill.
+  /// Physical-face fill + interior-face exchange of the state for axes
+  /// [0, axes), interleaved per axis in the same x,y,z order as the
+  /// single-domain ghost fill; returns false on an aborted exchange.
+  bool state_ghost_phase(int r, int axes) {
+    auto comps = state_comps(r);
+    for (int axis = 0; axis < axes; ++axis) {
+      fill_state_bc_axis(r, axis);
+      comm_.post_axis(Comm::kChanState, r, comps.data(), common::kNumVars,
+                      axis);
+      if (!comm_.complete_axis(Comm::kChanState, r, comps.data(),
+                               common::kNumVars, axis))
+        return false;
+    }
+    return true;
+  }
+
   void refresh_state_ghosts() {
-    run_phase([this](int r) {
-      auto comps = state_comps(r);
-      for (int axis = 0; axis < 3; ++axis) {
-        fill_state_bc_axis(r, axis);
-        comm_.post_axis(Comm::kChanState, r, comps.data(), common::kNumVars,
-                        axis);
-        if (!comm_.complete_axis(Comm::kChanState, r, comps.data(),
-                                 common::kNumVars, axis))
-          return;
-      }
-    });
+    run_phase([this](int r) { state_ghost_phase(r, /*axes=*/3); });
   }
 
   /// State ghost refresh + Sigma source build, with the z exchange of the
@@ -498,15 +502,8 @@ class DistributedIgr {
   void refresh_state_and_build_source() {
     run_phase([this](int r) {
       auto& s = solver(r);
+      if (!state_ghost_phase(r, /*axes=*/2)) return;
       auto comps = state_comps(r);
-      for (int axis = 0; axis < 2; ++axis) {
-        fill_state_bc_axis(r, axis);
-        comm_.post_axis(Comm::kChanState, r, comps.data(), common::kNumVars,
-                        axis);
-        if (!comm_.complete_axis(Comm::kChanState, r, comps.data(),
-                                 common::kNumVars, axis))
-          return;
-      }
       fill_state_bc_axis(r, 2);
       comm_.post_axis(Comm::kChanState, r, comps.data(), common::kNumVars, 2);
       s.build_sigma_source_interior(s.stage_field());

@@ -46,34 +46,48 @@ igr::core::PrimFn smooth_ic() {
   };
 }
 
+/// Step a single-domain solver and a `layout` decomposition of the
+/// periodic cube `n` side by side (adaptive dt when `adaptive`, else a
+/// fixed 2e-3), then require identical dts, state, and Sigma.
+void expect_layout_matches_single_domain(int n, std::array<int, 3> layout,
+                                         int steps, bool adaptive) {
+  SCOPED_TRACE(std::to_string(layout[0]) + "x" + std::to_string(layout[1]) +
+               "x" + std::to_string(layout[2]) + " n=" + std::to_string(n));
+  const auto g = Grid::cube(n);
+  const auto cfg = jacobi_cfg();
+  const auto bc = BcSpec::all_periodic();
+  IgrSolver3D<Fp64> single(g, cfg, bc);
+  single.init(smooth_ic());
+  DistributedIgr<Fp64> dist(g, layout[0], layout[1], layout[2], cfg, bc);
+  dist.init(smooth_ic());
+  for (int step = 0; step < steps; ++step) {
+    if (adaptive) {
+      const double dt_s = single.step();
+      const double dt_d = dist.step();
+      ASSERT_EQ(dt_s, dt_d) << "step " << step;
+    } else {
+      single.step_fixed(2e-3);
+      dist.step_fixed(2e-3);
+    }
+  }
+  const auto q = dist.gather();
+  const auto sigma = dist.gather_sigma();
+  for (int k = 0; k < n; ++k)
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < n; ++i) {
+        for (int c = 0; c < kNumVars; ++c)
+          ASSERT_EQ(single.state()[c](i, j, k), q[c](i, j, k))
+              << "comp " << c << " cell " << i << "," << j << "," << k;
+        ASSERT_EQ(single.sigma()(i, j, k), sigma(i, j, k))
+            << "sigma cell " << i << "," << j << "," << k;
+      }
+}
+
 class DistributedLayouts
     : public ::testing::TestWithParam<std::array<int, 3>> {};
 
 TEST_P(DistributedLayouts, BitwiseMatchesSingleDomainWithJacobi) {
-  const auto [rx, ry, rz] = GetParam();
-  const auto g = Grid::cube(kN);
-  const auto cfg = jacobi_cfg();
-  const auto bc = BcSpec::all_periodic();
-
-  IgrSolver3D<Fp64> single(g, cfg, bc);
-  single.init(smooth_ic());
-
-  DistributedIgr<Fp64> dist(g, rx, ry, rz, cfg, bc);
-  dist.init(smooth_ic());
-
-  for (int step = 0; step < 3; ++step) {
-    single.step_fixed(2e-3);
-    dist.step_fixed(2e-3);
-  }
-
-  const auto gathered = dist.gather();
-  for (int c = 0; c < kNumVars; ++c)
-    for (int k = 0; k < kN; ++k)
-      for (int j = 0; j < kN; ++j)
-        for (int i = 0; i < kN; ++i)
-          ASSERT_EQ(single.state()[c](i, j, k), gathered[c](i, j, k))
-              << "layout " << rx << "x" << ry << "x" << rz << " comp " << c
-              << " cell " << i << "," << j << "," << k;
+  expect_layout_matches_single_domain(kN, GetParam(), 3, /*adaptive=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, DistributedLayouts,
@@ -288,43 +302,6 @@ TEST(Distributed, RejectsNonPeriodicThinBlockNearBoundary) {
       DistributedIgr<Fp64>(Grid::cube(kN), 5, 1, 1, cfg, bc));
   EXPECT_THROW(DistributedIgr<Fp64>(Grid::cube(kN), 6, 1, 1, cfg, bc),
                std::invalid_argument);
-}
-
-/// Step a single-domain solver and a `layout` decomposition of the
-/// periodic cube `n` side by side (adaptive dt when `adaptive`, else a
-/// fixed 2e-3), then require identical dts, state, and Sigma.
-void expect_layout_matches_single_domain(int n, std::array<int, 3> layout,
-                                         int steps, bool adaptive) {
-  SCOPED_TRACE(std::to_string(layout[0]) + "x" + std::to_string(layout[1]) +
-               "x" + std::to_string(layout[2]) + " n=" + std::to_string(n));
-  const auto g = Grid::cube(n);
-  const auto cfg = jacobi_cfg();
-  const auto bc = BcSpec::all_periodic();
-  IgrSolver3D<Fp64> single(g, cfg, bc);
-  single.init(smooth_ic());
-  DistributedIgr<Fp64> dist(g, layout[0], layout[1], layout[2], cfg, bc);
-  dist.init(smooth_ic());
-  for (int step = 0; step < steps; ++step) {
-    if (adaptive) {
-      const double dt_s = single.step();
-      const double dt_d = dist.step();
-      ASSERT_EQ(dt_s, dt_d) << "step " << step;
-    } else {
-      single.step_fixed(2e-3);
-      dist.step_fixed(2e-3);
-    }
-  }
-  const auto q = dist.gather();
-  const auto sigma = dist.gather_sigma();
-  for (int k = 0; k < n; ++k)
-    for (int j = 0; j < n; ++j)
-      for (int i = 0; i < n; ++i) {
-        for (int c = 0; c < kNumVars; ++c)
-          ASSERT_EQ(single.state()[c](i, j, k), q[c](i, j, k))
-              << "comp " << c << " cell " << i << "," << j << "," << k;
-        ASSERT_EQ(single.sigma()(i, j, k), sigma(i, j, k))
-            << "sigma cell " << i << "," << j << "," << k;
-      }
 }
 
 TEST(Distributed, ConcurrentScheduleMatchesSingleDomain) {
