@@ -1,7 +1,7 @@
 #pragma once
 /// \file cli.hpp
 /// Shared command-line parsing for the executables (run_case, bench_grind,
-/// bench_scaling, decomposed_jet): one flag cursor plus the typed value
+/// bench_scaling, igr_launch): one flag cursor plus the typed value
 /// parsers every tool used to hand-roll, with uniform "<prog>: ..." errors
 /// and exit code 2.  The parsers reject trailing garbage and out-of-range
 /// values instead of silently truncating (std::atoi accepted "8x" as 8).

@@ -849,16 +849,11 @@ void IgrSolver3D<Policy>::sigma_sweep(common::StateField3<S>& /*q*/) {
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::fill_sigma_boundary() {
-  fill_sigma_ghosts(sigma_, sigma_bc_);
-}
-
-template <class Policy>
 void IgrSolver3D<Policy>::prepare_flux_pass(common::StateField3<S>& q) {
   // The viscous path reads the persistent reciprocal-density field; when
   // the Sigma solve is disabled nobody has refreshed it this RHS, so do it
   // here (once per RHS — the boundary pass of a split never repeats it).
-  // With Sigma active, build_sigma_source already recomputed it from the
+  // With Sigma active, the source build already recomputed it from the
   // same ghost-filled state.
   const bool viscous = (cfg_.mu > 0.0 || cfg_.zeta > 0.0);
   const bool sigma_active = (alpha_ > 0.0 && cfg_.sigma_sweeps > 0);
@@ -975,14 +970,14 @@ void IgrSolver3D<Policy>::fused_sigma_phase(common::StateField3<S>& q) {
     // interior, exactly the snapshot a whole-field fill takes.
     {
       common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
-      build_sigma_source(q);
+      compute_sigma_source(q);
     }
     common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps);
     for (int s = 0; s < cfg_.sigma_sweeps; ++s) {
       fill_sigma_ghosts(sigma_, sigma_bc_, 1);
       sigma_sweep(q);
     }
-    fill_sigma_boundary();
+    fill_sigma_ghosts(sigma_, sigma_bc_);  // reconstruction: full depth
     return;
   }
   fused_sigma_pipeline(q);

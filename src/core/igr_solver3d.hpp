@@ -138,18 +138,12 @@ class IgrSolver3D {
   // These expose the phases of compute_rhs as whole-block passes so a
   // driver can interleave halo exchanges across ranks.
 
-  /// Physical-boundary ghost fill only (no Sigma work, no fluxes).
-  void apply_domain_bc(common::StateField3<S>& q);
-  /// Sigma-equation source from the current ghosts of `q`.
-  void build_sigma_source(common::StateField3<S>& q) {
-    compute_sigma_source(q);
-  }
-  /// Interior part of build_sigma_source with respect to the z axis: the
+  /// Interior part of the Sigma-source build with respect to the z axis: the
   /// reciprocal-density refresh over interior planes plus the source over
   /// planes [1, nz-1).  Reads no z ghost plane of `q`, so it is safe to run
   /// while the z halo exchange of `q` is still in flight (x/y ghosts must
   /// already be valid).  Pair with build_sigma_source_boundary; together
-  /// they are bitwise one build_sigma_source call (per-point maps over
+  /// they are bitwise one whole-block source build (per-point maps over
   /// disjoint plane sets).
   void build_sigma_source_interior(common::StateField3<S>& q);
   /// The z-boundary complement: ghost-plane reciprocal-density refresh and
@@ -157,9 +151,6 @@ class IgrSolver3D {
   void build_sigma_source_boundary(common::StateField3<S>& q);
   /// One relaxation pass with the current Sigma ghosts.
   void sigma_sweep(common::StateField3<S>& q);
-  /// Ghost fill of Sigma at physical boundaries (distributed drivers then
-  /// overwrite interior-face ghosts with exchanged halos).
-  void fill_sigma_boundary();
   /// Zero `rhs` and accumulate the three dimensional flux sweeps (requires
   /// valid ghosts on `q` and on Sigma).  The reconstruction scheme is
   /// resolved to a compile-time instantiation here, once per call — the only
@@ -169,9 +160,9 @@ class IgrSolver3D {
   /// Preconditions: `q` and `rhs` must have this solver's block shape and
   /// ghost depth (asserted).  With viscosity enabled *and* the Sigma solve
   /// active, the viscous path reads the reciprocal-density cache refreshed
-  /// by build_sigma_source — call that on the same `q` first (the
-  /// distributed driver does; compute_rhs refreshes it in its Sigma phase);
-  /// with the Sigma solve disabled the cache is refreshed here.
+  /// by the Sigma-source build — run that on the same `q` first (the
+  /// distributed driver and compute_rhs both do); with the Sigma solve
+  /// disabled the cache is refreshed here.
   void compute_fluxes(common::StateField3<S>& q, common::StateField3<S>& rhs);
   /// Interior part of compute_fluxes with respect to one axis: only cells
   /// at least one ghost depth (3) away from the two block faces of `axis`,
@@ -190,9 +181,6 @@ class IgrSolver3D {
   /// once and are together bitwise identical to one compute_fluxes call.
   void compute_fluxes_boundary(common::StateField3<S>& q,
                                common::StateField3<S>& rhs, int axis);
-  /// The interior region used by the split above ([3, n-3) along `axis`,
-  /// clamped for thin blocks; full extent on the other axes).
-  [[nodiscard]] CellRegion interior_flux_region(int axis) const;
   /// RK convex combination: stage = a*q^n + b*(stage + dt*rhs).
   void rk_update(const fv::Rk3Stage& st, double dt);
 
@@ -205,6 +193,11 @@ class IgrSolver3D {
   void begin_step();
 
  private:
+  /// Physical-boundary ghost fill only (no Sigma work, no fluxes).
+  void apply_domain_bc(common::StateField3<S>& q);
+  /// The interior region of the flux split above ([3, n-3) along `axis`,
+  /// clamped for thin blocks; full extent on the other axes).
+  [[nodiscard]] CellRegion interior_flux_region(int axis) const;
   /// Reciprocal density over ghosted planes k ∈ [k0, k1) of `q` into
   /// inv_rho_: one division per point, consumed multiplication-only by the
   /// Sigma source, the relaxation sweeps, and the viscous flux path.
