@@ -10,7 +10,9 @@
 ///
 /// `--case all` sweeps every registered case (at golden/smoke sizing with
 /// `--smoke`) and, with `--json`, writes the per-case diagnostics report CI
-/// uploads as a workflow artifact.
+/// uploads as a workflow artifact.  A case that ends diverged (non-finite
+/// conserved totals or non-positive density) still gets its report, but the
+/// exit status is non-zero.
 
 #include <array>
 #include <cmath>
@@ -111,6 +113,15 @@ void print_result(const cases::CaseSpec& spec, const char* precision,
   if (r.diag.nonpositive_pressure_cells > 0)
     std::printf("  (%zu start-up transient cells with non-positive p)\n",
                 r.diag.nonpositive_pressure_cells);
+}
+
+/// Did the run end broken — non-finite conserved totals, or a state the
+/// health policy fails (NaN/Inf cells, which poison the totals, or
+/// non-positive density)?  Only the IO root holds global results.
+bool diverged(const cases::RunResult& r) {
+  for (int c = 0; c < common::kNumVars; ++c)
+    if (!std::isfinite(r.totals_final[c])) return true;
+  return !(r.diag.min_density > 0.0);
 }
 
 /// A JSON number printed with `fmt`, or `null` for NaN and infinities,
@@ -399,21 +410,30 @@ int main(int argc, char** argv) {
     selected.push_back(spec);
   }
 
+  // A multi-process rank's failure is the launcher's problem: exit
+  // EX_TEMPFAIL so it reaps the team and respawns with --resume.
+  const int fail_code = cli.multi_process() ? kExitRetryable : 1;
   std::vector<cases::RunResult> results;
   results.reserve(selected.size());
+  bool any_diverged = false;
   for (const auto* spec : selected) {
     try {
       results.push_back(run_one(*spec, cli));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "run_case: %s: %s\n", spec->name.c_str(),
                    e.what());
-      // A multi-process rank's failure is the launcher's problem: exit
-      // EX_TEMPFAIL so it reaps the team and respawns with --resume.
-      return cli.multi_process() ? kExitRetryable : 1;
+      return fail_code;
     }
     if (cli.is_io_root()) {
       print_result(*spec, cases::precision_name(cli.precision),
                    results.back());
+      if (diverged(results.back())) {
+        std::fprintf(stderr,
+                     "run_case: %s: diverged (non-finite totals or "
+                     "non-positive density)\n",
+                     spec->name.c_str());
+        any_diverged = true;
+      }
       if (!cli.run.telemetry.empty())
         std::printf("telemetry -> %s\n", cli.run.telemetry.c_str());
       if (!cli.run.trace.empty())
@@ -435,5 +455,5 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("wrote %s\n", cli.json.c_str());
   }
-  return 0;
+  return any_diverged ? fail_code : 0;
 }

@@ -268,7 +268,9 @@ IgrSolver3D<Policy>::IgrSolver3D(const mesh::Grid& grid,
       alpha_(cfg.alpha_factor * grid.min_dx() * grid.min_dx()),
       q_(grid.nx(), grid.ny(), grid.nz(), kNg),
       qstage_(grid.nx(), grid.ny(), grid.nz(), kNg),
-      rhs_(grid.nx(), grid.ny(), grid.nz(), kNg),
+      rhs_ring_(2 * kNumVars *
+                static_cast<std::size_t>(std::min(kFluxBlock, grid.nz())) *
+                grid.nx() * grid.ny()),
       sigma_(grid.nx(), grid.ny(), grid.nz(), kNg),
       sigma_src_(grid.nx(), grid.ny(), grid.nz(), kNg),
       inv_rho_(grid.nx(), grid.ny(), grid.nz(), kNg) {
@@ -531,7 +533,7 @@ void IgrSolver3D<Policy>::build_sigma_source_boundary(
 template <class Policy>
 template <int Dir, class ReconOp>
 void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
-                                            common::StateField3<S>& rhs,
+                                            const RhsRows& rhs,
                                             ReconOp recon, bool overwrite,
                                             const CellRegion& reg) {
   if (reg.empty()) return;
@@ -596,7 +598,6 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
       std::vector<C> smax_buf(fn);
       std::vector<unsigned char> fallback(fn);
       std::vector<C> flux(kNumVars * fn);
-      std::vector<C> out_row(static_cast<std::size_t>(nxr));
       long rb0, rb1;
       team.chunk(n_rows, rb0, rb1);
       for (long ridx = rb0; ridx < rb1; ++ridx) {
@@ -639,29 +640,15 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
                                       smax_buf.data(), fallback.data(),
                                       flux.data());
           for (int c = 0; c < kNumVars; ++c) {
-            S* __restrict pr = &rhs[c](x0, j, k);
+            C* __restrict pr = rhs.row(c, j, k) + x0;
             const C* __restrict fc =
                 flux.data() + static_cast<std::size_t>(c) * fn;
-            if constexpr (common::converts_storage<Policy>) {
-              C* row = out_row.data();
-              const std::size_t nd = static_cast<std::size_t>(nxr);
-              if (overwrite) {
-                for (std::size_t s = 0; s < nd; ++s)
-                  row[s] = (fc[s] - fc[s + 1]) * P.inv_d;
-              } else {
-                common::load_line<Policy>(pr, row, nd);
-                for (std::size_t s = 0; s < nd; ++s)
-                  row[s] += (fc[s] - fc[s + 1]) * P.inv_d;
-              }
-              common::store_line<Policy>(row, pr, nd);
-            } else if (overwrite) {
+            if (overwrite) {
               for (int s = 0; s < nxr; ++s)
-                pr[s] = static_cast<S>((fc[s] - fc[s + 1]) * P.inv_d);
+                pr[s] = (fc[s] - fc[s + 1]) * P.inv_d;
             } else {
-              for (int s = 0; s < nxr; ++s) {
-                const C cur = static_cast<C>(pr[s]);
-                pr[s] = static_cast<S>(cur + (fc[s] - fc[s + 1]) * P.inv_d);
-              }
+              for (int s = 0; s < nxr; ++s)
+                pr[s] = pr[s] + (fc[s] - fc[s + 1]) * P.inv_d;
             }
           }
         }
@@ -691,7 +678,6 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
       std::vector<C> smax_buf(fn);
       std::vector<unsigned char> fallback(fn);
       std::vector<C> flux2(2 * kNumVars * fn);  // rolling flux-row pair
-      std::vector<C> out_row(fn);
       long ob, oe;
       team.chunk(o_hi - o_lo, ob, oe);
       for (long oo = ob; oo < oe; ++oo) {
@@ -785,30 +771,17 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
           const int jr = (Dir == 1) ? sf - 1 : j_of;
           const int kr = (Dir == 1) ? k_of : sf - 1;
           for (int c = 0; c < kNumVars; ++c) {
-            S* __restrict pr = &rhs[c](x0, jr, kr);
+            C* __restrict pr = rhs.row(c, jr, kr) + x0;
             const C* __restrict lo_c =
                 flo + static_cast<std::size_t>(c) * fn;
             const C* __restrict hi_c =
                 fhi + static_cast<std::size_t>(c) * fn;
-            if constexpr (common::converts_storage<Policy>) {
-              C* row = out_row.data();
-              if (overwrite) {
-                for (std::size_t s = 0; s < fn; ++s)
-                  row[s] = (lo_c[s] - hi_c[s]) * P.inv_d;
-              } else {
-                common::load_line<Policy>(pr, row, fn);
-                for (std::size_t s = 0; s < fn; ++s)
-                  row[s] += (lo_c[s] - hi_c[s]) * P.inv_d;
-              }
-              common::store_line<Policy>(row, pr, fn);
-            } else if (overwrite) {
+            if (overwrite) {
               for (std::size_t s = 0; s < fn; ++s)
-                pr[s] = static_cast<S>((lo_c[s] - hi_c[s]) * P.inv_d);
+                pr[s] = (lo_c[s] - hi_c[s]) * P.inv_d;
             } else {
-              for (std::size_t s = 0; s < fn; ++s) {
-                const C cur = static_cast<C>(pr[s]);
-                pr[s] = static_cast<S>(cur + (lo_c[s] - hi_c[s]) * P.inv_d);
-              }
+              for (std::size_t s = 0; s < fn; ++s)
+                pr[s] = pr[s] + (lo_c[s] - hi_c[s]) * P.inv_d;
             }
           }
         }
@@ -820,8 +793,7 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
 template <class Policy>
 template <class ReconOp>
 void IgrSolver3D<Policy>::flux_stream_all(common::StateField3<S>& q,
-                                          common::StateField3<S>& rhs,
-                                          ReconOp recon,
+                                          const RhsRows& rhs, ReconOp recon,
                                           const CellRegion& reg) {
   // The x sweep overwrites rhs, folding the zero-fill into its write-back
   // and saving one full 5N traversal per RK stage; y and z accumulate.
@@ -834,6 +806,36 @@ void IgrSolver3D<Policy>::flux_stream_all(common::StateField3<S>& q,
 template <class Policy>
 void IgrSolver3D<Policy>::apply_domain_bc(common::StateField3<S>& q) {
   fv::apply_bc(q, bc_, grid_, eos_);
+}
+
+template <class Policy>
+typename IgrSolver3D<Policy>::RhsRows IgrSolver3D<Policy>::rows_of(
+    common::StateField3<C>& rhs) const {
+  assert(rhs.nx() == grid_.nx() && rhs.ny() == grid_.ny() &&
+         rhs.nz() == grid_.nz());
+  RhsRows v;
+  for (int c = 0; c < kNumVars; ++c)
+    v.base[static_cast<std::size_t>(c)] = &rhs[c](0, 0, 0);
+  v.sy = rhs[0].stride(1);
+  v.sz = rhs[0].stride(2);
+  return v;
+}
+
+template <class Policy>
+typename IgrSolver3D<Policy>::RhsRows IgrSolver3D<Policy>::ring_block(
+    int b0) {
+  const std::ptrdiff_t plane =
+      static_cast<std::ptrdiff_t>(grid_.nx()) * grid_.ny();
+  const std::ptrdiff_t comp =
+      static_cast<std::ptrdiff_t>(std::min(kFluxBlock, grid_.nz())) * plane;
+  C* slot = rhs_ring_.data() + ((b0 / kFluxBlock) & 1) * kNumVars * comp;
+  RhsRows v;
+  for (int c = 0; c < kNumVars; ++c)
+    v.base[static_cast<std::size_t>(c)] = slot + c * comp;
+  v.sy = grid_.nx();
+  v.sz = plane;
+  v.k0 = b0;
+  return v;
 }
 
 template <class Policy>
@@ -862,16 +864,14 @@ void IgrSolver3D<Policy>::prepare_flux_pass(common::StateField3<S>& q) {
 
 template <class Policy>
 void IgrSolver3D<Policy>::compute_fluxes_region(common::StateField3<S>& q,
-                                                common::StateField3<S>& rhs,
+                                                common::StateField3<C>& rhs,
                                                 const CellRegion& reg,
                                                 bool prepare) {
-  // The sweeps reuse q[0]'s base offset and strides for rhs, Sigma, and
-  // inv_rho; every field must share the solver's block shape (this held
-  // implicitly before the pointer-based rewrite, now it is load-bearing).
+  // The sweeps reuse q[0]'s base offset and strides for Sigma and inv_rho;
+  // those fields must share the solver's block shape and ghost depth.
   assert(q.nx() == grid_.nx() && q.ny() == grid_.ny() && q.nz() == grid_.nz());
-  assert(rhs.nx() == grid_.nx() && rhs.ny() == grid_.ny() &&
-         rhs.nz() == grid_.nz());
-  assert(q.ng() == sigma_.ng() && rhs.ng() == sigma_.ng());
+  assert(q.ng() == sigma_.ng());
+  const RhsRows rows = rows_of(rhs);
   if (prepare) prepare_flux_pass(q);
   // Stream the region in k-blocks: all three sweeps of a block run while
   // its planes are cache-resident.  Blocks partition the region, each cell
@@ -886,14 +886,14 @@ void IgrSolver3D<Policy>::compute_fluxes_region(common::StateField3<S>& q,
       CellRegion sub = reg;
       sub.lo[kz] = b0;
       sub.hi[kz] = std::min(b0 + kFluxBlock, reg.hi[kz]);
-      flux_stream_all(q, rhs, recon, sub);
+      flux_stream_all(q, rows, recon, sub);
     }
   });
 }
 
 template <class Policy>
 void IgrSolver3D<Policy>::compute_fluxes(common::StateField3<S>& q,
-                                         common::StateField3<S>& rhs) {
+                                         common::StateField3<C>& rhs) {
   compute_fluxes_region(q, rhs, full_region(), /*prepare=*/true);
 }
 
@@ -917,7 +917,7 @@ CellRegion IgrSolver3D<Policy>::interior_flux_region(int axis) const {
 
 template <class Policy>
 void IgrSolver3D<Policy>::compute_fluxes_interior(common::StateField3<S>& q,
-                                                  common::StateField3<S>& rhs,
+                                                  common::StateField3<C>& rhs,
                                                   int axis) {
   compute_fluxes_region(q, rhs, interior_flux_region(axis),
                         /*prepare=*/true);
@@ -925,7 +925,7 @@ void IgrSolver3D<Policy>::compute_fluxes_interior(common::StateField3<S>& q,
 
 template <class Policy>
 void IgrSolver3D<Policy>::compute_fluxes_boundary(common::StateField3<S>& q,
-                                                  common::StateField3<S>& rhs,
+                                                  common::StateField3<C>& rhs,
                                                   int axis) {
   // The complement of the interior region: the two slabs hugging the
   // `axis` faces, full extent on the other axes — disjoint from the
@@ -943,7 +943,7 @@ void IgrSolver3D<Policy>::compute_fluxes_boundary(common::StateField3<S>& q,
 
 template <class Policy>
 void IgrSolver3D<Policy>::compute_rhs(common::StateField3<S>& q,
-                                      common::StateField3<S>& rhs) {
+                                      common::StateField3<C>& rhs) {
   {
     common::PhaseScope t(profile_, common::PhaseProfile::kBc);
     apply_domain_bc(q);
@@ -1102,17 +1102,19 @@ void IgrSolver3D<Policy>::begin_step() {
 
 template <class Policy>
 void IgrSolver3D<Policy>::rk_update_planes(const fv::Rk3Stage& st, double dt,
-                                           int k0, int k1) {
+                                           int k0, int k1,
+                                           const RhsRows& rhs) {
   const int nx = grid_.nx(), ny = grid_.ny();
   const C a = static_cast<C>(st.a);
   const C b = static_cast<C>(st.b);
   const C dtc = static_cast<C>(dt);
   if constexpr (common::converts_storage<Policy>) {
-    // Row-batched update: 3 batch loads + 1 batch store per component row
-    // replace 3 scalar conversions + 1 round-trip per element.
+    // Row-batched update: 2 batch loads + 1 batch store per component row
+    // replace 2 scalar conversions + 1 round-trip per element (the RHS is
+    // already at compute precision).
     const std::size_t nxs = static_cast<std::size_t>(nx);
     cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
-      std::vector<C> qn_row(nxs), qs_row(nxs), r_row(nxs);
+      std::vector<C> qn_row(nxs), qs_row(nxs);
       long cb, ce;
       t.chunk(k1 - k0, cb, ce);
       for (long kk = cb; kk < ce; ++kk) {
@@ -1122,7 +1124,7 @@ void IgrSolver3D<Policy>::rk_update_planes(const fv::Rk3Stage& st, double dt,
             common::load_line<Policy>(q_[c].row(j, k), qn_row.data(), nxs);
             common::load_line<Policy>(qstage_[c].row(j, k), qs_row.data(),
                                       nxs);
-            common::load_line<Policy>(rhs_[c].row(j, k), r_row.data(), nxs);
+            const C* __restrict r_row = rhs.row(c, j, k);
             for (std::size_t i = 0; i < nxs; ++i)
               qs_row[i] = a * qn_row[i] + b * (qs_row[i] + dtc * r_row[i]);
             common::store_line<Policy>(qs_row.data(), qstage_[c].row(j, k),
@@ -1141,12 +1143,11 @@ void IgrSolver3D<Policy>::rk_update_planes(const fv::Rk3Stage& st, double dt,
         for (int c = 0; c < kNumVars; ++c) {
           const S* __restrict qn_row = q_[c].row(j, k);
           S* __restrict qs_row = qstage_[c].row(j, k);
-          const S* __restrict r_row = rhs_[c].row(j, k);
+          const C* __restrict r_row = rhs.row(c, j, k);
           for (int i = 0; i < nx; ++i) {
             const C qn = static_cast<C>(qn_row[i]);
             const C qs = static_cast<C>(qs_row[i]);
-            const C r = static_cast<C>(r_row[i]);
-            qs_row[i] = static_cast<S>(a * qn + b * (qs + dtc * r));
+            qs_row[i] = static_cast<S>(a * qn + b * (qs + dtc * r_row[i]));
           }
         }
       }
@@ -1155,18 +1156,22 @@ void IgrSolver3D<Policy>::rk_update_planes(const fv::Rk3Stage& st, double dt,
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::rk_update(const fv::Rk3Stage& st, double dt) {
-  rk_update_planes(st, dt, 0, grid_.nz());
+void IgrSolver3D<Policy>::rk_update(const fv::Rk3Stage& st, double dt,
+                                    const common::StateField3<C>& rhs) {
+  // rows_of only hands out row pointers; rk_update_planes reads through them.
+  rk_update_planes(st, dt, 0, grid_.nz(),
+                   rows_of(const_cast<common::StateField3<C>&>(rhs)));
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::rk_stage1_planes(double dt, int k0, int k1) {
+void IgrSolver3D<Policy>::rk_stage1_planes(double dt, int k0, int k1,
+                                           const RhsRows& rhs) {
   const int nx = grid_.nx(), ny = grid_.ny();
   const C dtc = static_cast<C>(dt);
   if constexpr (common::converts_storage<Policy>) {
     const std::size_t nxs = static_cast<std::size_t>(nx);
     cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
-      std::vector<C> qn_row(nxs), r_row(nxs);
+      std::vector<C> qn_row(nxs);
       long cb, ce;
       t.chunk(k1 - k0, cb, ce);
       for (long kk = cb; kk < ce; ++kk) {
@@ -1174,7 +1179,7 @@ void IgrSolver3D<Policy>::rk_stage1_planes(double dt, int k0, int k1) {
         for (int j = 0; j < ny; ++j) {
           for (int c = 0; c < kNumVars; ++c) {
             common::load_line<Policy>(q_[c].row(j, k), qn_row.data(), nxs);
-            common::load_line<Policy>(rhs_[c].row(j, k), r_row.data(), nxs);
+            const C* __restrict r_row = rhs.row(c, j, k);
             for (std::size_t i = 0; i < nxs; ++i)
               qn_row[i] = qn_row[i] + dtc * r_row[i];
             common::store_line<Policy>(qn_row.data(), qstage_[c].row(j, k),
@@ -1189,12 +1194,11 @@ void IgrSolver3D<Policy>::rk_stage1_planes(double dt, int k0, int k1) {
       for (int j = 0; j < ny; ++j) {
         for (int c = 0; c < kNumVars; ++c) {
           const S* __restrict qn_row = q_[c].row(j, k);
-          const S* __restrict r_row = rhs_[c].row(j, k);
+          const C* __restrict r_row = rhs.row(c, j, k);
           S* __restrict qs_row = qstage_[c].row(j, k);
           for (int i = 0; i < nx; ++i) {
             const C qn = static_cast<C>(qn_row[i]);
-            const C r = static_cast<C>(r_row[i]);
-            qs_row[i] = static_cast<S>(qn + dtc * r);
+            qs_row[i] = static_cast<S>(qn + dtc * r_row[i]);
           }
         }
       }
@@ -1204,11 +1208,10 @@ void IgrSolver3D<Policy>::rk_stage1_planes(double dt, int k0, int k1) {
 
 template <class Policy>
 void IgrSolver3D<Policy>::fused_flux_rk(common::StateField3<S>& q,
-                                        common::StateField3<S>& rhs,
                                         const fv::Rk3Stage& st, double dt,
                                         bool first_stage, bool accumulate_dt) {
   assert(q.nx() == grid_.nx() && q.ny() == grid_.ny() && q.nz() == grid_.nz());
-  assert(q.ng() == sigma_.ng() && rhs.ng() == sigma_.ng());
+  assert(q.ng() == sigma_.ng());
   const int nz = grid_.nz();
   constexpr int B = kFluxBlock;
 
@@ -1219,13 +1222,15 @@ void IgrSolver3D<Policy>::fused_flux_rk(common::StateField3<S>& q,
   // update writes qstage_, so there is no overlap at all — the same lag is
   // kept for uniformity.  The final stage folds the CFL reduction for the
   // next step's dt into the same trailing slot, where the block's new state
-  // and its (final, warm-start) Sigma are both hot.
+  // and its (final, warm-start) Sigma are both hot.  Two ring slots hold
+  // the RHS: block b fills one while block b-1 is drained from the other.
   auto commit_block = [&](int k0, int k1) {
     common::PhaseScope t(profile_, common::PhaseProfile::kRkDt);
+    const RhsRows rhs = ring_block(k0);
     if (first_stage) {
-      rk_stage1_planes(dt, k0, k1);
+      rk_stage1_planes(dt, k0, k1, rhs);
     } else {
-      rk_update_planes(st, dt, k0, k1);
+      rk_update_planes(st, dt, k0, k1, rhs);
     }
     if (accumulate_dt) {
       fv::accumulate_cfl_rates(qstage_, grid_, eos_, cfg_, &sigma_, k0, k1,
@@ -1243,7 +1248,7 @@ void IgrSolver3D<Policy>::fused_flux_rk(common::StateField3<S>& q,
         CellRegion reg = full_region();
         reg.lo[2] = b0;
         reg.hi[2] = b1;
-        flux_stream_all(q, rhs, recon, reg);
+        flux_stream_all(q, ring_block(b0), recon, reg);
       }
       if (prev >= 0) commit_block(prev, b0);
       prev = b0;
@@ -1272,7 +1277,7 @@ void IgrSolver3D<Policy>::step_fixed(double dt) {
       apply_domain_bc(qs);
     }
     fused_sigma_phase(qs);
-    fused_flux_rk(qs, rhs_, fv::kRk3Stages[static_cast<std::size_t>(si)], dt,
+    fused_flux_rk(qs, fv::kRk3Stages[static_cast<std::size_t>(si)], dt,
                   /*first_stage=*/si == 0, /*accumulate_dt=*/si == 2);
   }
   finish_step(dt);
@@ -1302,16 +1307,18 @@ double IgrSolver3D<Policy>::step() {
 
 template <class Policy>
 std::size_t IgrSolver3D<Policy>::memory_bytes() const {
-  return q_.bytes() + qstage_.bytes() + rhs_.bytes() + sigma_.bytes() +
-         sigma_src_.bytes() + sigma_scratch_.bytes() + inv_rho_.bytes();
+  return q_.bytes() + qstage_.bytes() + rhs_ring_.size() * sizeof(C) +
+         sigma_.bytes() + sigma_src_.bytes() + sigma_scratch_.bytes() +
+         inv_rho_.bytes();
 }
 
 template <class Policy>
 double IgrSolver3D<Policy>::storage_per_cell() const {
-  // 5 state + 5 RK register + 5 RHS + Sigma + Sigma source (+ Jacobi copy),
-  // plus the CPU-only reciprocal-density scratch (the paper's fused GPU
-  // kernel stays at 17N by recomputing reciprocals in registers, §5.2).
-  return 18.0 + (cfg_.sigma_gauss_seidel ? 0.0 : 1.0);
+  // 5 state + 5 RK register + Sigma + Sigma source (+ Jacobi copy), plus
+  // the CPU-only reciprocal-density scratch.  The paper's GPU accounting
+  // (§5.2) keeps 5 full RHS arrays and recomputes reciprocals in registers
+  // (17N); here the RHS is the two-block ring, which is not per cell.
+  return 13.0 + (cfg_.sigma_gauss_seidel ? 0.0 : 1.0);
 }
 
 template <class Policy>

@@ -5,9 +5,12 @@
 /// reconstruction, Lax–Friedrichs fluxes, SSP-RK3, and a warm-started
 /// ≤5-sweep elliptic solve for the entropic pressure per RHS evaluation.
 ///
-/// Storage matches §5.2's accounting: 2 copies of the 5 conservative
-/// variables (state + RK register), 5 RHS arrays, Sigma, and the Sigma
-/// source — 17N storage values (+1N Jacobi double-buffer when enabled).
+/// Storage: 2 copies of the 5 conservative variables (state + RK register),
+/// Sigma, the Sigma source, and a reciprocal-density cache — 13N storage
+/// values (+1N Jacobi double-buffer when enabled).  §5.2's GPU accounting
+/// adds 5 full RHS arrays (17N); here the RK update trails the streamed
+/// flux front by one k-block, so the RHS lives in a compute-precision ring
+/// of two blocks of planes instead (O(N^(2/3)), never rounded to storage).
 ///
 /// Note on kernel organization: the paper fuses reconstruction, both flux
 /// families, and the Sigma source into one GPU kernel with thread-local
@@ -27,6 +30,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/field3.hpp"
@@ -92,8 +96,10 @@ class IgrSolver3D {
   /// here): BC fill → Sigma source and pipelined relaxation wavefront →
   /// k-block-streamed flux sweeps, the same RHS a step evaluates per stage
   /// (the RK/dt folds live in step_fixed, not here).  Public so tests can
-  /// probe spatial accuracy and conservation directly.
-  void compute_rhs(common::StateField3<S>& q, common::StateField3<S>& rhs);
+  /// probe spatial accuracy and conservation directly.  `rhs` is caller-
+  /// owned, at compute precision, with this block's shape and any ghost
+  /// depth (its ghosts are never touched).
+  void compute_rhs(common::StateField3<S>& q, common::StateField3<C>& rhs);
 
   [[nodiscard]] common::StateField3<S>& state() { return q_; }
   [[nodiscard]] const common::StateField3<S>& state() const { return q_; }
@@ -109,7 +115,8 @@ class IgrSolver3D {
 
   /// Bytes allocated in persistent field storage (the §5.4 footprint metric).
   [[nodiscard]] std::size_t memory_bytes() const;
-  /// Stored values per interior grid point (17 for Gauss–Seidel, 18 Jacobi).
+  /// Stored values per interior grid point (13 for Gauss–Seidel, 14
+  /// Jacobi); the two-block RHS ring is not a per-cell field.
   [[nodiscard]] double storage_per_cell() const;
 
   [[nodiscard]] common::GrindTimer& grind_timer() { return grind_; }
@@ -157,13 +164,13 @@ class IgrSolver3D {
   /// runtime dispatch on the flux path.  (The zeroing is folded into the
   /// dir==0 sweep's write-back; rhs ghost cells are never touched.)
   ///
-  /// Preconditions: `q` and `rhs` must have this solver's block shape and
-  /// ghost depth (asserted).  With viscosity enabled *and* the Sigma solve
-  /// active, the viscous path reads the reciprocal-density cache refreshed
-  /// by the Sigma-source build — run that on the same `q` first (the
-  /// distributed driver and compute_rhs both do); with the Sigma solve
-  /// disabled the cache is refreshed here.
-  void compute_fluxes(common::StateField3<S>& q, common::StateField3<S>& rhs);
+  /// Preconditions: `q` must have this solver's block shape and ghost
+  /// depth, `rhs` its block shape at any ghost depth (asserted).  With
+  /// viscosity enabled *and* the Sigma solve active, the viscous path reads
+  /// the reciprocal-density cache refreshed by the Sigma-source build — run
+  /// that on the same `q` first (the distributed driver and compute_rhs
+  /// both do); with the Sigma solve disabled the cache is refreshed here.
+  void compute_fluxes(common::StateField3<S>& q, common::StateField3<C>& rhs);
   /// Interior part of compute_fluxes with respect to one axis: only cells
   /// at least one ghost depth (3) away from the two block faces of `axis`,
   /// which therefore read no ghost *plane along that axis* of `q` or Sigma
@@ -175,17 +182,17 @@ class IgrSolver3D {
   /// reciprocal-density cache (Sigma solve inactive), this call does it —
   /// always pair it with compute_fluxes_boundary afterwards.
   void compute_fluxes_interior(common::StateField3<S>& q,
-                               common::StateField3<S>& rhs, int axis);
+                               common::StateField3<C>& rhs, int axis);
   /// The complementary two boundary slabs of `axis` (needs valid ghosts on
   /// `q` and Sigma).  interior + boundary update each interior cell exactly
   /// once and are together bitwise identical to one compute_fluxes call.
   void compute_fluxes_boundary(common::StateField3<S>& q,
-                               common::StateField3<S>& rhs, int axis);
+                               common::StateField3<C>& rhs, int axis);
   /// RK convex combination: stage = a*q^n + b*(stage + dt*rhs).
-  void rk_update(const fv::Rk3Stage& st, double dt);
+  void rk_update(const fv::Rk3Stage& st, double dt,
+                 const common::StateField3<C>& rhs);
 
   [[nodiscard]] common::StateField3<S>& stage_field() { return qstage_; }
-  [[nodiscard]] common::StateField3<S>& rhs_field() { return rhs_; }
   [[nodiscard]] common::Field3<S>& sigma_field() { return sigma_; }
   /// Commit the stage register as the new state and advance time.
   void finish_step(double dt);
@@ -193,6 +200,23 @@ class IgrSolver3D {
   void begin_step();
 
  private:
+  /// Where the flux sweeps write RHS rows and the RK update reads them:
+  /// per-component pointers to cell (0, 0, k0) plus row and plane strides.
+  /// A caller-owned field (any ghost depth) and one block slot of the
+  /// fused step's ring are both seen through it.
+  struct RhsRows {
+    std::array<C*, common::kNumVars> base{};
+    std::ptrdiff_t sy = 0, sz = 0;
+    int k0 = 0;
+    [[nodiscard]] C* row(int c, int j, int k) const {
+      return base[static_cast<std::size_t>(c)] + j * sy +
+             static_cast<std::ptrdiff_t>(k - k0) * sz;
+    }
+  };
+  [[nodiscard]] RhsRows rows_of(common::StateField3<C>& rhs) const;
+  /// Ring slot of the flux block starting at plane b0.
+  [[nodiscard]] RhsRows ring_block(int b0);
+
   /// Physical-boundary ghost fill only (no Sigma work, no fluxes).
   void apply_domain_bc(common::StateField3<S>& q);
   /// The interior region of the flux split above ([3, n-3) along `axis`,
@@ -226,16 +250,15 @@ class IgrSolver3D {
   /// inside `reg` are written, and only the stencil extent of `reg` is
   /// read.
   template <int Dir, class ReconOp>
-  void flux_sweep_stream(common::StateField3<S>& q,
-                         common::StateField3<S>& rhs, ReconOp recon,
-                         bool overwrite, const CellRegion& reg);
+  void flux_sweep_stream(common::StateField3<S>& q, const RhsRows& rhs,
+                         ReconOp recon, bool overwrite, const CellRegion& reg);
   template <class ReconOp>
-  void flux_stream_all(common::StateField3<S>& q, common::StateField3<S>& rhs,
+  void flux_stream_all(common::StateField3<S>& q, const RhsRows& rhs,
                        ReconOp recon, const CellRegion& reg);
   /// Dispatch + sweep over one region (refresh_inv_rho handling included
   /// when `prepare` is set — exactly once per RHS evaluation).
   void compute_fluxes_region(common::StateField3<S>& q,
-                             common::StateField3<S>& rhs,
+                             common::StateField3<C>& rhs,
                              const CellRegion& reg, bool prepare);
   /// The once-per-RHS flux precondition: the viscous path reads the
   /// persistent reciprocal-density field, which nobody refreshed this RHS
@@ -262,18 +285,19 @@ class IgrSolver3D {
   /// (Neumann Sigma ghosts only — a periodic wrap would need far-boundary
   /// post-sweep values before the stream reaches them).
   void fused_sigma_pipeline(common::StateField3<S>& q);
-  /// Streamed flux blocks with the RK update (and, on the final stage, the
-  /// CFL reduction) trailing one block behind the flux front.
-  void fused_flux_rk(common::StateField3<S>& q, common::StateField3<S>& rhs,
-                     const fv::Rk3Stage& st, double dt, bool first_stage,
-                     bool accumulate_dt);
+  /// Streamed flux blocks into the RHS ring with the RK update (and, on
+  /// the final stage, the CFL reduction) trailing one block behind the
+  /// flux front.
+  void fused_flux_rk(common::StateField3<S>& q, const fv::Rk3Stage& st,
+                     double dt, bool first_stage, bool accumulate_dt);
   /// RK update restricted to planes [k0, k1).
-  void rk_update_planes(const fv::Rk3Stage& st, double dt, int k0, int k1);
+  void rk_update_planes(const fv::Rk3Stage& st, double dt, int k0, int k1,
+                        const RhsRows& rhs);
   /// First-stage RK update reading q_ directly: qstage = q + dt * rhs.
   /// Bitwise the per-phase `0*qn + 1*(qstage + dt*rhs)` with qstage a fresh
   /// copy of q (±0*x + y == y for every y the copy construction can
   /// produce), which lets the fused step skip begin_step's 5N copy.
-  void rk_stage1_planes(double dt, int k0, int k1);
+  void rk_stage1_planes(double dt, int k0, int k1, const RhsRows& rhs);
 
   mesh::Grid grid_;
   common::SolverConfig cfg_;
@@ -286,7 +310,11 @@ class IgrSolver3D {
 
   common::StateField3<S> q_;       // current state
   common::StateField3<S> qstage_;  // RK register
-  common::StateField3<S> rhs_;
+  /// The fused step's RHS: two slots of min(kFluxBlock, nz) unghosted
+  /// planes x 5 components, block b0 in slot (b0 / kFluxBlock) & 1 — the
+  /// flux front fills one slot while the trailing RK update drains the
+  /// other.
+  std::vector<C> rhs_ring_;
   common::Field3<S> sigma_;
   common::Field3<S> sigma_src_;
   common::Field3<S> sigma_scratch_;  // Jacobi only (size 0 for Gauss–Seidel)

@@ -9,6 +9,12 @@
 /// Also encodes the unified-memory split of §5.5.3: parking the RK register
 /// on the host leaves 12/17 of the state on-device; additionally hosting the
 /// IGR temporaries leaves 10/17.
+///
+/// These models are the paper's GPU accounting (17N for IGR).  The CPU
+/// solver core::IgrSolver3D stores 13N instead — no full RHS arrays (its RK
+/// update trails the streamed flux front, so the RHS lives in a two-block
+/// compute-precision ring) but one reciprocal-density field — plus that
+/// ring; IgrSolver3D::memory_bytes() reports the real allocation.
 
 #include <cstddef>
 #include <string>

@@ -84,6 +84,7 @@ template <class Policy>
 class DistributedIgr {
  public:
   using S = typename Policy::storage_t;
+  using C = typename Policy::compute_t;
   /// Ghost depth of every solver field.
   static constexpr int kNg = core::IgrSolver3D<Policy>::kNg;
 
@@ -115,13 +116,21 @@ class DistributedIgr {
     common::SolverConfig rank_cfg = cfg;
     if (opts_.threads_per_rank > 0)
       rank_cfg.exec_threads = opts_.threads_per_rank;
-    for (const int r : local_ranks_) {
-      ranks_.emplace_back(std::make_unique<core::IgrSolver3D<Policy>>(
-          comm_.local_grid(r), rank_cfg, bc, recon));
-    }
     team_ = std::make_unique<RankTeam>(
         static_cast<int>(local_ranks_.size()), opts_.threads_per_rank,
         comm_.ranks());
+    // Each rank's solver and RHS are built on the worker that steps them,
+    // so that worker first-touches (zero-fills) its own pages.  A rank that
+    // fails to construct rethrows its error here once every worker is done.
+    ranks_.resize(local_ranks_.size());
+    rhs_.resize(local_ranks_.size());
+    team_->run([&](int li) {
+      const auto i = static_cast<std::size_t>(li);
+      const auto& g = comm_.local_grid(local_ranks_[i]);
+      ranks_[i] =
+          std::make_unique<core::IgrSolver3D<Policy>>(g, rank_cfg, bc, recon);
+      rhs_[i] = common::StateField3<C>(g.nx(), g.ny(), g.nz(), /*ng=*/0);
+    });
     dts_.resize(local_ranks_.size());
     grind_.set_cells_per_step(comm_.global_grid().cells());
   }
@@ -169,30 +178,30 @@ class DistributedIgr {
   void step_fixed(double dt) {
     grind_.begin_step();
     run_phase([this](int r) { solver(r).begin_step(); });
-    const bool sigma_active = cfg_.sigma_sweeps > 0 && cfg_.alpha_factor > 0.0;
     for (const auto& st : fv::kRk3Stages) {
-      if (sigma_active) {
-        refresh_state_and_build_source();
-        for (int sw = 0; sw < cfg_.sigma_sweeps; ++sw) {
-          refresh_sigma_ghosts();
-          run_phase([this](int r) {
-            auto& s = solver(r);
-            s.sigma_sweep(s.stage_field());
-          });
-        }
-        final_sigma_and_fluxes();
-      } else {
-        refresh_state_ghosts();
-        run_phase([this](int r) {
-          auto& s = solver(r);
-          s.compute_fluxes(s.stage_field(), s.rhs_field());
-        });
-      }
-      run_phase([this, &st, dt](int r) { solver(r).rk_update(st, dt); });
+      stage_rhs();
+      run_phase([this, &st, dt](int r) {
+        solver(r).rk_update(st, dt, rhs_[local_index(r)]);
+      });
     }
     run_phase([this, dt](int r) { solver(r).finish_step(dt); });
     time_ += dt;
     grind_.end_step();
+  }
+
+  /// RHS of the current state into every local rank's RHS field (read it
+  /// with rhs()): the per-phase evaluation one RK stage runs, without the
+  /// update.  Overwrites each rank's stage register and warm-start Sigma,
+  /// like the single-domain IgrSolver3D::compute_rhs.
+  void compute_rhs() {
+    run_phase([this](int r) { solver(r).begin_step(); });
+    stage_rhs();
+  }
+
+  /// RHS field of global rank `r` (local to this process), at compute
+  /// precision and without ghosts: the last stage's RHS after a step.
+  [[nodiscard]] const common::StateField3<C>& rhs(int r) const {
+    return rhs_[local_index(r)];
   }
 
   /// Assemble the global conservative state (for comparison against a
@@ -316,6 +325,7 @@ class DistributedIgr {
   [[nodiscard]] std::size_t memory_bytes() const {
     std::size_t b = 0;
     for (const auto& s : ranks_) b += s->memory_bytes();
+    for (const auto& f : rhs_) b += f.bytes();
     return b;
   }
 
@@ -494,6 +504,28 @@ class DistributedIgr {
     run_phase([this](int r) { state_ghost_phase(r, /*axes=*/3); });
   }
 
+  /// One RHS evaluation of every rank's stage register into its RHS field.
+  void stage_rhs() {
+    const bool sigma_active = cfg_.sigma_sweeps > 0 && cfg_.alpha_factor > 0.0;
+    if (sigma_active) {
+      refresh_state_and_build_source();
+      for (int sw = 0; sw < cfg_.sigma_sweeps; ++sw) {
+        refresh_sigma_ghosts();
+        run_phase([this](int r) {
+          auto& s = solver(r);
+          s.sigma_sweep(s.stage_field());
+        });
+      }
+      final_sigma_and_fluxes();
+    } else {
+      refresh_state_ghosts();
+      run_phase([this](int r) {
+        auto& s = solver(r);
+        s.compute_fluxes(s.stage_field(), rhs_[local_index(r)]);
+      });
+    }
+  }
+
   /// State ghost refresh + Sigma source build, with the z exchange of the
   /// state overlapped by the source build's interior planes (which read no
   /// z ghost — the source at planes 1..nz-2).  Interior and boundary builds
@@ -545,9 +577,10 @@ class DistributedIgr {
       // Only the z exchange is in flight, so only z is shaved from the
       // interior: every cell >= 3 planes off the z faces computes while
       // the halo moves, and just the two z slabs wait for completion.
-      s.compute_fluxes_interior(s.stage_field(), s.rhs_field(), 2);
+      auto& rhs = rhs_[local_index(r)];
+      s.compute_fluxes_interior(s.stage_field(), rhs, 2);
       if (!comm_.complete_axis(Comm::kChanSigma, r, &sig, 1, 2)) return;
-      s.compute_fluxes_boundary(s.stage_field(), s.rhs_field(), 2);
+      s.compute_fluxes_boundary(s.stage_field(), rhs, 2);
     });
   }
 
@@ -570,6 +603,8 @@ class DistributedIgr {
   /// local_ranks_[i]'s block.
   std::vector<int> local_ranks_;
   std::vector<std::unique_ptr<core::IgrSolver3D<Policy>>> ranks_;
+  /// Caller-owned RHS of each local rank (ranks_[i]'s in rhs_[i]).
+  std::vector<common::StateField3<C>> rhs_;
   std::unique_ptr<RankTeam> team_;
   std::vector<double> dts_;
   common::GrindTimer grind_;

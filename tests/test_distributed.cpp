@@ -304,6 +304,25 @@ TEST(Distributed, RejectsNonPeriodicThinBlockNearBoundary) {
                std::invalid_argument);
 }
 
+TEST(Distributed, InvalidRankConfigThrowsItsErrorFromTheConstructor) {
+  // Every rank solver is built on its own worker; a config that fails
+  // SolverConfig::validate() must surface that exact error from the
+  // constructor (not hang, not a generic failure) on every layout.
+  auto cfg = jacobi_cfg();
+  cfg.cfl = 1.5;
+  const auto bc = BcSpec::all_periodic();
+  for (const std::array<int, 3> layout :
+       {std::array<int, 3>{1, 1, 1}, {2, 2, 1}}) {
+    try {
+      DistributedIgr<Fp64> dist(Grid::cube(kN), layout[0], layout[1],
+                                layout[2], cfg, bc);
+      ADD_FAILURE() << "constructor accepted cfl 1.5";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "cfl must lie in (0,1]");
+    }
+  }
+}
+
 TEST(Distributed, ConcurrentScheduleMatchesSingleDomain) {
   // Rank workers step concurrently, synchronized only by phase barriers
   // and the pairwise halo epochs; the run must reproduce the single-domain

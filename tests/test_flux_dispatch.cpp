@@ -49,13 +49,11 @@ Prim<double> vortex_ic(double x, double y, double z) {
 /// The fluxes of the solver's current state, evaluated into a fresh RHS
 /// with ghosts and Sigma prepared exactly as a real RHS evaluation would.
 template <class Policy>
-StateField3<typename Policy::storage_t> flux_rhs(IgrSolver3D<Policy>& s) {
+StateField3<typename Policy::compute_t> flux_rhs(IgrSolver3D<Policy>& s) {
   s.begin_step();
-  auto& stage = s.stage_field();
-  s.compute_rhs(stage, s.rhs_field());
   const auto& g = s.grid();
-  StateField3<typename Policy::storage_t> rhs(g.nx(), g.ny(), g.nz(), 3);
-  s.compute_fluxes(stage, rhs);
+  StateField3<typename Policy::compute_t> rhs(g.nx(), g.ny(), g.nz(), 0);
+  s.compute_rhs(s.stage_field(), rhs);
   return rhs;
 }
 

@@ -2,15 +2,17 @@
 /// step (interleaved Sigma source, pipelined relaxation wavefront, k-block
 /// flux sweeps with the RK update and the next step's CFL reduction
 /// trailing the flux front) must be *bitwise identical* — dt, state, Sigma,
-/// and the final-stage RHS — to the phased per-phase schedule.  That
-/// schedule lives in exactly one place, the decomposed driver: a 1x1x1
-/// sim::DistributedIgr runs every RHS phase as a full-block pass (ghost
-/// fill, Sigma source, one relaxation sweep per phase, z-split flux
-/// sweeps, RK update) and scans dt at the top of every step.  Every slot
-/// of the fused wavefront reads exactly the values those passes show it
-/// (see the pipeline notes in igr_solver3d.cpp); any divergence is a
-/// scheduling bug, not roundoff.  It relies on the reproducibility flags
-/// pinned in CMakeLists.txt.
+/// and the RHS of the resulting state — to the phased per-phase schedule.
+/// That schedule lives in exactly one place, the decomposed driver: a
+/// 1x1x1 sim::DistributedIgr runs every RHS phase as a full-block pass
+/// (ghost fill, Sigma source, one relaxation sweep per phase, z-split flux
+/// sweeps, RK update) and scans dt at the top of every step.  Both keep the
+/// RHS at compute precision — the fused step in a two-block ring, the
+/// driver in a caller-owned field per rank — so they round it identically
+/// at every storage precision.  Every slot of the fused wavefront reads
+/// exactly the values those passes show it (see the pipeline notes in
+/// igr_solver3d.cpp); any divergence is a scheduling bug, not roundoff.  It
+/// relies on the reproducibility flags pinned in CMakeLists.txt.
 
 #include <gtest/gtest.h>
 
@@ -25,11 +27,13 @@
 
 namespace {
 
+using igr::common::Bf16x32;
 using igr::common::Fp16x32;
 using igr::common::Fp32;
 using igr::common::Fp64;
 using igr::common::kNumVars;
 using igr::common::SolverConfig;
+using igr::common::StateField3;
 using igr::core::IgrSolver3D;
 using igr::fv::BcSpec;
 using igr::fv::ReconScheme;
@@ -112,13 +116,22 @@ void expect_state_equal(const igr::common::StateField3<S>& a,
   }
 }
 
-/// State, Sigma, and the RHS the last RK stage evaluated.
+/// State and Sigma, then the RHS each schedule evaluates for that state:
+/// the fused pipeline (wavefront Sigma solve, k-blocked fluxes) into a
+/// caller-owned field, the driver's per-phase evaluation into its rank
+/// field.  The RHS evaluation advances the warm-start Sigma on both sides,
+/// which must still agree afterwards.  Ends the comparison: the fused dt
+/// cache is stale once Sigma moved, so no step may follow.
 template <class Policy>
 void expect_same_step(Pair<Policy>& p) {
   expect_state_equal(p.fused.state(), p.ref().state(), "state");
   expect_field_equal(p.fused.sigma(), p.ref().sigma(), "sigma");
-  expect_state_equal(p.fused.rhs_field(), p.ref().rhs_field(),
-                     "final-stage rhs");
+  const auto& g = p.fused.grid();
+  StateField3<typename Policy::compute_t> rhs(g.nx(), g.ny(), g.nz(), 0);
+  p.fused.compute_rhs(p.fused.state(), rhs);
+  p.phased.compute_rhs();
+  expect_state_equal(rhs, p.phased.rhs(0), "rhs");
+  expect_field_equal(p.fused.sigma(), p.ref().sigma(), "post-rhs sigma");
 }
 
 /// Three adaptive steps: the first dt comes from the dedicated CFL scan on
@@ -193,34 +206,50 @@ TEST(FusedRhs, PeriodicFallbackStepsBitwiseJacobiFp16x32) {
   run_periodic_case<Fp16x32>(false);
 }
 
-TEST(FusedRhs, FluxBlockSeamsAreBitwiseFree) {
-  // The k-block seams of the streamed flux stage re-evaluate shared faces,
-  // and the trailing RK update commits one block behind the flux front.
-  // With 8-plane blocks the grid heights give one partial block (nz = 4),
-  // one exact block (8), and full blocks followed by a ragged last block of
-  // one plane (9, 25) or two (18).
+// The k-block seams of the streamed flux stage re-evaluate shared faces,
+// and the trailing RK update commits one block behind the flux front from
+// the other slot of the two-block RHS ring.  With 8-plane blocks the grid
+// heights give one partial block (nz = 4), one exact block (8), and full
+// blocks followed by a ragged last block of one plane (9, 25) or two (18);
+// 18 and 25 reuse each ring slot.  The 16-bit policies pin that the ring
+// keeps the RHS at compute precision exactly as the driver's field does.
+template <class Policy>
+void run_flux_block_seams() {
   for (int nz : {4, 8, 9, 18, 25}) {
     SCOPED_TRACE("nz " + std::to_string(nz));
-    auto p = make_jet<Fp64>(ReconScheme::kFifth, true, 12, nz);
+    auto p = make_jet<Policy>(ReconScheme::kFifth, true, 12, nz);
     expect_adaptive_steps_equal(p);
   }
+}
+
+TEST(FusedRhs, FluxBlockSeamsAreBitwiseFree) {
+  run_flux_block_seams<Fp64>();
+}
+TEST(FusedRhs, FluxBlockSeamsAreBitwiseFreeFp16x32) {
+  run_flux_block_seams<Fp16x32>();
+}
+TEST(FusedRhs, FluxBlockSeamsAreBitwiseFreeBf16x32) {
+  run_flux_block_seams<Bf16x32>();
 }
 
 TEST(FusedRhs, RegionRestrictedFluxesMatchWholeBlock) {
   // The interior/boundary split DistributedIgr overlaps with halo traffic
   // must union to the whole-block flux sweep bitwise, along every axis.
+  // Each split writes a fresh field, so a cell neither half covers shows.
   for (auto recon : kRecons) {
     auto p = make_jet<Fp64>(recon);
     auto& s = p.fused;
     s.step_fixed(1e-4);
     s.begin_step();
-    s.compute_rhs(s.stage_field(), s.rhs_field());
-    const auto whole = s.rhs_field();
+    const auto& g = s.grid();
+    StateField3<double> whole(g.nx(), g.ny(), g.nz(), 0);
+    s.compute_rhs(s.stage_field(), whole);
     for (int axis = 0; axis < 3; ++axis) {
       SCOPED_TRACE("axis " + std::to_string(axis));
-      s.compute_fluxes_interior(s.stage_field(), s.rhs_field(), axis);
-      s.compute_fluxes_boundary(s.stage_field(), s.rhs_field(), axis);
-      expect_state_equal(whole, s.rhs_field(), "split rhs");
+      StateField3<double> split(g.nx(), g.ny(), g.nz(), 0);
+      s.compute_fluxes_interior(s.stage_field(), split, axis);
+      s.compute_fluxes_boundary(s.stage_field(), split, axis);
+      expect_state_equal(whole, split, "split rhs");
     }
   }
 }

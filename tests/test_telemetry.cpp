@@ -399,17 +399,19 @@ TEST_F(TelemetryTest, TwoRankTcpRunMergesOneTracePerRankAndStreamsJsonl) {
 }
 
 TEST_F(TelemetryTest, RunCaseJsonStaysValidWhenARunDiverges) {
-  // An FP16/32 Sedov blast at CFL 1 overflows binary16 within ten steps,
-  // so its energy diagnostics are NaN.  The report must still be valid
-  // JSON, with null for every non-finite number.
+  // The WENO baseline's Sedov blast at 3.3x the CFL number blows up
+  // within twenty steps, so its energy diagnostics are NaN.  run_case
+  // must report the divergence through its exit status, yet still write a
+  // valid JSON report, with null for every non-finite number.
   const auto dir = scratch_dir("nan");
   const auto log = dir / "log.txt";
   const auto json = dir / "cases.json";
   const std::string cmd = bin("run_case") +
-                          " --case sedov --precision fp16x32 --n 16"
-                          " --steps 10 --cfl-scale 2.5 --json " +
+                          " --case sedov --scheme weno --precision fp64"
+                          " --n 16 --steps 20 --cfl-scale 3.3 --json " +
                           json.string();
-  ASSERT_EQ(run_cmd(cmd, log), 0) << slurp(log);
+  EXPECT_NE(run_cmd(cmd, log), 0) << slurp(log);
+  ASSERT_TRUE(fs::exists(json)) << slurp(log);
   const std::string text = slurp(json);
   EXPECT_NE(text.find("\"kinetic_energy\": null"), std::string::npos)
       << text;
