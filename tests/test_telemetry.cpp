@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -70,6 +71,11 @@ class JsonValidator {
     return pos_ == s_.size();
   }
 
+  /// Keys of the outermost object, collected by valid().
+  [[nodiscard]] const std::set<std::string>& top_keys() const {
+    return top_keys_;
+  }
+
  private:
   bool value() {
     if (pos_ >= s_.size()) return false;
@@ -85,17 +91,26 @@ class JsonValidator {
   }
   bool object() {
     ++pos_;  // '{'
+    const bool outermost = depth_++ == 0;
     ws();
-    if (peek('}')) return true;
+    if (peek('}')) {
+      --depth_;
+      return true;
+    }
     while (true) {
       ws();
+      const std::size_t key = pos_;
       if (!string()) return false;
+      if (outermost) top_keys_.insert(s_.substr(key + 1, pos_ - key - 2));
       ws();
       if (!expect(':')) return false;
       ws();
       if (!value()) return false;
       ws();
-      if (peek('}')) return true;
+      if (peek('}')) {
+        --depth_;
+        return true;
+      }
       if (!expect(',')) return false;
     }
   }
@@ -156,6 +171,8 @@ class JsonValidator {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  std::set<std::string> top_keys_;
 };
 
 // --- Registry semantics --------------------------------------------------
@@ -326,6 +343,52 @@ TEST_F(TelemetryTest, JsonlStreamCarriesStepSchemaAndPhases) {
   }
   EXPECT_EQ(steps, 6);
   fs::remove_all(dir);
+}
+
+/// Top-level key sets of every step line (event lines skipped) of the
+/// JSONL stream a phase-timed sod-x run at `ranks` writes.
+std::vector<std::set<std::string>> step_line_keys(
+    const std::array<int, 3>& ranks, const std::string& tag) {
+  const auto* spec = cases::find("sod-x");
+  EXPECT_NE(spec, nullptr);
+  const auto dir = scratch_dir("schema_" + tag);
+  cases::RunOptions opts;
+  opts.n = 16;
+  opts.steps = 4;
+  opts.ranks = ranks;
+  opts.phase_timing = true;
+  opts.telemetry = (dir / "out.jsonl").string();
+  (void)cases::run_case<common::Fp64>(*spec, opts);
+
+  std::vector<std::set<std::string>> keys;
+  std::ifstream f(opts.telemetry);
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.empty()) continue;
+    JsonValidator v(line);
+    EXPECT_TRUE(v.valid()) << line;
+    if (v.top_keys().count("event") == 0) keys.push_back(v.top_keys());
+  }
+  fs::remove_all(dir);
+  return keys;
+}
+
+TEST_F(TelemetryTest, JsonlStepSchemaIsPinnedSingleDomain) {
+  const std::set<std::string> want = {"step", "t", "dt", "wall_ns",
+                                      "sigma_sweeps", "phase_ns"};
+  const auto lines = step_line_keys({1, 1, 1}, "single");
+  ASSERT_EQ(lines.size(), 4u);
+  for (const auto& k : lines) EXPECT_EQ(k, want);
+}
+
+TEST_F(TelemetryTest, JsonlStepSchemaIsPinnedDecomposed) {
+  const std::set<std::string> want = {
+      "step",         "t",           "dt",
+      "wall_ns",      "sigma_sweeps", "phase_ns",
+      "halo_wait_ns", "halo_wait_epochs", "wire_bytes"};
+  const auto lines = step_line_keys({2, 1, 1}, "decomposed");
+  ASSERT_EQ(lines.size(), 4u);
+  for (const auto& k : lines) EXPECT_EQ(k, want);
 }
 
 TEST_F(TelemetryTest, SigmaSweepMeterCountsConfiguredSweepsPerRhs) {
