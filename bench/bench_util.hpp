@@ -12,7 +12,6 @@
 #include "app/simulation.hpp"
 #include "cases/case.hpp"
 #include "cases/runner.hpp"
-#include "common/timer.hpp"
 
 namespace igr::bench {
 
@@ -62,27 +61,22 @@ struct GrindSample {
 };
 
 /// Measure an already-initialized simulation over `steps` steps after
-/// `warmup` untimed ones (the phase profile is reset after warmup so it
-/// covers exactly the timed window).
+/// `warmup` untimed ones: the difference of the simulation's step meters
+/// around the timed window.
 template <class Policy>
 GrindSample measure_sim_grind(app::Simulation<Policy>& sim, int warmup,
                               int steps) {
   sim.run_steps(warmup);
-  if (auto* prof = sim.phase_profile()) prof->reset();
-  common::WallTimer t;
-  t.start();
+  const app::StepMeters before = sim.meters();
   sim.run_steps(steps);
-  t.stop();
+  const app::StepMeters w = sim.meters() - before;
   const double cells = static_cast<double>(sim.grid().cells());
   GrindSample s;
-  s.grind_ns = t.seconds() * 1.0e9 / (cells * steps);
-  if (auto* prof = sim.phase_profile(); prof && prof->enabled()) {
+  s.grind_ns = w.grind_ns(sim.grid().cells());
+  if (w.has_phases) {
     s.has_phases = true;
-    for (int p = 0; p < common::PhaseProfile::kNumPhases; ++p) {
-      s.phase_ns[static_cast<std::size_t>(p)] =
-          prof->seconds(static_cast<common::PhaseProfile::Phase>(p)) * 1.0e9 /
-          (cells * steps);
-    }
+    for (std::size_t p = 0; p < s.phase_ns.size(); ++p)
+      s.phase_ns[p] = w.phase_s[p] * 1.0e9 / (cells * steps);
   }
   return s;
 }

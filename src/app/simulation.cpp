@@ -6,9 +6,31 @@
 #include <vector>
 
 #include "common/half.hpp"
+#include "common/telemetry.hpp"
 #include "io/checkpoint.hpp"
 
 namespace igr::app {
+
+StepMeters StepMeters::operator-(const StepMeters& earlier) const {
+  StepMeters d = *this;
+  d.steps -= earlier.steps;
+  d.wall_ns -= earlier.wall_ns;
+  for (std::size_t p = 0; p < d.phase_s.size(); ++p)
+    d.phase_s[p] -= earlier.phase_s[p];
+  d.sigma_sweeps -= earlier.sigma_sweeps;
+  for (std::size_t a = 0; a < 3; ++a) {
+    d.halo_wait_ns[a] -= earlier.halo_wait_ns[a];
+    d.halo_wait_epochs[a] -= earlier.halo_wait_epochs[a];
+  }
+  d.wire_bytes -= earlier.wire_bytes;
+  return d;
+}
+
+double StepMeters::grind_ns(std::size_t cells) const {
+  if (cells == 0 || steps == 0) return 0.0;
+  return static_cast<double>(wall_ns) /
+         (static_cast<double>(cells) * static_cast<double>(steps));
+}
 
 template <class Policy>
 Simulation<Policy>::Simulation(Params params)
@@ -51,8 +73,13 @@ void Simulation<Policy>::init(const core::PrimFn& prim) {
 template <class Policy>
 double Simulation<Policy>::step() {
   gathered_dirty_ = true;
-  if (dist_) return dist_->step();
-  return igr_ ? igr_->step() : weno_->step();
+  const std::int64_t t0 = common::telemetry::now_ns();
+  const double dt =
+      dist_ ? dist_->step() : (igr_ ? igr_->step() : weno_->step());
+  clock_.wall_ns += common::telemetry::now_ns() - t0;
+  clock_.last_step_t0_ns = t0;
+  ++clock_.steps;
+  return dt;
 }
 
 template <class Policy>
@@ -76,15 +103,30 @@ double Simulation<Policy>::time() const {
 }
 
 template <class Policy>
-double Simulation<Policy>::grind_ns() const {
-  if (dist_) return dist_->grind_timer().grind_ns();
-  return igr_ ? igr_->grind_timer().grind_ns()
-              : weno_->grind_timer().grind_ns();
+StepMeters Simulation<Policy>::meters() const {
+  StepMeters m = clock_;
+  if (igr_ && igr_->phase_profile().enabled()) {
+    m.has_phases = true;
+    for (int p = 0; p < common::PhaseProfile::kNumPhases; ++p)
+      m.phase_s[static_cast<std::size_t>(p)] = igr_->phase_profile().seconds(
+          static_cast<common::PhaseProfile::Phase>(p));
+  }
+  m.sigma_sweeps = sigma_sweeps_done();
+  if (dist_) {
+    const sim::Comm& comm = dist_->comm();
+    for (int a = 0; a < 3; ++a) {
+      m.halo_wait_ns[static_cast<std::size_t>(a)] = comm.halo_wait_ns(a);
+      m.halo_wait_epochs[static_cast<std::size_t>(a)] =
+          comm.halo_wait_epochs(a);
+    }
+    m.wire_bytes = comm.bytes_exchanged();
+  }
+  return m;
 }
 
 template <class Policy>
-common::PhaseProfile* Simulation<Policy>::phase_profile() {
-  return igr_ ? &igr_->phase_profile() : nullptr;
+double Simulation<Policy>::grind_ns() const {
+  return clock_.grind_ns(params_.grid.cells());
 }
 
 template <class Policy>

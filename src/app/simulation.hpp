@@ -3,6 +3,8 @@
 /// High-level driver tying grid + boundary conditions + scheme choice +
 /// diagnostics + output together — the entry point example applications use.
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -35,6 +37,34 @@ struct FlowDiagnostics {
   std::size_t nonpositive_pressure_cells = 0;
 };
 
+/// Cumulative step meters of one Simulation: the one timing source behind
+/// the JSONL step stream, the trace `step` span and its phase children,
+/// cases::RunResult, and bench_grind.  Simulation::step() reads the clock
+/// once before and once after each step; the other meters are counters the
+/// solvers and the communicator keep anyway.  Subtracting an earlier
+/// snapshot gives the numbers for the window between them.
+struct StepMeters {
+  std::uint64_t steps = 0;
+  std::int64_t wall_ns = 0;  ///< Wall time spent inside Simulation::step().
+  /// common::telemetry::now_ns() at the start of the latest step (-1 before
+  /// the first); a window difference keeps the later snapshot's value.
+  std::int64_t last_step_t0_ns = -1;
+  /// phase_s is populated: the single-domain IGR solver with
+  /// cfg.phase_timing on.  Decomposed runs carry no phases.
+  bool has_phases = false;
+  std::array<double, common::PhaseProfile::kNumPhases> phase_s{};
+  std::uint64_t sigma_sweeps = 0;
+  /// Communicator meters of a decomposed run (zero otherwise).
+  std::array<std::uint64_t, 3> halo_wait_ns{};
+  std::array<std::uint64_t, 3> halo_wait_epochs{};
+  std::uint64_t wire_bytes = 0;
+
+  /// The window from `earlier` to this snapshot.
+  [[nodiscard]] StepMeters operator-(const StepMeters& earlier) const;
+  /// Nanoseconds per cell per step over the metered steps (0 when none).
+  [[nodiscard]] double grind_ns(std::size_t cells) const;
+};
+
 template <class Policy>
 class Simulation {
  public:
@@ -61,7 +91,7 @@ class Simulation {
   /// of (x, y, z) — see core::PrimFn.
   void init(const core::PrimFn& prim);
 
-  /// One CFL step; returns dt.
+  /// One CFL step; returns dt.  The only place a step is timed (meters()).
   double step();
   /// Run `n` steps; returns simulated time advanced.
   double run_steps(int n);
@@ -69,11 +99,10 @@ class Simulation {
   void run_until(double t_end);
 
   [[nodiscard]] double time() const;
+  /// Cumulative meters of every step() so far.
+  [[nodiscard]] StepMeters meters() const;
+  /// Wall ns per global cell per step over every step() so far.
   [[nodiscard]] double grind_ns() const;
-  /// Per-phase wall-time breakdown of the single-domain IGR solver, or null
-  /// for the baseline scheme and decomposed runs.  Populated only when
-  /// cfg.phase_timing is on (the bench harness enables it).
-  [[nodiscard]] common::PhaseProfile* phase_profile();
   /// Phase profile of a solver this process steps: the single-domain
   /// solver, or the first local rank's solver of a decomposed run (one rank
   /// per process under tcp, so there it is *the* local solver).  Null for
@@ -138,6 +167,8 @@ class Simulation {
   std::unique_ptr<sim::DistributedIgr<Policy>> dist_;
   mutable common::StateField3<S> gathered_;
   mutable bool gathered_dirty_ = true;
+  /// steps, wall_ns and last_step_t0_ns; meters() reads the rest live.
+  StepMeters clock_;
 };
 
 /// 16-bit storage (FP16/32, BF16/32) is only supported by the IGR scheme

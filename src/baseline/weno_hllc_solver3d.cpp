@@ -35,7 +35,6 @@ WenoHllcSolver3D<Policy>::WenoHllcSolver3D(const mesh::Grid& grid,
       face_r_(grid.nx() + 1, grid.ny() + 1, grid.nz() + 1, 0),
       face_flux_(grid.nx() + 1, grid.ny() + 1, grid.nz() + 1, 0) {
   cfg_.validate();
-  grind_.set_cells_per_step(grid.cells());
 }
 
 template <class Policy>
@@ -224,7 +223,6 @@ void WenoHllcSolver3D<Policy>::compute_rhs(common::StateField3<S>& q,
 
 template <class Policy>
 void WenoHllcSolver3D<Policy>::step_fixed(double dt) {
-  grind_.begin_step();
   const int nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
   qstage_ = q_;
   for (const auto& st : fv::kRk3Stages) {
@@ -248,7 +246,6 @@ void WenoHllcSolver3D<Policy>::step_fixed(double dt) {
   }
   std::swap(q_, qstage_);
   time_ += dt;
-  grind_.end_step();
 }
 
 template <class Policy>

@@ -53,7 +53,6 @@ class WenoHllcSolver3D {
 
   [[nodiscard]] std::size_t memory_bytes() const;
   [[nodiscard]] double storage_per_cell() const;
-  [[nodiscard]] common::GrindTimer& grind_timer() { return grind_; }
   [[nodiscard]] common::Cons<double> conserved_totals() const;
 
  private:
@@ -74,8 +73,6 @@ class WenoHllcSolver3D {
   common::StateField3<S> rhs_;
   // Array-based intermediates (face-indexed; +1 along the sweep direction).
   common::StateField3<S> face_l_, face_r_, face_flux_;
-
-  common::GrindTimer grind_;
 };
 
 }  // namespace igr::baseline

@@ -119,14 +119,7 @@ void CaseRun<Policy>::build_sim() {
       opts_.to_params<Policy>(*spec_, injector_.get()));
   sim_->init(spec_->initial());
   steps_ = 0;
-  // Fresh solvers and a fresh comm start their meters at zero; re-base the
-  // per-step delta snapshots so a rebuilt (rolled-back) run's first step
-  // does not see a negative delta.
-  prev_phase_s_.fill(0.0);
-  prev_sweeps_ = 0;
-  prev_wait_ns_.fill(0);
-  prev_wait_epochs_.fill(0);
-  prev_bytes_ = 0;
+  prev_meters_ = sim_->meters();  // a fresh simulation meters from zero
   if (sim_->is_io_root()) {
     totals_initial_ = totals_of(sim_->state(), sim_->grid());
   } else {
@@ -151,75 +144,42 @@ double CaseRun<Policy>::step() {
   // every rank (and the test harness) down with it.
   if (injector_ && sim_->multi_process())
     injector_->on_step(sim_->local_rank());
-  const std::int64_t t0 = telemetry::enabled() ? telemetry::now_ns() : -1;
   const double dt = sim_->step();
   ++steps_;
   dt_hash_.update(&dt, sizeof(dt));
   // Telemetry runs strictly *after* the FP work and the dt-hash update, and
-  // only reads state — the step's bits are already sealed either way.
-  if (t0 >= 0) record_step_telemetry(t0, dt);
+  // only reads meters — the step's bits are already sealed either way.
+  if (telemetry::enabled()) record_step_telemetry(dt);
   return dt;
 }
 
 template <class Policy>
-void CaseRun<Policy>::record_step_telemetry(std::int64_t t0, double dt) {
-  const std::int64_t t1 = telemetry::now_ns();
+void CaseRun<Policy>::record_step_telemetry(double dt) {
+  const app::StepMeters now = sim_->meters();
+  const app::StepMeters d = now - prev_meters_;
+  prev_meters_ = now;
+  const std::int64_t t0 = now.last_step_t0_ns;
   char buf[192];
   std::snprintf(buf, sizeof(buf), "\"step\": %d, \"dt\": %.17g", steps_, dt);
-  telemetry::record_span("step", t0, t1 - t0, buf);
-  telemetry::gauge("run.dt").set(dt);
-  telemetry::histogram("run.step_ns")
-      .record(static_cast<std::uint64_t>(t1 - t0));
+  telemetry::record_span("step", t0, d.wall_ns, buf);
 
-  // Per-phase deltas from the solver's PhaseScope accumulators.  The
-  // profile records durations, not start times, so the trace lays the phase
-  // child spans sequentially inside the step span — phase order within the
-  // step is schedule order, not measured offsets.
+  // The profile records durations, not start times, so the trace lays the
+  // phase child spans sequentially inside the step span — phase order
+  // within the step is schedule order, not measured offsets.
   constexpr int kNp = common::PhaseProfile::kNumPhases;
-  std::array<double, kNp> dphase{};
-  const common::PhaseProfile* prof = sim_->local_phase_profile();
-  const bool phases = prof != nullptr && prof->enabled();
-  if (phases) {
+  if (d.has_phases) {
     std::int64_t cursor = t0;
     for (int p = 0; p < kNp; ++p) {
-      const auto ph = static_cast<common::PhaseProfile::Phase>(p);
-      const double s = prof->seconds(ph);
-      dphase[static_cast<std::size_t>(p)] =
-          s - prev_phase_s_[static_cast<std::size_t>(p)];
-      prev_phase_s_[static_cast<std::size_t>(p)] = s;
       const auto ns = static_cast<std::int64_t>(
-          dphase[static_cast<std::size_t>(p)] * 1e9);
+          d.phase_s[static_cast<std::size_t>(p)] * 1e9);
       if (ns > 0) {
-        telemetry::record_span(common::PhaseProfile::name(ph), cursor, ns);
+        telemetry::record_span(
+            common::PhaseProfile::name(
+                static_cast<common::PhaseProfile::Phase>(p)),
+            cursor, ns);
         cursor += ns;
       }
     }
-  }
-
-  const std::uint64_t sweeps = sim_->sigma_sweeps_done();
-  const std::uint64_t dsweeps = sweeps - prev_sweeps_;
-  prev_sweeps_ = sweeps;
-  telemetry::counter("sigma.sweeps").add(dsweeps);
-
-  std::array<std::uint64_t, 3> dwait{};
-  std::array<std::uint64_t, 3> depochs{};
-  std::uint64_t dbytes = 0;
-  if (sim_->distributed()) {
-    const sim::Comm& comm = sim_->dist().comm();
-    for (int a = 0; a < 3; ++a) {
-      const auto sa = static_cast<std::size_t>(a);
-      const std::uint64_t w = comm.halo_wait_ns(a);
-      const std::uint64_t e = comm.halo_wait_epochs(a);
-      dwait[sa] = w - prev_wait_ns_[sa];
-      depochs[sa] = e - prev_wait_epochs_[sa];
-      prev_wait_ns_[sa] = w;
-      prev_wait_epochs_[sa] = e;
-    }
-    const auto bytes = static_cast<std::uint64_t>(comm.bytes_exchanged());
-    dbytes = bytes - prev_bytes_;
-    prev_bytes_ = bytes;
-    telemetry::counter("halo.wait_ns").add(dwait[0] + dwait[1] + dwait[2]);
-    telemetry::counter("halo.bytes").add(dbytes);
   }
 
   if (!jsonl_) return;
@@ -227,25 +187,26 @@ void CaseRun<Policy>::record_step_telemetry(std::int64_t t0, double dt) {
   std::fprintf(f,
                "{\"step\": %d, \"t\": %.17g, \"dt\": %.17g, "
                "\"wall_ns\": %" PRId64,
-               steps_, sim_->time(), dt, t1 - t0);
-  if (phases) {
+               steps_, sim_->time(), dt, d.wall_ns);
+  if (d.has_phases) {
     std::fputs(", \"phase_ns\": {", f);
     for (int p = 0; p < kNp; ++p) {
       const auto ph = static_cast<common::PhaseProfile::Phase>(p);
       std::fprintf(f, "%s\"%s\": %.0f", p == 0 ? "" : ", ",
                    common::PhaseProfile::name(ph),
-                   dphase[static_cast<std::size_t>(p)] * 1e9);
+                   d.phase_s[static_cast<std::size_t>(p)] * 1e9);
     }
     std::fputc('}', f);
   }
-  std::fprintf(f, ", \"sigma_sweeps\": %" PRIu64, dsweeps);
+  std::fprintf(f, ", \"sigma_sweeps\": %" PRIu64, d.sigma_sweeps);
   if (sim_->distributed()) {
     std::fprintf(f,
                  ", \"halo_wait_ns\": [%" PRIu64 ", %" PRIu64 ", %" PRIu64
                  "], \"halo_wait_epochs\": [%" PRIu64 ", %" PRIu64
                  ", %" PRIu64 "], \"wire_bytes\": %" PRIu64,
-                 dwait[0], dwait[1], dwait[2], depochs[0], depochs[1],
-                 depochs[2], dbytes);
+                 d.halo_wait_ns[0], d.halo_wait_ns[1], d.halo_wait_ns[2],
+                 d.halo_wait_epochs[0], d.halo_wait_epochs[1],
+                 d.halo_wait_epochs[2], d.wire_bytes);
   }
   std::fputs("}\n", f);
   // Line-buffered on purpose: a killed or rolled-back run leaves a
@@ -314,19 +275,17 @@ RunResult CaseRun<Policy>::run() {
 template <class Policy>
 RunResult CaseRun<Policy>::result() const {
   RunResult r;
-  // Per-phase breakdown of a solver this process stepped, normalized the
-  // way bench_grind reports it (ns per local cell per step).
-  const common::PhaseProfile* prof = sim_->local_phase_profile();
-  const std::size_t pcells = sim_->local_phase_cells();
-  if (prof != nullptr && prof->enabled() && steps_ > 0 && pcells > 0) {
+  // Per-phase breakdown normalized the way bench_grind reports it (ns per
+  // cell per step).
+  const app::StepMeters m = sim_->meters();
+  const std::size_t cells = sim_->grid().cells();
+  r.grind_ns = m.grind_ns(cells);
+  if (m.has_phases && m.steps > 0) {
     r.has_phases = true;
     const double denom =
-        static_cast<double>(pcells) * static_cast<double>(steps_);
-    for (int p = 0; p < common::PhaseProfile::kNumPhases; ++p) {
-      const auto ph = static_cast<common::PhaseProfile::Phase>(p);
-      r.phase_ns[static_cast<std::size_t>(p)] =
-          prof->seconds(ph) * 1e9 / denom;
-    }
+        static_cast<double>(cells) * static_cast<double>(m.steps);
+    for (std::size_t p = 0; p < r.phase_ns.size(); ++p)
+      r.phase_ns[p] = m.phase_s[p] * 1e9 / denom;
   }
   if (sim_->multi_process() && !sim_->is_io_root()) {
     // The root's diagnostics start with a gather; every process must feed
@@ -335,8 +294,7 @@ RunResult CaseRun<Policy>::result() const {
     (void)sim_->dist().gather();
     r.time = sim_->time();
     r.steps = steps_;
-    r.grind_ns = sim_->grind_ns();
-    r.cells = sim_->grid().cells();
+    r.cells = cells;
     r.memory_bytes = sim_->memory_bytes();
     r.dt_fnv = dt_hash_.value();
     return r;
@@ -352,8 +310,7 @@ RunResult CaseRun<Policy>::result() const {
   r.totals_final = totals_of(sim_->state(), sim_->grid());
   r.time = sim_->time();
   r.steps = steps_;
-  r.grind_ns = sim_->grind_ns();
-  r.cells = sim_->grid().cells();
+  r.cells = cells;
   r.memory_bytes = sim_->memory_bytes();
   r.state_fnv = common::state_fnv1a(sim_->state());
   r.dt_fnv = dt_hash_.value();

@@ -124,9 +124,10 @@ struct RunResult {
   /// dt trajectory* matched — a sharper bitwise check than the final state
   /// alone.
   std::uint64_t dt_fnv = 0;
-  /// Per-phase wall time in ns per local cell per step (bench_grind's
-  /// breakdown metric), indexed by common::PhaseProfile::Phase.  Populated
-  /// when opts.phase_timing was on and the scheme keeps a profile.
+  /// Per-phase wall time in ns per cell per step (bench_grind's breakdown
+  /// metric), indexed by common::PhaseProfile::Phase.  Populated when
+  /// opts.phase_timing was on for the single-domain IGR scheme (see
+  /// app::StepMeters::has_phases).
   bool has_phases = false;
   std::array<double, common::PhaseProfile::kNumPhases> phase_ns{};
 };
@@ -185,7 +186,7 @@ class CaseRun {
 
  private:
   void build_sim();
-  void record_step_telemetry(std::int64_t t0_ns, double dt);
+  void record_step_telemetry(double dt);
 
   struct FileCloser {
     void operator()(std::FILE* f) const {
@@ -204,14 +205,10 @@ class CaseRun {
   int steps_ = 0;
 
   /// JSONL stream (IO root only; survives rebuild() so a rolled-back run
-  /// keeps appending to one file) + previous-step meter snapshots the
-  /// per-step deltas are computed against.
+  /// keeps appending to one file) + the meter snapshot the per-step
+  /// telemetry is the difference against.
   std::unique_ptr<std::FILE, FileCloser> jsonl_;
-  std::array<double, common::PhaseProfile::kNumPhases> prev_phase_s_{};
-  std::uint64_t prev_sweeps_ = 0;
-  std::array<std::uint64_t, 3> prev_wait_ns_{};
-  std::array<std::uint64_t, 3> prev_wait_epochs_{};
-  std::uint64_t prev_bytes_ = 0;
+  app::StepMeters prev_meters_{};
 };
 
 /// Options for the case's golden run (golden_n cells, golden_steps steps) —

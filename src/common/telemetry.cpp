@@ -1,15 +1,14 @@
 /// \file telemetry.cpp
-/// Registry + recorder state for common::telemetry (see telemetry.hpp for
-/// the design contract).  Everything lives behind function-local statics so
+/// Recorder state for common::telemetry (see telemetry.hpp for the design
+/// contract).  Everything lives behind function-local statics so
 /// the subsystem has no global-constructor ordering hazards.
 
 #include "common/telemetry.hpp"
 
-#include <bit>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <mutex>
+#include <utility>
 
 namespace igr::common::telemetry {
 
@@ -19,107 +18,6 @@ std::atomic<bool> g_enabled{false};
 
 void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-
-// ----------------------------------------------------------------- metrics --
-
-void Gauge::set(double v) {
-  if (enabled())
-    bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
-}
-
-double Gauge::value() const {
-  return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
-}
-
-void Histogram::record(std::uint64_t ns) {
-  if (!enabled()) return;
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(ns, std::memory_order_relaxed);
-  std::uint64_t cur = min_.load(std::memory_order_relaxed);
-  while (ns < cur &&
-         !min_.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
-  }
-  cur = max_.load(std::memory_order_relaxed);
-  while (ns > cur &&
-         !max_.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
-  }
-}
-
-std::uint64_t Histogram::min() const {
-  const std::uint64_t m = min_.load(std::memory_order_relaxed);
-  return m == ~std::uint64_t{0} ? 0 : m;
-}
-
-void Histogram::reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(~std::uint64_t{0}, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
-namespace {
-
-/// Node-based maps keep metric addresses stable across registrations, so
-/// cached references never dangle.
-struct MetricsState {
-  std::mutex mu;
-  std::map<std::string, Counter, std::less<>> counters;
-  std::map<std::string, Gauge, std::less<>> gauges;
-  std::map<std::string, Histogram, std::less<>> histograms;
-};
-
-MetricsState& metrics() {
-  static MetricsState s;
-  return s;
-}
-
-}  // namespace
-
-Counter& counter(std::string_view name) {
-  auto& m = metrics();
-  std::lock_guard<std::mutex> lk(m.mu);
-  const auto it = m.counters.find(name);
-  if (it != m.counters.end()) return it->second;
-  return m.counters.try_emplace(std::string(name)).first->second;
-}
-
-Gauge& gauge(std::string_view name) {
-  auto& m = metrics();
-  std::lock_guard<std::mutex> lk(m.mu);
-  const auto it = m.gauges.find(name);
-  if (it != m.gauges.end()) return it->second;
-  return m.gauges.try_emplace(std::string(name)).first->second;
-}
-
-Histogram& histogram(std::string_view name) {
-  auto& m = metrics();
-  std::lock_guard<std::mutex> lk(m.mu);
-  const auto it = m.histograms.find(name);
-  if (it != m.histograms.end()) return it->second;
-  return m.histograms.try_emplace(std::string(name)).first->second;
-}
-
-Snapshot snapshot() {
-  auto& m = metrics();
-  std::lock_guard<std::mutex> lk(m.mu);
-  Snapshot s;
-  s.counters.reserve(m.counters.size());
-  for (const auto& [name, c] : m.counters) s.counters.emplace_back(name, c.value());
-  s.gauges.reserve(m.gauges.size());
-  for (const auto& [name, g] : m.gauges) s.gauges.emplace_back(name, g.value());
-  s.histograms.reserve(m.histograms.size());
-  for (const auto& [name, h] : m.histograms)
-    s.histograms.push_back({name, h.count(), h.sum(), h.min(), h.max()});
-  return s;
-}
-
-void reset_metrics() {
-  auto& m = metrics();
-  std::lock_guard<std::mutex> lk(m.mu);
-  for (auto& [name, c] : m.counters) c.reset();
-  for (auto& [name, g] : m.gauges) g.reset();
-  for (auto& [name, h] : m.histograms) h.reset();
 }
 
 // ---------------------------------------------------------------- recorder --

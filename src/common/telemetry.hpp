@@ -1,9 +1,11 @@
 /// \file telemetry.hpp
-/// Run-telemetry subsystem: a process-wide metrics registry (counters,
-/// gauges, time histograms) plus a span/event recorder feeding the two
-/// observability sinks — the per-step JSONL stream (`run_case --telemetry`)
-/// and the Chrome trace_event export (`run_case --trace`, one pid row per
-/// rank; open in Perfetto or chrome://tracing).
+/// Run-telemetry subsystem: a span/event recorder plus the two
+/// observability sinks — the per-step JSONL stream (`run_case --telemetry`,
+/// written by cases::CaseRun from app::Simulation's step meters) and the
+/// Chrome trace_event export (`run_case --trace`, one pid row per rank;
+/// open in Perfetto or chrome://tracing).  There is no metrics registry:
+/// every number a sink reports is a difference of app::StepMeters
+/// snapshots or a recorded span.
 ///
 /// Design contract (mirrors common::PhaseProfile):
 ///   - **Zero overhead when disabled.**  Every recording call is gated on
@@ -11,11 +13,9 @@
 ///     and touch no other state.  The gate defaults to off and is flipped
 ///     once at run setup (cases::CaseRun arms it when a sink is requested),
 ///     never on a hot path.
-///   - **Lock-free fast path when enabled.**  Counter/gauge/histogram
-///     updates are relaxed atomics; the registry mutex is taken only at
-///     name lookup (call sites cache the returned reference).  Span/event
-///     recording takes a mutex, but spans are recorded at step granularity
-///     (a handful per step), never per cell or per plane.
+///   - **Step-granular when enabled.**  Span/event recording takes a mutex,
+///     but spans are recorded at step granularity (a handful per step),
+///     never per cell or per plane.
 ///   - **Provably inert.**  Telemetry only *reads* simulation state and the
 ///     wall clock; it never touches floating-point fields or scheduling, so
 ///     state and dt fingerprints are bitwise-identical with it on or off
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace igr::common::telemetry {
@@ -47,86 +46,6 @@ inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 void set_enabled(bool on);
-
-// ----------------------------------------------------------------- metrics --
-
-/// Monotonic event count.  add() is one relaxed fetch_add when enabled and
-/// a predicted branch when not.
-class Counter {
- public:
-  void add(std::uint64_t delta = 1) {
-    if (enabled()) v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-written sample (stored as the double's bit pattern).
-class Gauge {
- public:
-  void set(double v);
-  [[nodiscard]] double value() const;
-  void reset() { bits_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> bits_{0};
-};
-
-/// Duration accumulator: count / sum / min / max in nanoseconds.  Enough to
-/// answer "how many, how long, how spiky" without bucket bookkeeping.
-class Histogram {
- public:
-  void record(std::uint64_t ns);
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  /// 0 when empty.
-  [[nodiscard]] std::uint64_t min() const;
-  [[nodiscard]] std::uint64_t max() const {
-    return max_.load(std::memory_order_relaxed);
-  }
-  void reset();
-
- private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
-  std::atomic<std::uint64_t> max_{0};
-};
-
-/// Find-or-create a named metric.  References stay valid for the process
-/// lifetime (node-based storage) — look up once, cache, then update
-/// lock-free.
-Counter& counter(std::string_view name);
-Gauge& gauge(std::string_view name);
-Histogram& histogram(std::string_view name);
-
-struct HistogramRow {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum_ns = 0;
-  std::uint64_t min_ns = 0;
-  std::uint64_t max_ns = 0;
-};
-
-/// A point-in-time copy of every registered metric (names sorted).
-struct Snapshot {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramRow> histograms;
-};
-Snapshot snapshot();
-
-/// Zero every registered metric (registrations are kept).
-void reset_metrics();
 
 // ---------------------------------------------------------------- recorder --
 
@@ -148,7 +67,7 @@ void record_span(std::string_view name, std::int64_t t0_ns,
                  std::int64_t dur_ns, std::string args_json = {});
 void record_instant(std::string_view name, std::string args_json = {});
 
-/// Drop all recorded spans/instants (metrics untouched).
+/// Drop all recorded spans/instants.
 void clear_events();
 std::size_t event_count();
 

@@ -21,10 +21,4 @@ const char* PhaseProfile::name(Phase p) {
   return "?";
 }
 
-double GrindTimer::grind_ns() const {
-  if (cells_ == 0 || steps_ == 0) return 0.0;
-  return timer_.seconds() * 1.0e9 /
-         (static_cast<double>(cells_) * static_cast<double>(steps_));
-}
-
 }  // namespace igr::common

@@ -1,8 +1,8 @@
 #pragma once
 /// \file timer.hpp
-/// Wall-clock timing and grind-time accounting.  The paper reports "grind
-/// time" — nanoseconds per grid cell per time step (§7.1) — as its primary
-/// single-device metric; GrindTimer accumulates exactly that.
+/// Wall-clock timing and the per-phase step profile.  The paper's primary
+/// single-device metric, "grind time" — nanoseconds per grid cell per time
+/// step (§7.1) — is metered once per step by app::Simulation (StepMeters).
 
 #include <array>
 #include <chrono>
@@ -54,7 +54,6 @@ class PhaseProfile {
   }
   /// Short machine-readable phase name (stable; used as the bench JSON key).
   [[nodiscard]] static const char* name(Phase p);
-  void reset() { acc_.fill(0.0); }
 
  private:
   bool enabled_ = false;
@@ -82,27 +81,6 @@ class PhaseScope {
   PhaseProfile& profile_;
   PhaseProfile::Phase phase_;
   std::chrono::steady_clock::time_point t0_{};
-};
-
-/// Accumulates time-step work and reports ns per cell per step.
-class GrindTimer {
- public:
-  explicit GrindTimer(std::size_t cells_per_step = 0) : cells_(cells_per_step) {}
-
-  void set_cells_per_step(std::size_t c) { cells_ = c; }
-  void begin_step() { timer_.start(); }
-  void end_step() { timer_.stop(); ++steps_; }
-
-  [[nodiscard]] std::size_t steps() const { return steps_; }
-  [[nodiscard]] double total_seconds() const { return timer_.seconds(); }
-
-  /// Nanoseconds per grid cell per time step (the paper's Table 3 metric).
-  [[nodiscard]] double grind_ns() const;
-
- private:
-  WallTimer timer_;
-  std::size_t cells_ = 0;
-  std::size_t steps_ = 0;
 };
 
 }  // namespace igr::common

@@ -281,7 +281,6 @@ IgrSolver3D<Policy>::IgrSolver3D(const mesh::Grid& grid,
     sigma_scratch_ =
         common::Field3<S>(grid.nx(), grid.ny(), grid.nz(), kNg);
   }
-  grind_.set_cells_per_step(grid.cells());
 }
 
 template <class Policy>
@@ -1265,7 +1264,6 @@ void IgrSolver3D<Policy>::finish_step(double dt) {
 
 template <class Policy>
 void IgrSolver3D<Policy>::step_fixed(double dt) {
-  grind_.begin_step();
   dt_rates_ = fv::CflRates{};
   for (int si = 0; si < 3; ++si) {
     // Stage 1 evaluates the RHS on q_ directly and writes the stage
@@ -1283,7 +1281,6 @@ void IgrSolver3D<Policy>::step_fixed(double dt) {
   finish_step(dt);
   next_dt_ = fv::cfl_dt_from_rates(dt_rates_, grid_, cfg_);
   next_dt_valid_ = true;
-  grind_.end_step();
 }
 
 template <class Policy>

@@ -119,7 +119,6 @@ class IgrSolver3D {
   /// Jacobi); the two-block RHS ring is not a per-cell field.
   [[nodiscard]] double storage_per_cell() const;
 
-  [[nodiscard]] common::GrindTimer& grind_timer() { return grind_; }
   /// Per-phase wall-time breakdown (populated when cfg.phase_timing is on).
   [[nodiscard]] common::PhaseProfile& phase_profile() { return profile_; }
   [[nodiscard]] const common::PhaseProfile& phase_profile() const {
@@ -323,7 +322,6 @@ class IgrSolver3D {
   /// registers instead, keeping its storage at 17N).
   common::Field3<S> inv_rho_;
 
-  common::GrindTimer grind_;
   common::PhaseProfile profile_;
   std::uint64_t sigma_sweeps_done_ = 0;
 

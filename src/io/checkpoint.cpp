@@ -31,32 +31,6 @@ void check(bool ok, const std::string& what) {
   if (!ok) throw std::runtime_error("checkpoint: " + what);
 }
 
-/// Telemetry timer for a checkpoint IO call: records a duration histogram
-/// and a trace span when telemetry is armed, costs one predicted branch when
-/// not.  Durations are recorded even on the error path (the failed attempt
-/// is the interesting one).
-class IoTimer {
- public:
-  IoTimer(const char* span, const char* histogram)
-      : span_(span),
-        histogram_(histogram),
-        t0_(common::telemetry::enabled() ? common::telemetry::now_ns() : -1) {}
-  ~IoTimer() {
-    if (t0_ < 0) return;
-    const std::int64_t dur = common::telemetry::now_ns() - t0_;
-    common::telemetry::histogram(histogram_).record(
-        static_cast<std::uint64_t>(dur < 0 ? 0 : dur));
-    common::telemetry::record_span(span_, t0_, dur);
-  }
-  IoTimer(const IoTimer&) = delete;
-  IoTimer& operator=(const IoTimer&) = delete;
-
- private:
-  const char* span_;
-  const char* histogram_;
-  std::int64_t t0_;
-};
-
 /// Storage tag written into CheckpointHeader::storage_bytes.  The low byte
 /// is always the element size (so size math on old readers keeps working);
 /// the high byte disambiguates 2-byte encodings — binary16 and bfloat16
@@ -254,7 +228,9 @@ HeaderInfo read_header_info(std::ifstream& in, const std::string& path) {
 template <class T, class FillRow>
 void write_impl(const std::string& path, int nx, int ny, int nz, int ng,
                 int num_vars, double time, FillRow&& fill_row) {
-  IoTimer timer("checkpoint_write", "io.checkpoint_write_ns");
+  // The span closes on the error path too: the failed attempt is the
+  // interesting one.
+  common::telemetry::SpanScope span("checkpoint_write");
   AtomicWriter out(path);
 
   CheckpointHeader h;
@@ -302,7 +278,7 @@ void write_impl(const std::string& path, int nx, int ny, int nz, int ng,
 template <class T, class TakeRow>
 double read_impl(const std::string& path, int nx, int ny, int nz,
                  int num_vars, TakeRow&& take_row) {
-  IoTimer timer("checkpoint_read", "io.checkpoint_read_ns");
+  common::telemetry::SpanScope span("checkpoint_read");
   std::ifstream in(path, std::ios::binary);
   check(static_cast<bool>(in), "cannot open " + path);
   const HeaderInfo info = read_header_info(in, path);

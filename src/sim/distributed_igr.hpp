@@ -132,7 +132,6 @@ class DistributedIgr {
       rhs_[i] = common::StateField3<C>(g.nx(), g.ny(), g.nz(), /*ng=*/0);
     });
     dts_.resize(local_ranks_.size());
-    grind_.set_cells_per_step(comm_.global_grid().cells());
   }
 
   /// Each local rank evaluates `prim` over its block on its own worker
@@ -176,7 +175,6 @@ class DistributedIgr {
   }
 
   void step_fixed(double dt) {
-    grind_.begin_step();
     run_phase([this](int r) { solver(r).begin_step(); });
     for (const auto& st : fv::kRk3Stages) {
       stage_rhs();
@@ -186,7 +184,6 @@ class DistributedIgr {
     }
     run_phase([this, dt](int r) { solver(r).finish_step(dt); });
     time_ += dt;
-    grind_.end_step();
   }
 
   /// RHS of the current state into every local rank's RHS field (read it
@@ -310,7 +307,6 @@ class DistributedIgr {
   [[nodiscard]] const Comm& comm() const { return comm_; }
   [[nodiscard]] double time() const { return time_; }
   [[nodiscard]] const DistOptions& options() const { return opts_; }
-  [[nodiscard]] common::GrindTimer& grind_timer() { return grind_; }
   /// Solver of global rank `r` — must be local to this process.
   [[nodiscard]] core::IgrSolver3D<Policy>& rank(int r) { return solver(r); }
   /// Global rank ids this process drives (all of them in-process).
@@ -607,7 +603,6 @@ class DistributedIgr {
   std::vector<common::StateField3<C>> rhs_;
   std::unique_ptr<RankTeam> team_;
   std::vector<double> dts_;
-  common::GrindTimer grind_;
 };
 
 }  // namespace igr::sim

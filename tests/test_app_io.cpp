@@ -1,15 +1,18 @@
 /// Tests for the application layer (jet configurations, Simulation driver)
-/// and the I/O substrate (VTK + CSV writers), plus timers and config.
+/// and the I/O substrate (VTK + CSV writers), plus the step meters and
+/// config.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "app/jet_config.hpp"
 #include "app/simulation.hpp"
-#include "common/timer.hpp"
 #include "io/csv_writer.hpp"
 #include "io/vtk_writer.hpp"
 
@@ -79,6 +82,64 @@ TEST(JetConfig, NoiseSeedingPerturbsDensity) {
   EXPECT_EQ(w0.rho, 1.0);
   EXPECT_NE(w1.rho, w0.rho);
   EXPECT_NEAR(w1.rho, 1.0, 0.02);
+}
+
+/// Simulation::step() meters every step, and the difference of two
+/// snapshots covers exactly the steps between them — for the single-domain
+/// IGR and WENO solvers and an in-process 2x1x1 decomposed run.  Only the
+/// single-domain IGR solver carries a phase breakdown.
+TEST(Simulation, StepMetersCountStepsAndWindows) {
+  struct Layout {
+    SchemeKind scheme;
+    std::array<int, 3> ranks;
+  };
+  for (const Layout& l : {Layout{SchemeKind::kIgr, {1, 1, 1}},
+                          Layout{SchemeKind::kBaselineWeno, {1, 1, 1}},
+                          Layout{SchemeKind::kIgr, {2, 1, 1}}}) {
+    const bool igr = l.scheme == SchemeKind::kIgr;
+    const bool decomposed = l.ranks[0] > 1;
+    SCOPED_TRACE(std::string(igr ? "igr" : "weno") +
+                 (decomposed ? " 2x1x1" : " 1x1x1"));
+    typename Simulation<Fp64>::Params params;
+    params.grid = Grid(16, 8, 8, {0, 1}, {0, 0.5}, {0, 0.5});
+    params.cfg.phase_timing = true;
+    params.bc = igr::fv::BcSpec::all_periodic();
+    params.scheme = l.scheme;
+    params.ranks = l.ranks;
+    Simulation<Fp64> sim(params);
+    sim.init([](double x, double, double) {
+      return igr::common::Prim<double>{1.0 + 0.2 * std::sin(6.283185307 * x),
+                                       0.5, 0.0, 0.0, 1.0};
+    });
+    EXPECT_EQ(sim.meters().steps, 0u);
+    EXPECT_EQ(sim.grind_ns(), 0.0);
+
+    sim.run_steps(2);
+    const auto a = sim.meters();
+    sim.run_steps(3);
+    const auto b = sim.meters();
+    const auto w = b - a;
+    EXPECT_EQ(a.steps, 2u);
+    EXPECT_EQ(b.steps, 5u);
+    EXPECT_EQ(w.steps, 3u);
+    EXPECT_GT(w.wall_ns, 0);
+    EXPECT_EQ(a.wall_ns + w.wall_ns, b.wall_ns);
+    EXPECT_GT(b.last_step_t0_ns, a.last_step_t0_ns);
+    EXPECT_EQ(w.last_step_t0_ns, b.last_step_t0_ns);
+    const std::size_t cells = params.grid.cells();
+    EXPECT_GT(w.grind_ns(cells), 0.0);
+    EXPECT_DOUBLE_EQ(sim.grind_ns(), b.grind_ns(cells));
+
+    EXPECT_EQ(w.has_phases, igr && !decomposed);
+    if (w.has_phases) {
+      double phase_s = 0.0;
+      for (const double s : w.phase_s) phase_s += s;
+      EXPECT_GT(phase_s, 0.0);
+    }
+    EXPECT_EQ(w.sigma_sweeps > 0, igr);
+    EXPECT_EQ(w.wire_bytes > 0, decomposed);
+    EXPECT_EQ(w.halo_wait_epochs[0] > 0, decomposed);
+  }
 }
 
 TEST(Simulation, IgrJetRunsStably) {
@@ -170,22 +231,6 @@ TEST(CsvWriter, WritesHeaderAndRows) {
   std::getline(in, line);
   EXPECT_EQ(line, "0.5,1.25");
   std::filesystem::remove(path);
-}
-
-TEST(Timer, GrindTimeMatchesDefinition) {
-  igr::common::GrindTimer t(1000);
-  t.begin_step();
-  t.end_step();
-  t.begin_step();
-  t.end_step();
-  EXPECT_EQ(t.steps(), 2u);
-  // grind_ns = total_s * 1e9 / (cells * steps)
-  EXPECT_NEAR(t.grind_ns(), t.total_seconds() * 1e9 / 2000.0, 1e-9);
-}
-
-TEST(Timer, ZeroStepsGivesZeroGrind) {
-  igr::common::GrindTimer t(100);
-  EXPECT_EQ(t.grind_ns(), 0.0);
 }
 
 TEST(Config, ValidationCatchesBadInputs) {

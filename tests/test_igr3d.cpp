@@ -266,12 +266,4 @@ TYPED_TEST(Igr3DPrecision, HandlesShockTube) {
   }
 }
 
-TEST(Igr3D, GrindTimerCountsSteps) {
-  IgrSolver3D<Fp64> s(Grid::cube(8), default_cfg(), BcSpec::all_periodic());
-  s.init([](double, double, double) { return Prim<double>{1, 0, 0, 0, 1}; });
-  for (int i = 0; i < 3; ++i) s.step();
-  EXPECT_EQ(s.grind_timer().steps(), 3u);
-  EXPECT_GT(s.grind_timer().grind_ns(), 0.0);
-}
-
 }  // namespace

@@ -1,6 +1,5 @@
-/// Telemetry-subsystem tests: registry semantics (counters / gauges /
-/// histograms, disabled = strict no-op), recorder + Chrome trace export
-/// validity, the provably-inert contract (state and dt fingerprints bitwise
+/// Telemetry-subsystem tests: the disabled recorder is a strict no-op,
+/// recorder + Chrome trace export validity, the pinned JSONL step schema, the provably-inert contract (state and dt fingerprints bitwise
 /// identical with telemetry on or off, across precisions), and — on POSIX —
 /// real 2-rank igr_launch runs whose JSONL stream and merged trace are
 /// parsed back.
@@ -28,10 +27,9 @@ namespace tel = igr::common::telemetry;
 using namespace igr;
 
 /// Telemetry is process-global state; every test (and every sub-run inside
-/// one) starts from the disabled, zeroed baseline so ordering cannot leak.
+/// one) starts from the disabled, empty baseline so ordering cannot leak.
 void reset_telemetry() {
   tel::set_enabled(false);
-  tel::reset_metrics();
   tel::clear_events();
   tel::set_rank(0);
 }
@@ -175,56 +173,13 @@ class JsonValidator {
   std::set<std::string> top_keys_;
 };
 
-// --- Registry semantics --------------------------------------------------
+// --- Disabled gate ---------------------------------------------------------
 
-TEST_F(TelemetryTest, DisabledMetricsAreStrictNoOps) {
+TEST_F(TelemetryTest, DisabledRecorderIsAStrictNoOp) {
   ASSERT_FALSE(tel::enabled());
-  tel::counter("t.c").add(7);
-  tel::gauge("t.g").set(3.5);
-  tel::histogram("t.h").record(100);
-  EXPECT_EQ(tel::counter("t.c").value(), 0u);
-  EXPECT_EQ(tel::gauge("t.g").value(), 0.0);
-  EXPECT_EQ(tel::histogram("t.h").count(), 0u);
   tel::record_span("span", 0, 10);
   tel::record_instant("instant");
   EXPECT_EQ(tel::event_count(), 0u);
-}
-
-TEST_F(TelemetryTest, CounterGaugeHistogramAccumulate) {
-  tel::set_enabled(true);
-  auto& c = tel::counter("t.c");
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
-  EXPECT_EQ(&c, &tel::counter("t.c")) << "stable addresses";
-
-  tel::gauge("t.g").set(2.25);
-  tel::gauge("t.g").set(-1.5);
-  EXPECT_EQ(tel::gauge("t.g").value(), -1.5);
-
-  auto& h = tel::histogram("t.h");
-  EXPECT_EQ(h.min(), 0u) << "empty histogram min reads 0";
-  h.record(30);
-  h.record(10);
-  h.record(20);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.sum(), 60u);
-  EXPECT_EQ(h.min(), 10u);
-  EXPECT_EQ(h.max(), 30u);
-
-  const auto snap = tel::snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].first, "t.c");
-  EXPECT_EQ(snap.counters[0].second, 42u);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].sum_ns, 60u);
-
-  tel::reset_metrics();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(tel::snapshot().counters.size(), 1u)
-      << "reset zeroes values but keeps registrations";
 }
 
 TEST_F(TelemetryTest, JsonEscapeHandlesQuotesBackslashesControls) {
@@ -346,9 +301,11 @@ TEST_F(TelemetryTest, JsonlStreamCarriesStepSchemaAndPhases) {
 }
 
 /// Top-level key sets of every step line (event lines skipped) of the
-/// JSONL stream a phase-timed sod-x run at `ranks` writes.
+/// JSONL stream a phase-timed sod-x run at `ranks` writes; the run's
+/// RunResult::has_phases lands in `has_phases`.
 std::vector<std::set<std::string>> step_line_keys(
-    const std::array<int, 3>& ranks, const std::string& tag) {
+    const std::array<int, 3>& ranks, const std::string& tag,
+    bool* has_phases) {
   const auto* spec = cases::find("sod-x");
   EXPECT_NE(spec, nullptr);
   const auto dir = scratch_dir("schema_" + tag);
@@ -358,7 +315,7 @@ std::vector<std::set<std::string>> step_line_keys(
   opts.ranks = ranks;
   opts.phase_timing = true;
   opts.telemetry = (dir / "out.jsonl").string();
-  (void)cases::run_case<common::Fp64>(*spec, opts);
+  *has_phases = cases::run_case<common::Fp64>(*spec, opts).has_phases;
 
   std::vector<std::set<std::string>> keys;
   std::ifstream f(opts.telemetry);
@@ -376,17 +333,24 @@ std::vector<std::set<std::string>> step_line_keys(
 TEST_F(TelemetryTest, JsonlStepSchemaIsPinnedSingleDomain) {
   const std::set<std::string> want = {"step", "t", "dt", "wall_ns",
                                       "sigma_sweeps", "phase_ns"};
-  const auto lines = step_line_keys({1, 1, 1}, "single");
+  bool has_phases = false;
+  const auto lines = step_line_keys({1, 1, 1}, "single", &has_phases);
+  EXPECT_TRUE(has_phases);
   ASSERT_EQ(lines.size(), 4u);
   for (const auto& k : lines) EXPECT_EQ(k, want);
 }
 
+/// Decomposed ranks step through the piecewise solver API, which keeps no
+/// phase profile: the line carries no phase_ns (rather than five zeros) and
+/// the result no phase breakdown.
 TEST_F(TelemetryTest, JsonlStepSchemaIsPinnedDecomposed) {
   const std::set<std::string> want = {
       "step",         "t",           "dt",
-      "wall_ns",      "sigma_sweeps", "phase_ns",
-      "halo_wait_ns", "halo_wait_epochs", "wire_bytes"};
-  const auto lines = step_line_keys({2, 1, 1}, "decomposed");
+      "wall_ns",      "sigma_sweeps", "halo_wait_ns",
+      "halo_wait_epochs", "wire_bytes"};
+  bool has_phases = true;
+  const auto lines = step_line_keys({2, 1, 1}, "decomposed", &has_phases);
+  EXPECT_FALSE(has_phases);
   ASSERT_EQ(lines.size(), 4u);
   for (const auto& k : lines) EXPECT_EQ(k, want);
 }

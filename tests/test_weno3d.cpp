@@ -121,14 +121,6 @@ TEST(Weno3D, BaselineStoresMoreThanIgr) {
             1.3 * static_cast<double>(s.memory_bytes()));
 }
 
-TEST(Weno3D, GrindTimerWorks) {
-  WenoHllcSolver3D<Fp64> s(Grid::cube(8), SolverConfig{},
-                           BcSpec::all_periodic());
-  s.init([](double, double, double) { return Prim<double>{1, 0, 0, 0, 1}; });
-  s.step();
-  EXPECT_EQ(s.grind_timer().steps(), 1u);
-}
-
 TEST(Weno3D, ViscousRunConserves) {
   SolverConfig cfg;
   cfg.mu = 0.01;
