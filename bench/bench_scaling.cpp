@@ -114,7 +114,6 @@ Point run_case_t(const char* mode, const mesh::Grid& grid,
   /// the timing columns; halo traffic is summed over all endpoints.
   const auto drive = [&](int rank, const std::string& dir) {
     sim::DistOptions opts;
-    opts.threads_per_rank = threads_per_rank;
     opts.halo_wire = wire;
     if (rank >= 0) {
       opts.transport.kind = sim::TransportSpec::Kind::kTcp;
@@ -122,9 +121,11 @@ Point run_case_t(const char* mode, const mesh::Grid& grid,
       opts.transport.rank = rank;
       opts.transport.dir = dir;
     }
-    sim::DistributedIgr<Policy> d(grid, layout[0], layout[1], layout[2],
-                                  scaling_cfg(), jet.make_bc(),
-                                  fv::ReconScheme::kFifth, opts);
+    auto cfg = scaling_cfg();
+    cfg.exec_threads = threads_per_rank;
+    sim::DistributedIgr<Policy> d(grid, layout[0], layout[1], layout[2], cfg,
+                                  jet.make_bc(), fv::ReconScheme::kFifth,
+                                  opts);
     d.init(jet.initial_condition(0.005));
     for (int s = 0; s < warmup; ++s) d.step();
     d.comm().reset_traffic();

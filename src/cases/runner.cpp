@@ -104,7 +104,6 @@ typename app::Simulation<Policy>::Params RunOptions::to_params(
   params.scheme = scheme;
   params.recon = recon;
   params.ranks = ranks;
-  params.dist.threads_per_rank = threads;
   params.dist.fault = fault;
   params.dist.comm_timeout_s = comm_timeout_s;
   params.dist.halo_wire = halo_wire;

@@ -82,9 +82,9 @@ struct RunOptions {
   /// std::thread pool when built without it); kSerial is the bitwise
   /// reference every backend is validated against.
   common::ExecBackend exec = common::ExecBackend::kOpenMP;
-  /// Exec-space width per rank (0 = ambient).  Lowered into both
-  /// SolverConfig::exec_threads and DistOptions::threads_per_rank, so one
-  /// knob sets the kernel team width wherever the kernels run.
+  /// Exec-space width per rank (0 = ambient).  Lowered into
+  /// SolverConfig::exec_threads, which sets the kernel team width wherever
+  /// the kernels run.
   int threads = 0;
   /// Observability sinks (empty: off).  Requesting either one arms
   /// common::telemetry for the process; telemetry is provably inert — state

@@ -44,8 +44,10 @@ struct SolverConfig {
   ExecBackend exec_backend = ExecBackend::kOpenMP;
   /// Team width for the kOpenMP backend; 0 = ambient (the configured
   /// OpenMP team size, or one member without an OpenMP runtime).  The
-  /// distributed driver sets this per rank from DistOptions::
-  /// threads_per_rank.  Ignored by kSerial.
+  /// distributed driver gives every rank this width, and with 0 divides
+  /// the hardware evenly across its rank workers; scaling benches pin it
+  /// to 1 so speedup measures rank parallelism alone.  Ignored by
+  /// kSerial.
   int exec_threads = 0;
   /// The execution space the two fields above select.
   [[nodiscard]] ExecSpace exec() const {

@@ -10,7 +10,6 @@
 #include "common/half.hpp"
 #include "common/math.hpp"
 #include "common/state.hpp"
-#include "core/exec_space.hpp"
 #include "fv/cfl.hpp"
 #include "fv/riemann.hpp"
 #include "fv/rk3.hpp"

@@ -46,13 +46,6 @@ namespace igr::sim {
 
 /// Execution options for the rank-parallel driver.
 struct DistOptions {
-  /// Execution-space width of each rank's kernels (0 = divide the hardware
-  /// evenly across ranks).  Scaling benches pin this to 1 so speedup
-  /// measures rank parallelism alone.  A positive value is lowered into
-  /// each rank solver's SolverConfig::exec_threads; 0 leaves the solvers
-  /// on ambient width, which each worker thread pins to hw/ranks (OpenMP
-  /// builds only).
-  int threads_per_rank = 0;
   /// Wire encoding of the state and Sigma halo channels (see
   /// Comm::WirePrecision).  kHalf halves FP32 halo traffic and quarters
   /// FP64's; 16-bit storage is already at wire width, so there it is a
@@ -109,15 +102,12 @@ class DistributedIgr {
     } else {
       for (int r = 0; r < comm_.ranks(); ++r) local_ranks_.push_back(r);
     }
-    // threads_per_rank becomes each rank solver's exec-space width.  0
-    // (divide evenly) stays ambient: the worker threads pin the OpenMP
+    // cfg.exec_threads is each rank solver's exec-space width.  0 (divide
+    // the hardware evenly) stays ambient: the worker threads pin the OpenMP
     // width to hw/ranks, and non-OpenMP builds fall back to serial, which
     // keeps rank parallelism as the only concurrency in that case.
-    common::SolverConfig rank_cfg = cfg;
-    if (opts_.threads_per_rank > 0)
-      rank_cfg.exec_threads = opts_.threads_per_rank;
     team_ = std::make_unique<RankTeam>(
-        static_cast<int>(local_ranks_.size()), opts_.threads_per_rank,
+        static_cast<int>(local_ranks_.size()), cfg.exec_threads,
         comm_.ranks());
     // Each rank's solver and RHS are built on the worker that steps them,
     // so that worker first-touches (zero-fills) its own pages.  A rank that
@@ -128,7 +118,7 @@ class DistributedIgr {
       const auto i = static_cast<std::size_t>(li);
       const auto& g = comm_.local_grid(local_ranks_[i]);
       ranks_[i] =
-          std::make_unique<core::IgrSolver3D<Policy>>(g, rank_cfg, bc, recon);
+          std::make_unique<core::IgrSolver3D<Policy>>(g, cfg, bc, recon);
       rhs_[i] = common::StateField3<C>(g.nx(), g.ny(), g.nz(), /*ng=*/0);
     });
     dts_.resize(local_ranks_.size());

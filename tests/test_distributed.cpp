@@ -418,10 +418,9 @@ void stress_policy() {
 
   IgrSolver3D<Policy> single(g, cfg, bc);
   single.init(smooth_ic());
-  igr::sim::DistOptions opts;
-  opts.threads_per_rank = 1;
-  DistributedIgr<Policy> dist(g, 3, 2, 2, cfg, bc,
-                              igr::fv::ReconScheme::kFifth, opts);
+  auto rank_cfg = cfg;
+  rank_cfg.exec_threads = 1;
+  DistributedIgr<Policy> dist(g, 3, 2, 2, rank_cfg, bc);
   dist.init(smooth_ic());
 
   for (int step = 0; step < 4; ++step) {
@@ -450,10 +449,9 @@ TEST(Distributed, MultipleOmpThreadsPerRankKeepBits) {
   const auto g = Grid::cube(kN);
   const auto cfg = jacobi_cfg();
   const auto bc = BcSpec::all_periodic();
-  igr::sim::DistOptions two;
-  two.threads_per_rank = 2;
-  DistributedIgr<Fp64> da(g, 2, 2, 1, cfg, bc, igr::fv::ReconScheme::kFifth,
-                          two);
+  auto two = cfg;
+  two.exec_threads = 2;
+  DistributedIgr<Fp64> da(g, 2, 2, 1, two, bc);
   IgrSolver3D<Fp64> single(g, cfg, bc);
   da.init(smooth_ic());
   single.init(smooth_ic());

@@ -367,11 +367,10 @@ TEST(ExecSpaceDistributed, RankWorkerInitMatchesWindowedSingleDomain) {
   const SolverConfig cfg = config_on(ExecSpace::serial());
   IgrSolver3D<Fp64> single(g, cfg, igr::fv::BcSpec::all_periodic());
   single.init(graded_ic);
-  igr::sim::DistOptions opts;
-  opts.threads_per_rank = 2;
-  igr::sim::DistributedIgr<Fp64> dist(g, 2, 2, 1, cfg,
-                                      igr::fv::BcSpec::all_periodic(),
-                                      igr::fv::ReconScheme::kFifth, opts);
+  SolverConfig rank_cfg = cfg;
+  rank_cfg.exec_threads = 2;
+  igr::sim::DistributedIgr<Fp64> dist(g, 2, 2, 1, rank_cfg,
+                                      igr::fv::BcSpec::all_periodic());
   dist.init(graded_ic);
   EXPECT_EQ(igr::common::state_fnv1a(dist.gather()),
             igr::common::state_fnv1a(single.state()));
@@ -383,7 +382,7 @@ TEST(ExecSpaceDistributed, HealthOfRankBlocksEqualsSingleDomainScan) {
   p.grid = ic_grid();
   p.bc = igr::fv::BcSpec::all_periodic();
   p.ranks = {2, 2, 1};
-  p.dist.threads_per_rank = 2;
+  p.cfg.exec_threads = 2;
   Sim sim(p);
   sim.init(graded_ic);
   auto& dist = sim.dist();
