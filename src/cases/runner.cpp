@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/half.hpp"
@@ -395,6 +396,12 @@ GuardReport run_case_guarded(const CaseSpec& spec, const RunOptions& opts,
 
   long step = 0;  ///< Absolute campaign step (survives rollback/resume).
   std::vector<io::ManifestEntry> manifest;
+  /// The file this run writes for the checkpoint at `at`.  Rotation
+  /// deletes manifest paths, so a resumed manifest entry naming anything
+  /// else is never trusted.
+  const auto ckpt_path = [&base](long at) {
+    return base + ".ckpt" + std::to_string(at);
+  };
 
   // Restore the newest manifest entry whose files pass a full CRC scan;
   // invalid or mismatched ones are skipped in favor of older entries.
@@ -421,7 +428,13 @@ GuardReport run_case_guarded(const CaseSpec& spec, const RunOptions& opts,
   };
 
   if (guard.resume) {
-    manifest = io::read_manifest(manifest_path);
+    for (auto& e : io::read_manifest(manifest_path)) {
+      if (e.path == ckpt_path(e.step)) {
+        manifest.push_back(std::move(e));
+      } else {
+        ++rep.checkpoints_rejected;
+      }
+    }
     if (try_restore()) {
       rep.resumed_step = step;
       telemetry::record_instant("resume",
@@ -503,7 +516,7 @@ GuardReport run_case_guarded(const CaseSpec& spec, const RunOptions& opts,
                      "\"step\": " + std::to_string(step) + ", \"ok\": true");
     }
     if (ckpt_due) {
-      const std::string path = base + ".ckpt" + std::to_string(step);
+      const std::string path = ckpt_path(step);
       try {
         run.save_checkpoint(path);  // collective under mp; throws everywhere
         manifest.push_back({step, run.sim().time(), path});

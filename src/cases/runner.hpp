@@ -232,7 +232,9 @@ struct GuardOptions {
   std::string dir = ".";
   std::string tag;  ///< Defaults to the case name.
   /// Resume from the newest *valid* manifest entry (corrupt checkpoints
-  /// are CRC-detected and skipped in favor of the previous valid one).
+  /// are CRC-detected and skipped in favor of the previous valid one; an
+  /// entry whose path is not `<dir>/<tag>.ckpt<step>` is never loaded or
+  /// deleted).
   bool resume = false;
   int keep = 3;  ///< Checkpoints retained on disk (older ones deleted).
   /// Health-scan cadence in steps (0: never scan).
@@ -253,7 +255,8 @@ struct GuardReport {
   int retries = 0;           ///< Rollbacks performed.
   long resumed_step = -1;    ///< Step restored by --resume (-1: fresh).
   int checkpoints_written = 0;
-  int checkpoints_rejected = 0;  ///< Invalid manifest entries skipped.
+  int checkpoints_rejected = 0;  ///< Invalid or foreign manifest entries
+                                 ///< skipped.
   int checkpoint_failures = 0;   ///< Saves that died mid-write (torn temp;
                                  ///< the previous checkpoint survives).
   double final_cfl_scale = 1.0;  ///< After any backoff.

@@ -357,6 +357,47 @@ TEST(GuardedRun, ResumeSkipsCorruptNewestCheckpoint) {
   fs::remove_all(dir);
 }
 
+TEST(GuardedRun, ResumeRejectsManifestPathsItDidNotWrite) {
+  // A tampered manifest names a file outside the checkpoint directory.
+  // Rotation must never delete it: resume accepts only the paths the
+  // runner itself writes, and counts the rest as rejected.
+  const auto* spec = cases::find("sod-x");
+  ASSERT_NE(spec, nullptr);
+  const auto root = scratch_dir("tampered");
+  const auto dir = root / "ckpt";
+  fs::create_directories(dir);
+  fs::create_directories(root / "outside");
+  const auto victim = root / "outside" / "victim";
+  std::ofstream(victim) << "keep me";
+
+  cases::RunOptions opts;
+  opts.n = 16;
+  opts.steps = 4;
+  cases::GuardOptions guard;
+  guard.checkpoint_every = 2;
+  guard.keep = 2;
+  guard.dir = dir.string();
+  const auto first = cases::run_case_guarded<common::Fp64>(*spec, opts, guard);
+  ASSERT_TRUE(first.completed) << first.failure;
+
+  const auto manifest_path = (dir / "sod-x.manifest").string();
+  auto manifest = io::read_manifest(manifest_path);
+  ASSERT_EQ(manifest.size(), 2u);
+  manifest.insert(manifest.begin(),
+                  {0, 0.0, (dir / ".." / "outside" / "victim").string()});
+  io::write_manifest(manifest_path, manifest);
+
+  opts.steps = 8;
+  guard.resume = true;
+  const auto second =
+      cases::run_case_guarded<common::Fp64>(*spec, opts, guard);
+  EXPECT_TRUE(second.completed) << second.failure;
+  EXPECT_EQ(second.resumed_step, 4);
+  EXPECT_EQ(second.checkpoints_rejected, 1);
+  EXPECT_TRUE(fs::exists(victim)) << "rotation deleted a foreign path";
+  fs::remove_all(root);
+}
+
 TEST(GuardedRun, HealthGuardBacksOffCflUntilStable) {
   // WENO at CFL 1.0 (2.5 x the registered 0.4) blows up on the Sedov blast
   // within a few dozen steps; the health guard must catch the nonfinite
