@@ -1,5 +1,6 @@
 /// Telemetry-subsystem tests: the disabled recorder is a strict no-op,
-/// recorder + Chrome trace export validity, the pinned JSONL step schema, the provably-inert contract (state and dt fingerprints bitwise
+/// recorder + Chrome trace export validity, the pinned JSONL step schema,
+/// the provably-inert contract (state and dt fingerprints bitwise
 /// identical with telemetry on or off, across precisions), and — on POSIX —
 /// real 2-rank igr_launch runs whose JSONL stream and merged trace are
 /// parsed back.
