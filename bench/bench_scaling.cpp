@@ -4,8 +4,7 @@
 /// fig6/fig7 scaling *model* reproductions, which predict; this harness
 /// measures.  Each rank runs on its own worker thread with a pinned
 /// single-thread OpenMP team, so speedup isolates rank parallelism (the MPI
-/// analogue: one process per rank), with the overlapped halo pipeline
-/// active.  Emits JSON like bench_grind; every scaling PR checks the result
+/// analogue: one process per rank), with the halo pipeline active.  Emits JSON like bench_grind; every scaling PR checks the result
 /// in as BENCH_<name>_scaling.json (see PERF.md).
 ///
 /// Usage:

@@ -35,8 +35,8 @@ case "$build" in /*) ;; *) build="$root/$build" ;; esac
 
 # The reproducibility flags normally live only in the Release flag set; the
 # bitwise tests need them in this RelWithDebInfo tree too (on FMA-default
-# toolchains, contraction differences between the fused single-domain step
-# and the decomposed per-phase step, and against the golden fingerprints,
+# toolchains, contraction differences between the fused step's flux/RK
+# stage and compute_rhs, and against the golden fingerprints,
 # would otherwise trip them spuriously).  IGR_REPRO_FLAGS appends them with
 # the per-compiler SLP-flag spelling (clang spells it differently).
 cmake -B "$build" -S "$root" \

@@ -24,6 +24,7 @@
 
 #include "cases/runner.hpp"
 #include "common/cli.hpp"
+#include "io/checkpoint.hpp"
 #include "mesh/decomp.hpp"
 
 namespace {
@@ -323,7 +324,7 @@ int main(int argc, char** argv) {
       cli.guard.resume = true;
       cli.guarded = true;
     } else if (args.is("--keep")) {
-      cli.guard.keep = args.int_value(1);
+      cli.guard.keep = args.int_value(1, igr::io::kManifestLimit);
       cli.guarded = true;
     } else if (args.is("--max-retries")) {
       cli.guard.max_retries = args.int_value(0);

@@ -10,6 +10,7 @@
 /// parser returns a RankSpec; balanced layouts are the caller's call into
 /// mesh::Decomp).
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -132,9 +133,13 @@ class Args {
     if (i_ + 1 >= argc_) die(std::string(flag()) + " needs a value");
     return argv_[++i_];
   }
-  int int_value(long lo = std::numeric_limits<long>::min(),
-                long hi = std::numeric_limits<long>::max()) {
+  /// Integer value in [lo, hi] clamped to the int range, so a value the
+  /// int cannot hold dies with the range error instead of wrapping.
+  int int_value(long lo = std::numeric_limits<int>::min(),
+                long hi = std::numeric_limits<int>::max()) {
     const char* f = flag();
+    lo = std::max(lo, static_cast<long>(std::numeric_limits<int>::min()));
+    hi = std::min(hi, static_cast<long>(std::numeric_limits<int>::max()));
     return static_cast<int>(parse_long(prog_, f, value(), lo, hi));
   }
   double double_value() {

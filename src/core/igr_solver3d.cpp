@@ -85,10 +85,10 @@ struct FaceRowParams {
 /// unit-stride over the row: `sc[c][t][i]` is variable c at the t-th
 /// stencil cell of face i, `lcp`/`rcp` are the (ir, u, v, w, p) rows of the
 /// face's left and right cells, and `pl_mom`/`pl_ir` point at the left cell
-/// so `+ P.st` reaches the right cell for the raw viscous taps.  Both the
-/// fused single-domain step and the decomposed per-phase step evaluate
-/// every face here, so they agree bitwise — the fused-pipeline tests and
-/// the flux RHS fingerprints pin this.
+/// so `+ P.st` reaches the right cell for the raw viscous taps.  The
+/// streamed flux/RK stage (single-domain and on every decomposed rank) and
+/// compute_rhs evaluate every face here, so they agree bitwise — the
+/// fused-pipeline tests and the flux RHS fingerprints pin this.
 template <int Dir, class C, class S, class ReconOp>
 inline void compute_face_row(const ReconOp& recon, std::size_t fn,
                              const C* (*sc)[6], const C* const* lcp,
@@ -475,7 +475,7 @@ void IgrSolver3D<Policy>::compute_sigma_source_planes(
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::compute_sigma_source(common::StateField3<S>& q) {
+void IgrSolver3D<Policy>::build_sigma_source(common::StateField3<S>& q) {
   // Interleave the reciprocal-density refresh with the source build in
   // k-chunks: the source consumes planes the refresh just wrote while they
   // are still cache-resident.  Both kernels are pure per-plane maps of the
@@ -501,25 +501,6 @@ void IgrSolver3D<Policy>::compute_sigma_source(common::StateField3<S>& q) {
   ensure_ir(nz + ng);
 }
 
-template <class Policy>
-void IgrSolver3D<Policy>::build_sigma_source_interior(
-    common::StateField3<S>& q) {
-  const int nz = grid_.nz();
-  refresh_inv_rho_planes(q, 0, nz);
-  if (nz > 2) compute_sigma_source_planes(q, 1, nz - 1);
-}
-
-template <class Policy>
-void IgrSolver3D<Policy>::build_sigma_source_boundary(
-    common::StateField3<S>& q) {
-  const int nz = grid_.nz();
-  const int ng = q.ng();
-  refresh_inv_rho_planes(q, -ng, 0);
-  refresh_inv_rho_planes(q, nz, nz + ng);
-  compute_sigma_source_planes(q, 0, std::min(1, nz));
-  if (nz > 1) compute_sigma_source_planes(q, nz - 1, nz);
-}
-
 /// One dimensional flux sweep, row-streaming: faces are evaluated a *row*
 /// (unit-stride x span) at a time, reading the six stencil rows of each
 /// face row directly from the fields (identity-storage policies) or from a
@@ -533,11 +514,10 @@ template <int Dir, class ReconOp>
 void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
                                             const RhsRows& rhs,
                                             ReconOp recon, bool overwrite,
-                                            const CellRegion& reg) {
-  if (reg.empty()) return;
+                                            int k0, int k1) {
+  if (k1 <= k0) return;
   constexpr int dir = Dir;
-  const int x0 = reg.lo[0];
-  const int nxr = reg.hi[0] - reg.lo[0];
+  const int nx = grid_.nx();
   const C gam = static_cast<C>(cfg_.gamma);
   const bool viscous = (cfg_.mu > 0.0 || cfg_.zeta > 0.0);
   const std::array<C, 3> dd{static_cast<C>(grid_.dx()),
@@ -576,15 +556,12 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
   };
 
   if constexpr (Dir == 0) {
-    const std::size_t fn = static_cast<std::size_t>(nxr) + 1;  // faces/row
-    const std::size_t span = fn + 5;        // stencil cells x0-3 .. x0+nxr+2
-    const std::size_t pspan = fn + 1;       // prim cells  x0-1 .. x0+nxr
-    const int b_lo = reg.lo[2], b_hi = reg.hi[2];
-    const int a_lo = reg.lo[1], a_hi = reg.hi[1];
+    const std::size_t fn = static_cast<std::size_t>(nx) + 1;  // faces/row
+    const std::size_t span = fn + 5;        // stencil cells -3 .. nx+2
+    const std::size_t pspan = fn + 1;       // prim cells  -1 .. nx
     const common::ExecSpace exec = cfg_.exec();
-    const long n_rows =
-        static_cast<long>(b_hi - b_lo) * static_cast<long>(a_hi - a_lo);
-    const long na = a_hi - a_lo;
+    const long na = grid_.ny();
+    const long n_rows = static_cast<long>(k1 - k0) * na;
     exec.run_team([&](const common::ExecSpace::Team& team) {
       std::vector<C> conv;  // converted stencil rows (FP16/32 only)
       if constexpr (common::converts_storage<Policy>) {
@@ -600,11 +577,11 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
       team.chunk(n_rows, rb0, rb1);
       for (long ridx = rb0; ridx < rb1; ++ridx) {
         {
-          const int k = b_lo + static_cast<int>(ridx / na);
-          const int j = a_lo + static_cast<int>(ridx % na);
+          const int k = k0 + static_cast<int>(ridx / na);
+          const int j = static_cast<int>(ridx % na);
           const C* sc[kNumVars + 1][6];
           for (int c = 0; c <= kNumVars; ++c) {
-            const S* row = field_row(c, j, k) + (x0 - 3);
+            const S* row = field_row(c, j, k) - 3;
             const C* crow;
             if constexpr (common::converts_storage<Policy>) {
               C* dst = conv.data() + static_cast<std::size_t>(c) * span;
@@ -615,8 +592,8 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
             }
             for (int t = 0; t < 6; ++t) sc[c][t] = crow + t;
           }
-          // Cell prims over x0-1 .. x0+nxr: index i of sc[c][2] is cell
-          // x0-1+i, exactly the prim span.
+          // Cell prims over -1 .. nx: index i of sc[c][2] is cell i-1,
+          // exactly the prim span.
           C* prow[5];
           for (int p5 = 0; p5 < 5; ++p5)
             prow[p5] = prows.data() + static_cast<std::size_t>(p5) * pspan;
@@ -626,10 +603,9 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
           const C* lcp[5] = {prow[0], prow[1], prow[2], prow[3], prow[4]};
           const C* rcp[5] = {prow[0] + 1, prow[1] + 1, prow[2] + 1,
                              prow[3] + 1, prow[4] + 1};
-          const S* pl_mom[3] = {&q[kMomX](x0 - 1, j, k),
-                                &q[kMomY](x0 - 1, j, k),
-                                &q[kMomZ](x0 - 1, j, k)};
-          const S* pl_ir = &inv_rho_(x0 - 1, j, k);
+          const S* pl_mom[3] = {&q[kMomX](-1, j, k), &q[kMomY](-1, j, k),
+                                &q[kMomZ](-1, j, k)};
+          const S* pl_ir = &inv_rho_(-1, j, k);
           C* lf = faces.data();
           C* rf = faces.data() + (kNumVars + 1) * fn;
           compute_face_row<Dir, C, S>(recon, fn, sc, lcp, rcp, pl_mom, pl_ir,
@@ -638,14 +614,14 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
                                       smax_buf.data(), fallback.data(),
                                       flux.data());
           for (int c = 0; c < kNumVars; ++c) {
-            C* __restrict pr = rhs.row(c, j, k) + x0;
+            C* __restrict pr = rhs.row(c, j, k);
             const C* __restrict fc =
                 flux.data() + static_cast<std::size_t>(c) * fn;
             if (overwrite) {
-              for (int s = 0; s < nxr; ++s)
+              for (int s = 0; s < nx; ++s)
                 pr[s] = (fc[s] - fc[s + 1]) * P.inv_d;
             } else {
-              for (int s = 0; s < nxr; ++s)
+              for (int s = 0; s < nx; ++s)
                 pr[s] = pr[s] + (fc[s] - fc[s + 1]) * P.inv_d;
             }
           }
@@ -659,11 +635,11 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
     // compute-precision stencil rows per variable, (b) the two cell-prim
     // rows bounding the current face row, and (c) the flux-row pair that
     // turns two consecutive face rows into one RHS row.
-    const std::size_t fn = static_cast<std::size_t>(nxr);
-    const int s_lo = reg.lo[static_cast<std::size_t>(dir)];
-    const int s_hi = reg.hi[static_cast<std::size_t>(dir)];
-    const int o_lo = (Dir == 1) ? reg.lo[2] : reg.lo[1];
-    const int o_hi = (Dir == 1) ? reg.hi[2] : reg.hi[1];
+    const std::size_t fn = static_cast<std::size_t>(nx);
+    const int s_lo = (Dir == 1) ? 0 : k0;
+    const int s_hi = (Dir == 1) ? grid_.ny() : k1;
+    const int o_lo = (Dir == 1) ? k0 : 0;
+    const int o_hi = (Dir == 1) ? k1 : grid_.ny();
     const common::ExecSpace exec = cfg_.exec();
     exec.run_team([&](const common::ExecSpace::Team& team) {
       std::vector<C> ring;  // [c][slot] rows (FP16/32 only)
@@ -686,7 +662,7 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
         auto cons_row = [&](int c, int si) -> const C* {
           const int jj = (Dir == 1) ? si : j_of;
           const int kk = (Dir == 1) ? k_of : si;
-          const S* row = field_row(c, jj, kk) + x0;
+          const S* row = field_row(c, jj, kk);
           if constexpr (common::converts_storage<Policy>) {
             C* dst = ring.data() +
                      (static_cast<std::size_t>(c) * 6 +
@@ -708,7 +684,7 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
           } else {
             const int jj = (Dir == 1) ? si : j_of;
             const int kk = (Dir == 1) ? k_of : si;
-            return field_row(c, jj, kk) + x0;
+            return field_row(c, jj, kk);
           }
         };
         auto prim_rows = [&](int si, C** out5) {
@@ -749,9 +725,9 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
           const C* rcp[5] = {rcp5[0], rcp5[1], rcp5[2], rcp5[3], rcp5[4]};
           const int jl = (Dir == 1) ? sf - 1 : j_of;
           const int kl = (Dir == 1) ? k_of : sf - 1;
-          const S* pl_mom[3] = {&q[kMomX](x0, jl, kl), &q[kMomY](x0, jl, kl),
-                                &q[kMomZ](x0, jl, kl)};
-          const S* pl_ir = &inv_rho_(x0, jl, kl);
+          const S* pl_mom[3] = {&q[kMomX](0, jl, kl), &q[kMomY](0, jl, kl),
+                                &q[kMomZ](0, jl, kl)};
+          const S* pl_ir = &inv_rho_(0, jl, kl);
           C* lf = faces.data();
           C* rf = faces.data() + (kNumVars + 1) * fn;
           C* fx = flux2.data() +
@@ -769,7 +745,7 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
           const int jr = (Dir == 1) ? sf - 1 : j_of;
           const int kr = (Dir == 1) ? k_of : sf - 1;
           for (int c = 0; c < kNumVars; ++c) {
-            C* __restrict pr = rhs.row(c, jr, kr) + x0;
+            C* __restrict pr = rhs.row(c, jr, kr);
             const C* __restrict lo_c =
                 flo + static_cast<std::size_t>(c) * fn;
             const C* __restrict hi_c =
@@ -792,13 +768,13 @@ template <class Policy>
 template <class ReconOp>
 void IgrSolver3D<Policy>::flux_stream_all(common::StateField3<S>& q,
                                           const RhsRows& rhs, ReconOp recon,
-                                          const CellRegion& reg) {
+                                          int k0, int k1) {
   // The x sweep overwrites rhs, folding the zero-fill into its write-back
   // and saving one full 5N traversal per RK stage; y and z accumulate.
-  // Regions partition the block, so every cell sees exactly one overwrite.
-  flux_sweep_stream<0>(q, rhs, recon, /*overwrite=*/true, reg);
-  flux_sweep_stream<1>(q, rhs, recon, /*overwrite=*/false, reg);
-  flux_sweep_stream<2>(q, rhs, recon, /*overwrite=*/false, reg);
+  // k-blocks partition the block, so every cell sees exactly one overwrite.
+  flux_sweep_stream<0>(q, rhs, recon, /*overwrite=*/true, k0, k1);
+  flux_sweep_stream<1>(q, rhs, recon, /*overwrite=*/false, k0, k1);
+  flux_sweep_stream<2>(q, rhs, recon, /*overwrite=*/false, k0, k1);
 }
 
 template <class Policy>
@@ -837,7 +813,7 @@ typename IgrSolver3D<Policy>::RhsRows IgrSolver3D<Policy>::ring_block(
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::sigma_sweep(common::StateField3<S>& /*q*/) {
+void IgrSolver3D<Policy>::sigma_sweep() {
   ++sigma_sweeps_done_;
   sigma_sweep_once<Policy>(sigma_, sigma_scratch_, sigma_src_, inv_rho_,
                            static_cast<C>(alpha_), static_cast<C>(grid_.dx()),
@@ -852,91 +828,33 @@ template <class Policy>
 void IgrSolver3D<Policy>::prepare_flux_pass(common::StateField3<S>& q) {
   // The viscous path reads the persistent reciprocal-density field; when
   // the Sigma solve is disabled nobody has refreshed it this RHS, so do it
-  // here (once per RHS — the boundary pass of a split never repeats it).
-  // With Sigma active, the source build already recomputed it from the
-  // same ghost-filled state.
+  // here.  With Sigma active, the source build already recomputed it from
+  // the same ghost-filled state.
   const bool viscous = (cfg_.mu > 0.0 || cfg_.zeta > 0.0);
   const bool sigma_active = (alpha_ > 0.0 && cfg_.sigma_sweeps > 0);
   if (viscous && !sigma_active) refresh_inv_rho(q);
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::compute_fluxes_region(common::StateField3<S>& q,
-                                                common::StateField3<C>& rhs,
-                                                const CellRegion& reg,
-                                                bool prepare) {
+void IgrSolver3D<Policy>::compute_fluxes(common::StateField3<S>& q,
+                                         common::StateField3<C>& rhs) {
   // The sweeps reuse q[0]'s base offset and strides for Sigma and inv_rho;
   // those fields must share the solver's block shape and ghost depth.
   assert(q.nx() == grid_.nx() && q.ny() == grid_.ny() && q.nz() == grid_.nz());
   assert(q.ng() == sigma_.ng());
   const RhsRows rows = rows_of(rhs);
-  if (prepare) prepare_flux_pass(q);
-  // Stream the region in k-blocks: all three sweeps of a block run while
-  // its planes are cache-resident.  Blocks partition the region, each cell
+  prepare_flux_pass(q);
+  // Stream the block in k-blocks: all three sweeps of a block run while
+  // its planes are cache-resident.  Blocks partition the block, each cell
   // still sees exactly the x-overwrite → y → z accumulation of one
-  // whole-region call, and every face flux is a pure function of its
-  // stencil — so the split is bitwise-free, the same property the
-  // interior/boundary overlap split relies on.  (The z seams re-evaluate
-  // one face per block; kFluxBlock amortizes that.)
-  const auto kz = static_cast<std::size_t>(2);
+  // whole-block pass, and every face flux is a pure function of its
+  // stencil — so the split is bitwise-free.  (The z seams re-evaluate one
+  // face per block; kFluxBlock amortizes that.)
+  const int nz = grid_.nz();
   fv::dispatch_recon(recon_, [&](auto recon) {
-    for (int b0 = reg.lo[kz]; b0 < reg.hi[kz]; b0 += kFluxBlock) {
-      CellRegion sub = reg;
-      sub.lo[kz] = b0;
-      sub.hi[kz] = std::min(b0 + kFluxBlock, reg.hi[kz]);
-      flux_stream_all(q, rows, recon, sub);
-    }
+    for (int b0 = 0; b0 < nz; b0 += kFluxBlock)
+      flux_stream_all(q, rows, recon, b0, std::min(b0 + kFluxBlock, nz));
   });
-}
-
-template <class Policy>
-void IgrSolver3D<Policy>::compute_fluxes(common::StateField3<S>& q,
-                                         common::StateField3<C>& rhs) {
-  compute_fluxes_region(q, rhs, full_region(), /*prepare=*/true);
-}
-
-template <class Policy>
-CellRegion IgrSolver3D<Policy>::interior_flux_region(int axis) const {
-  // Only the split axis is shaved: a flux line reads ghost planes of an
-  // axis only through that axis' reconstruction stencil (tangential
-  // coordinates of every line stay interior), so cells at least one ghost
-  // depth away from the two `axis` faces touch no in-flight ghost.  The
-  // margin is the field ghost depth — the stencil radius it was sized for
-  // — so a deeper-ghosted future scheme keeps the no-ghost-read invariant
-  // automatically.
-  CellRegion r = full_region();
-  const auto as = static_cast<std::size_t>(axis);
-  const int margin = sigma_.ng();
-  const int n = r.hi[as];
-  r.lo[as] = std::min(margin, n);
-  r.hi[as] = std::max(n - margin, r.lo[as]);
-  return r;
-}
-
-template <class Policy>
-void IgrSolver3D<Policy>::compute_fluxes_interior(common::StateField3<S>& q,
-                                                  common::StateField3<C>& rhs,
-                                                  int axis) {
-  compute_fluxes_region(q, rhs, interior_flux_region(axis),
-                        /*prepare=*/true);
-}
-
-template <class Policy>
-void IgrSolver3D<Policy>::compute_fluxes_boundary(common::StateField3<S>& q,
-                                                  common::StateField3<C>& rhs,
-                                                  int axis) {
-  // The complement of the interior region: the two slabs hugging the
-  // `axis` faces, full extent on the other axes — disjoint from the
-  // interior and from each other (degenerate for thin blocks, where the
-  // low slab absorbs everything).
-  const CellRegion in = interior_flux_region(axis);
-  const auto as = static_cast<std::size_t>(axis);
-  CellRegion low = full_region();
-  low.hi[as] = in.lo[as];
-  CellRegion high = full_region();
-  high.lo[as] = in.hi[as];
-  if (!low.empty()) compute_fluxes_region(q, rhs, low, /*prepare=*/false);
-  if (!high.empty()) compute_fluxes_region(q, rhs, high, /*prepare=*/false);
 }
 
 template <class Policy>
@@ -968,12 +886,12 @@ void IgrSolver3D<Policy>::fused_sigma_phase(common::StateField3<S>& q) {
     // interior, exactly the snapshot a whole-field fill takes.
     {
       common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
-      compute_sigma_source(q);
+      build_sigma_source(q);
     }
     common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps);
     for (int s = 0; s < cfg_.sigma_sweeps; ++s) {
       fill_sigma_ghosts(sigma_, sigma_bc_, 1);
-      sigma_sweep(q);
+      sigma_sweep();
     }
     fill_sigma_ghosts(sigma_, sigma_bc_);  // reconstruction: full depth
     return;
@@ -1006,7 +924,7 @@ void IgrSolver3D<Policy>::fused_sigma_phase(common::StateField3<S>& q) {
 /// whole-field per-sweep fill_sigma_ghosts snapshot holds), and the Neumann
 /// z ghost planes are copied when the boundary planes 0 / nz-1 hit their c0
 /// slot, again from post-(s-1) values.  Both colors then read that same
-/// snapshot, exactly like the per-phase schedule of sim::DistributedIgr.
+/// snapshot, exactly like the per-sweep Sigma phases of sim::DistributedIgr.
 template <class Policy>
 void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
   const int nz = grid_.nz();
@@ -1014,7 +932,7 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
   const int sweeps = cfg_.sigma_sweeps;
   // The pipeline performs `sweeps` logical relaxation passes without going
   // through sigma_sweep(); credit them up front so the meter agrees with
-  // the per-phase schedule.
+  // a whole-field sweep per pass.
   sigma_sweeps_done_ += static_cast<std::uint64_t>(sweeps);
   const bool rb = cfg_.sigma_gauss_seidel;
   const int depth = rb ? 2 * sweeps - 1 : sweeps - 1;
@@ -1028,8 +946,8 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
   auto ensure_ir = [&](int upto) {  // exclusive
     upto = std::min(upto, nz + ng);
     if (upto > ir_hi) {
-      // Attributed to the source phase like the per-phase schedule's
-      // refresh-inside-build, so the breakdowns stay comparable.
+      // Attributed to the source phase like build_sigma_source's
+      // interleaved refresh, so the breakdowns stay comparable.
       common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
       refresh_inv_rho_planes(q, ir_hi, upto);
       ir_hi = upto;
@@ -1074,7 +992,7 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
         const int p = f - (s - 1);
         if (p >= 0 && p < nz) {
           // Sweep s reads the buffer sweep s-1 wrote (sigma_ first) and
-          // writes the other; one swap at the end mirrors the per-phase
+          // writes the other; one swap at the end mirrors sigma_sweep's
           // per-sweep field swaps.
           auto& in = (s % 2 == 1) ? sigma_ : sigma_scratch_;
           auto& out = (s % 2 == 1) ? sigma_scratch_ : sigma_;
@@ -1091,11 +1009,6 @@ void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
   }
   ensure_ir(nz + ng);  // trailing ghost planes (viscous transverse taps)
   if (!rb && (sweeps % 2 == 1)) std::swap(sigma_, sigma_scratch_);
-}
-
-template <class Policy>
-void IgrSolver3D<Policy>::begin_step() {
-  qstage_ = q_;
 }
 
 template <class Policy>
@@ -1154,14 +1067,6 @@ void IgrSolver3D<Policy>::rk_update_planes(const fv::Rk3Stage& st, double dt,
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::rk_update(const fv::Rk3Stage& st, double dt,
-                                    const common::StateField3<C>& rhs) {
-  // rows_of only hands out row pointers; rk_update_planes reads through them.
-  rk_update_planes(st, dt, 0, grid_.nz(),
-                   rows_of(const_cast<common::StateField3<C>&>(rhs)));
-}
-
-template <class Policy>
 void IgrSolver3D<Policy>::rk_stage1_planes(double dt, int k0, int k1,
                                            const RhsRows& rhs) {
   const int nx = grid_.nx(), ny = grid_.ny();
@@ -1205,11 +1110,14 @@ void IgrSolver3D<Policy>::rk_stage1_planes(double dt, int k0, int k1,
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::fused_flux_rk(common::StateField3<S>& q,
-                                        const fv::Rk3Stage& st, double dt,
-                                        bool first_stage, bool accumulate_dt) {
+void IgrSolver3D<Policy>::flux_rk_stage(int si, double dt) {
+  auto& q = stage_input(si);
   assert(q.nx() == grid_.nx() && q.ny() == grid_.ny() && q.nz() == grid_.nz());
   assert(q.ng() == sigma_.ng());
+  const fv::Rk3Stage& st = fv::kRk3Stages[static_cast<std::size_t>(si)];
+  const bool first_stage = si == 0;
+  const bool accumulate_dt = si == 2;
+  if (accumulate_dt) dt_rates_ = fv::CflRates{};
   const int nz = grid_.nz();
   constexpr int B = kFluxBlock;
 
@@ -1243,10 +1151,7 @@ void IgrSolver3D<Policy>::fused_flux_rk(common::StateField3<S>& q,
       const int b1 = std::min(b0 + B, nz);
       {
         common::PhaseScope t(profile_, common::PhaseProfile::kFlux);
-        CellRegion reg = full_region();
-        reg.lo[2] = b0;
-        reg.hi[2] = b1;
-        flux_stream_all(q, ring_block(b0), recon, reg);
+        flux_stream_all(q, ring_block(b0), recon, b0, b1);
       }
       if (prev >= 0) commit_block(prev, b0);
       prev = b0;
@@ -1259,44 +1164,40 @@ template <class Policy>
 void IgrSolver3D<Policy>::finish_step(double dt) {
   std::swap(q_, qstage_);
   time_ += dt;
-}
-
-template <class Policy>
-void IgrSolver3D<Policy>::step_fixed(double dt) {
-  dt_rates_ = fv::CflRates{};
-  for (int si = 0; si < 3; ++si) {
-    // Stage 1 evaluates the RHS on q_ directly and writes the stage
-    // register from it (rk_stage1_planes), eliding begin_step's 5N copy;
-    // stages 2-3 advance the register in place as usual.
-    auto& qs = (si == 0) ? q_ : qstage_;
-    {
-      common::PhaseScope t(profile_, common::PhaseProfile::kBc);
-      apply_domain_bc(qs);
-    }
-    fused_sigma_phase(qs);
-    fused_flux_rk(qs, fv::kRk3Stages[static_cast<std::size_t>(si)], dt,
-                  /*first_stage=*/si == 0, /*accumulate_dt=*/si == 2);
-  }
-  finish_step(dt);
   next_dt_ = fv::cfl_dt_from_rates(dt_rates_, grid_, cfg_);
   next_dt_valid_ = true;
 }
 
 template <class Policy>
-double IgrSolver3D<Policy>::step() {
+void IgrSolver3D<Policy>::step_fixed(double dt) {
+  for (int si = 0; si < 3; ++si) {
+    // Stage 1 evaluates the RHS on q_ directly and writes the stage
+    // register from it (rk_stage1_planes); stages 2-3 advance the register
+    // in place.
+    auto& q = stage_input(si);
+    {
+      common::PhaseScope t(profile_, common::PhaseProfile::kBc);
+      apply_domain_bc(q);
+    }
+    fused_sigma_phase(q);
+    flux_rk_stage(si, dt);
+  }
+  finish_step(dt);
+}
+
+template <class Policy>
+double IgrSolver3D<Policy>::next_dt() {
   // The warm-start Sigma from the previous step feeds the wave-speed bound.
   // A previous step already folded this exact reduction — same state, same
   // Sigma, exact max/min — into its final RK traversal.
-  if (next_dt_valid_) {
-    const double dt = next_dt_;
-    step_fixed(dt);
-    return dt;
-  }
-  double dt;
-  {
-    common::PhaseScope t(profile_, common::PhaseProfile::kRkDt);
-    dt = fv::compute_dt(q_, grid_, eos_, cfg_, &sigma_);
-  }
+  if (next_dt_valid_) return next_dt_;
+  common::PhaseScope t(profile_, common::PhaseProfile::kRkDt);
+  return fv::compute_dt(q_, grid_, eos_, cfg_, &sigma_);
+}
+
+template <class Policy>
+double IgrSolver3D<Policy>::step() {
+  const double dt = next_dt();
   step_fixed(dt);
   return dt;
 }

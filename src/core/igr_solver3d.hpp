@@ -23,9 +23,11 @@
 /// sweeps streamed in k-blocks, with the SSP-RK3 convex update trailing the
 /// flux front and the CFL reduction for the next step's dt folded into the
 /// final stage's write-back.  Every slot of the pipeline reads exactly the
-/// values a phase-by-phase schedule would show it, so results — state *and*
-/// dt — are bitwise-identical to the per-phase step sim::DistributedIgr
-/// composes from the piecewise API below (test-enforced on a 1x1x1 layout).
+/// values a phase-by-phase schedule would show it.  sim::DistributedIgr
+/// runs the same flux/RK stage and dt fold on every rank through the stage
+/// API below, with whole-block Sigma phases between halo exchanges; on a
+/// 1x1x1 layout its state, Sigma *and* dt are bitwise this solver's
+/// (test-enforced).
 
 #include <array>
 #include <cstdint>
@@ -52,19 +54,6 @@ namespace igr::core {
 /// of (x, y, z): capture by value, keep no shared mutable state.
 using PrimFn = std::function<common::Prim<double>(double, double, double)>;
 
-/// Half-open box of interior cells, [lo, hi) per axis.  The flux sweeps can
-/// be restricted to a region so distributed drivers may split a block into
-/// an interior (no ghost reads — computable while a halo exchange is in
-/// flight) and the complementary boundary shell.  Cell values are bitwise
-/// independent of how the block is partitioned into regions.
-struct CellRegion {
-  std::array<int, 3> lo{};
-  std::array<int, 3> hi{};
-  [[nodiscard]] bool empty() const {
-    return hi[0] <= lo[0] || hi[1] <= lo[1] || hi[2] <= lo[2];
-  }
-};
-
 /// Per-face Sigma ghost kinds implied by the state BCs: Sigma wraps across
 /// periodic state faces and clamps (zero-gradient) across everything else.
 /// Shared by IgrSolver3D's constructor and the distributed driver's
@@ -87,7 +76,7 @@ class IgrSolver3D {
   /// width; `prim` must be pure, see PrimFn).
   void init(const PrimFn& prim);
 
-  /// Advance one step at the CFL-limited dt; returns the dt taken.
+  /// Advance one step at next_dt(); returns the dt taken.
   double step();
   /// Advance one step with a caller-chosen dt (used by convergence tests).
   void step_fixed(double dt);
@@ -95,10 +84,11 @@ class IgrSolver3D {
   /// RHS of the semi-discrete system for state `q` (ghosts are filled
   /// here): BC fill → Sigma source and pipelined relaxation wavefront →
   /// k-block-streamed flux sweeps, the same RHS a step evaluates per stage
-  /// (the RK/dt folds live in step_fixed, not here).  Public so tests can
-  /// probe spatial accuracy and conservation directly.  `rhs` is caller-
-  /// owned, at compute precision, with this block's shape and any ghost
-  /// depth (its ghosts are never touched).
+  /// (the RK/dt folds live in flux_rk_stage, not here).  Public so tests
+  /// can probe spatial accuracy and conservation directly.  `q` must have
+  /// this block's shape and ghost depth; `rhs` is caller-owned, at compute
+  /// precision, with this block's shape and any ghost depth (its ghosts are
+  /// never touched).
   void compute_rhs(common::StateField3<S>& q, common::StateField3<C>& rhs);
 
   [[nodiscard]] common::StateField3<S>& state() { return q_; }
@@ -119,7 +109,9 @@ class IgrSolver3D {
   /// Jacobi); the two-block RHS ring is not a per-cell field.
   [[nodiscard]] double storage_per_cell() const;
 
-  /// Per-phase wall-time breakdown (populated when cfg.phase_timing is on).
+  /// Per-phase wall-time breakdown (populated when cfg.phase_timing is on;
+  /// a decomposed rank records only the flux and rk_dt phases, which run
+  /// inside flux_rk_stage).
   [[nodiscard]] common::PhaseProfile& phase_profile() { return profile_; }
   [[nodiscard]] const common::PhaseProfile& phase_profile() const {
     return profile_;
@@ -131,72 +123,46 @@ class IgrSolver3D {
     return sigma_sweeps_done_;
   }
 
-  /// step_fixed caches the next step's CFL dt (its reduction is folded
+  /// finish_step publishes the next step's CFL dt (its reduction is folded
   /// into the final RK stage's traversal).  Mutating state()/sigma_field()
   /// externally between steps invalidates that fold — call this afterwards
-  /// so the next step() rescans instead of using the stale cache.
+  /// so next_dt() rescans instead of using the stale cache.
   void invalidate_dt_cache() { next_dt_valid_ = false; }
 
   /// Conserved totals (mass, momentum, energy) over the interior, in double.
   [[nodiscard]] common::Cons<double> conserved_totals() const;
 
-  // --- Piecewise API for distributed drivers (sim::DistributedIgr) ---
-  // These expose the phases of compute_rhs as whole-block passes so a
-  // driver can interleave halo exchanges across ranks.
+  // --- Stage API: the pieces of a step.  step_fixed runs, per RK stage,
+  // the ghost fill and fused Sigma phase of stage_input(si) and then
+  // flux_rk_stage, and ends with finish_step.  sim::DistributedIgr calls
+  // the same pieces on every rank, with the whole-block Sigma source and
+  // sweeps in place of the fused Sigma phase, and fills ghosts (halo
+  // exchange + physical faces) between them. ---
 
-  /// Interior part of the Sigma-source build with respect to the z axis: the
-  /// reciprocal-density refresh over interior planes plus the source over
-  /// planes [1, nz-1).  Reads no z ghost plane of `q`, so it is safe to run
-  /// while the z halo exchange of `q` is still in flight (x/y ghosts must
-  /// already be valid).  Pair with build_sigma_source_boundary; together
-  /// they are bitwise one whole-block source build (per-point maps over
-  /// disjoint plane sets).
-  void build_sigma_source_interior(common::StateField3<S>& q);
-  /// The z-boundary complement: ghost-plane reciprocal-density refresh and
-  /// the source at planes 0 and nz-1 (needs valid z ghosts of `q`).
-  void build_sigma_source_boundary(common::StateField3<S>& q);
+  /// Input of RK stage `si`: the state for stage 0, the RK register after.
+  [[nodiscard]] common::StateField3<S>& stage_input(int si) {
+    return si == 0 ? q_ : qstage_;
+  }
+  /// Whole-block Sigma source for state `q` (needs valid ghosts on `q`):
+  /// the reciprocal-density refresh interleaved with the source in
+  /// k-chunks, ghost planes included.
+  void build_sigma_source(common::StateField3<S>& q);
   /// One relaxation pass with the current Sigma ghosts.
-  void sigma_sweep(common::StateField3<S>& q);
-  /// Zero `rhs` and accumulate the three dimensional flux sweeps (requires
-  /// valid ghosts on `q` and on Sigma).  The reconstruction scheme is
-  /// resolved to a compile-time instantiation here, once per call — the only
-  /// runtime dispatch on the flux path.  (The zeroing is folded into the
-  /// dir==0 sweep's write-back; rhs ghost cells are never touched.)
-  ///
-  /// Preconditions: `q` must have this solver's block shape and ghost
-  /// depth, `rhs` its block shape at any ghost depth (asserted).  With
-  /// viscosity enabled *and* the Sigma solve active, the viscous path reads
-  /// the reciprocal-density cache refreshed by the Sigma-source build — run
-  /// that on the same `q` first (the distributed driver and compute_rhs
-  /// both do); with the Sigma solve disabled the cache is refreshed here.
-  void compute_fluxes(common::StateField3<S>& q, common::StateField3<C>& rhs);
-  /// Interior part of compute_fluxes with respect to one axis: only cells
-  /// at least one ghost depth (3) away from the two block faces of `axis`,
-  /// which therefore read no ghost *plane along that axis* of `q` or Sigma
-  /// — safe to run while a halo exchange of exactly that axis is still in
-  /// flight (ghosts of the other axes must already be valid; the axis-x,y
-  /// exchanges complete before the overlapped axis-z one is posted).
-  /// Empty (a no-op) when the block is thinner than 2x the margin.  Shares
-  /// compute_fluxes' preconditions; when the viscous path must refresh the
-  /// reciprocal-density cache (Sigma solve inactive), this call does it —
-  /// always pair it with compute_fluxes_boundary afterwards.
-  void compute_fluxes_interior(common::StateField3<S>& q,
-                               common::StateField3<C>& rhs, int axis);
-  /// The complementary two boundary slabs of `axis` (needs valid ghosts on
-  /// `q` and Sigma).  interior + boundary update each interior cell exactly
-  /// once and are together bitwise identical to one compute_fluxes call.
-  void compute_fluxes_boundary(common::StateField3<S>& q,
-                               common::StateField3<C>& rhs, int axis);
-  /// RK convex combination: stage = a*q^n + b*(stage + dt*rhs).
-  void rk_update(const fv::Rk3Stage& st, double dt,
-                 const common::StateField3<C>& rhs);
-
-  [[nodiscard]] common::StateField3<S>& stage_field() { return qstage_; }
-  [[nodiscard]] common::Field3<S>& sigma_field() { return sigma_; }
-  /// Commit the stage register as the new state and advance time.
+  void sigma_sweep();
+  /// Flux sweeps of stage_input(si) streamed in k-blocks, with the RK update
+  /// of stage `si` trailing one block behind the flux front and, on the
+  /// final stage (si == 2), the next step's CFL reduction folded in.  Needs
+  /// valid ghosts on stage_input(si) and on Sigma.
+  void flux_rk_stage(int si, double dt);
+  /// Commit the stage register as the new state, advance time, and publish
+  /// the CFL dt folded into the final stage.
   void finish_step(double dt);
-  /// Copy state into the stage register (start of a step).
-  void begin_step();
+  /// The next step's CFL dt: the fold finish_step published, or a fresh
+  /// scan of the state and warm Sigma when that cache is invalid.  Bitwise
+  /// the same value either way.
+  [[nodiscard]] double next_dt();
+
+  [[nodiscard]] common::Field3<S>& sigma_field() { return sigma_; }
 
  private:
   /// Where the flux sweeps write RHS rows and the RK update reads them:
@@ -218,9 +184,6 @@ class IgrSolver3D {
 
   /// Physical-boundary ghost fill only (no Sigma work, no fluxes).
   void apply_domain_bc(common::StateField3<S>& q);
-  /// The interior region of the flux split above ([3, n-3) along `axis`,
-  /// clamped for thin blocks; full extent on the other axes).
-  [[nodiscard]] CellRegion interior_flux_region(int axis) const;
   /// Reciprocal density over ghosted planes k ∈ [k0, k1) of `q` into
   /// inv_rho_: one division per point, consumed multiplication-only by the
   /// Sigma source, the relaxation sweeps, and the viscous flux path.
@@ -234,38 +197,34 @@ class IgrSolver3D {
   /// velocity rows, so every momentum/inv_rho row is converted once per
   /// visit instead of once per stencil position (five times).
   void compute_sigma_source_planes(common::StateField3<S>& q, int k0, int k1);
-  /// Full-field source build: inv_rho refresh interleaved with the source
-  /// in k-chunks so the freshly written reciprocal planes are still
-  /// cache-resident when the source consumes them.  (Values are traversal-
-  /// order-independent; this is bitwise the old two-pass build.)
-  void compute_sigma_source(common::StateField3<S>& q);
   /// One dimensional flux sweep, templated on the sweep axis and on the
   /// reconstruction operator (a fv::ReconFixed<R>): axis selection,
   /// pressure placement, and the reconstruction stencil all resolve at
   /// compile time, leaving no per-face dispatch.  Faces are evaluated a
   /// unit-stride x-row at a time straight from the fields, with rolling
   /// stencil/prim/flux rows for the transverse directions.  `overwrite`
-  /// folds the RHS zeroing into the first sweep's write-back.  Only cells
-  /// inside `reg` are written, and only the stencil extent of `reg` is
-  /// read.
+  /// folds the RHS zeroing into the first sweep's write-back.  Only the
+  /// cells of planes [k0, k1) are written (the whole block in x and y),
+  /// and only their stencil extent is read.
   template <int Dir, class ReconOp>
   void flux_sweep_stream(common::StateField3<S>& q, const RhsRows& rhs,
-                         ReconOp recon, bool overwrite, const CellRegion& reg);
+                         ReconOp recon, bool overwrite, int k0, int k1);
   template <class ReconOp>
   void flux_stream_all(common::StateField3<S>& q, const RhsRows& rhs,
-                       ReconOp recon, const CellRegion& reg);
-  /// Dispatch + sweep over one region (refresh_inv_rho handling included
-  /// when `prepare` is set — exactly once per RHS evaluation).
-  void compute_fluxes_region(common::StateField3<S>& q,
-                             common::StateField3<C>& rhs,
-                             const CellRegion& reg, bool prepare);
+                       ReconOp recon, int k0, int k1);
+  /// Zero `rhs` and accumulate the three dimensional flux sweeps of `q`
+  /// in k-blocks (requires valid ghosts on `q` and on Sigma).  The
+  /// reconstruction scheme is resolved to a compile-time instantiation
+  /// here, once per call — the only runtime dispatch on the flux path.
+  /// With viscosity enabled *and* the Sigma solve active, the viscous
+  /// path reads the reciprocal-density cache the Sigma-source build
+  /// refreshed from the same `q`; with the Sigma solve disabled the cache
+  /// is refreshed here.
+  void compute_fluxes(common::StateField3<S>& q, common::StateField3<C>& rhs);
   /// The once-per-RHS flux precondition: the viscous path reads the
   /// persistent reciprocal-density field, which nobody refreshed this RHS
   /// when the Sigma solve is disabled.
   void prepare_flux_pass(common::StateField3<S>& q);
-  [[nodiscard]] CellRegion full_region() const {
-    return {{0, 0, 0}, {grid_.nx(), grid_.ny(), grid_.nz()}};
-  }
 
   // --- Fused plane-streaming pipeline ---
   /// k-block thickness of the streamed flux stage (and of the source
@@ -284,18 +243,13 @@ class IgrSolver3D {
   /// (Neumann Sigma ghosts only — a periodic wrap would need far-boundary
   /// post-sweep values before the stream reaches them).
   void fused_sigma_pipeline(common::StateField3<S>& q);
-  /// Streamed flux blocks into the RHS ring with the RK update (and, on
-  /// the final stage, the CFL reduction) trailing one block behind the
-  /// flux front.
-  void fused_flux_rk(common::StateField3<S>& q, const fv::Rk3Stage& st,
-                     double dt, bool first_stage, bool accumulate_dt);
   /// RK update restricted to planes [k0, k1).
   void rk_update_planes(const fv::Rk3Stage& st, double dt, int k0, int k1,
                         const RhsRows& rhs);
   /// First-stage RK update reading q_ directly: qstage = q + dt * rhs.
-  /// Bitwise the per-phase `0*qn + 1*(qstage + dt*rhs)` with qstage a fresh
+  /// Bitwise the textbook `0*qn + 1*(qstage + dt*rhs)` with qstage a fresh
   /// copy of q (±0*x + y == y for every y the copy construction can
-  /// produce), which lets the fused step skip begin_step's 5N copy.
+  /// produce), which spares the step a 5N copy of q into the register.
   void rk_stage1_planes(double dt, int k0, int k1, const RhsRows& rhs);
 
   mesh::Grid grid_;
@@ -327,7 +281,7 @@ class IgrSolver3D {
 
   /// Next-step CFL cache: the final RK stage accumulates the CFL extrema
   /// over the freshly written state and warm Sigma — the same values a
-  /// dedicated scan at the top of the next step would read — so step()
+  /// dedicated scan at the top of the next step would read — so next_dt()
   /// skips that 6N pass.
   fv::CflRates dt_rates_{};
   double next_dt_ = 0.0;

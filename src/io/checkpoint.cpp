@@ -445,13 +445,26 @@ void write_manifest(const std::string& path,
 std::vector<ManifestEntry> read_manifest(const std::string& path) {
   std::ifstream in(path);
   if (!in) return {};  // nothing recorded yet: nothing to resume from
+  // Lines are read into one fixed buffer and the entry count is capped, so
+  // a corrupt or hostile manifest fails before it can allocate.
+  std::vector<char> buf(static_cast<std::size_t>(kManifestLimit) + 1);
+  const std::string limit = std::to_string(kManifestLimit);
+  auto next_line = [&](std::string& line) {
+    in.getline(buf.data(), static_cast<std::streamsize>(buf.size()));
+    if (in.fail() && !in.eof())
+      check(false, "manifest line longer than " + limit + " bytes in " + path);
+    if (in.gcount() == 0 && in.eof()) return false;
+    line.assign(buf.data());
+    return true;
+  };
   std::string line;
-  check(static_cast<bool>(std::getline(in, line)) &&
-            line == "igr-checkpoint-manifest v1",
+  check(next_line(line) && line == "igr-checkpoint-manifest v1",
         "bad manifest header in " + path);
   std::vector<ManifestEntry> entries;
-  while (std::getline(in, line)) {
+  while (next_line(line)) {
     if (line.empty()) continue;
+    check(entries.size() < static_cast<std::size_t>(kManifestLimit),
+          "manifest lists more than " + limit + " entries in " + path);
     std::istringstream ls(line);
     ManifestEntry e;
     check(static_cast<bool>(ls >> e.step >> e.time >> e.path),

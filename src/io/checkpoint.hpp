@@ -109,12 +109,17 @@ struct ManifestEntry {
   std::string path;
 };
 
+/// Bound on a manifest: the most entries it may list, and the longest line
+/// it may hold in bytes.  read_manifest rejects a larger file before
+/// allocating for it, and `run_case --keep` accepts at most this many.
+inline constexpr int kManifestLimit = 4096;
+
 /// Atomically (re)write a manifest listing `entries` oldest-first.
 void write_manifest(const std::string& path,
                     const std::vector<ManifestEntry>& entries);
 
 /// Read a manifest; a missing file yields an empty list (nothing to resume
-/// from), a malformed one throws.
+/// from), a malformed one or one over kManifestLimit throws.
 std::vector<ManifestEntry> read_manifest(const std::string& path);
 
 // --- Fault injection -----------------------------------------------------

@@ -20,9 +20,10 @@
 ///                             then unpack into the ghost layers — the
 ///                             MPI_Waitall + unpack analogue.
 ///
-/// Between a rank's post and complete it can do interior work — that is how
-/// sim::DistributedIgr overlaps halo exchange with interior flux sweeps.
-/// Both calls touch only the calling rank's fields and buffers plus other
+/// Between a rank's post and complete it may do work that reads none of the
+/// ghosts in flight.  sim::DistributedIgr completes each axis right after
+/// posting it and computes between its ghost fills instead (see its phase
+/// plan).  Both calls touch only the calling rank's fields and buffers plus other
 /// ranks' *published* buffers, so different ranks may call them concurrently
 /// from different threads.
 ///
@@ -58,7 +59,8 @@ class Comm {
  public:
   /// Independent buffer channels so concurrently scheduled exchanges of
   /// different field families never alias (reposting a channel's buffers is
-  /// only safe after a schedule barrier — see DistributedIgr's phase plan).
+  /// only safe after a schedule barrier: DistributedIgr's phases post each
+  /// channel at most once per axis).
   enum Channel : int { kChanState = 0, kChanSigma = 1, kChanGeneral = 2 };
   static constexpr int kNumChannels = 3;
   /// Largest supported ghost depth (sizes the fixed per-face plane tables).
@@ -197,8 +199,8 @@ class Comm {
   /// Halo **wait** meters: ns spent in complete_axis blocked on peers'
   /// posted epochs (the `transport_->acquire` loop only — pack and unpack
   /// are excluded), per axis, plus the number of completed epochs.  This is
-  /// the overlap-tuning signal: wait >> 0 with interior work available
-  /// means the post/complete split is not hiding the exchange.  Always on
+  /// the signal for whether an exchange is worth hiding behind compute
+  /// between its post and complete.  Always on
   /// (two steady_clock samples per complete_axis — noise next to one
   /// plane unpack); surfaced in bench_scaling rows and the telemetry
   /// JSONL stream.

@@ -3,32 +3,32 @@
 /// Rank-parallel decomposed IGR stepping over the simulated communicator.
 ///
 /// Each rank owns an IgrSolver3D on its block and runs on its own worker
-/// thread (sim::RankTeam); the driver executes every phase of the RHS as a
-/// barrier-delimited SPMD phase across ranks, exchanging halos exactly where
-/// a production MPI code would:
-///   - state ghosts once per RK stage,
-///   - Sigma ghosts before every relaxation sweep (the elliptic solve is the
-///     only globally coupled kernel in the scheme),
-///   - a dt allreduce per step.
-/// Within a phase, ranks synchronize pairwise through Comm's posted-epoch
-/// halo pipeline (post / compute / complete), and both ends of each RHS
-/// hide a halo behind compute: the state z-exchange overlaps the interior
-/// Sigma-source build, and the final Sigma exchange overlaps the interior
-/// flux sweeps — a rank posts its faces, computes every line that touches
-/// no in-flight ghost, completes the exchange, then finishes the boundary
-/// shell.  The state and Sigma channels can additionally narrow their wire
-/// payload to binary16 (DistOptions::halo_wire), halving FP32 halo bytes.
-///
-/// This per-phase step is also the library's one phased schedule: on a
-/// 1x1x1 layout it is the bitwise reference for the single-domain solver's
-/// fused pipeline (test-enforced).
+/// thread (sim::RankTeam).  Every rank runs its solver's own stage code —
+/// the Sigma source, the relaxation sweeps, and the streamed flux/RK stage
+/// with the next step's dt folded into the final stage — exactly as the
+/// single-domain IgrSolver3D::step_fixed does.  The driver only fills
+/// ghosts between those calls (physical faces plus halo exchange), in
+/// barrier-delimited SPMD phases, exchanging halos exactly where a
+/// production MPI code would.  Per RK stage:
+///   - state ghosts, then the Sigma source;
+///   - per relaxation sweep: Sigma ghosts, then the sweep (the elliptic
+///     solve is the only globally coupled kernel in the scheme);
+///   - final Sigma ghosts, then the flux/RK stage (and on the last stage
+///     the commit of the step).
+/// step() adds one phase that reads each rank's next_dt() and a dt
+/// allreduce: 22 phases per step at 5 sweeps.  Within a phase, ranks
+/// synchronize pairwise through Comm's posted-epoch halo pipeline (post /
+/// complete per axis).  The state and Sigma channels can additionally
+/// narrow their wire payload to binary16 (DistOptions::halo_wire), halving
+/// FP32 halo bytes.
 ///
 /// With Jacobi sweeps the decomposed run is *bitwise identical* to the
-/// single-domain run — independent of rank layout and of the overlap
-/// splits (test-enforced, including dt and Sigma).  With
-/// Gauss–Seidel the block-local sweeps use previous-sweep halo values (block
-/// Gauss–Seidel), which converges to the same Sigma but is not bitwise equal
-/// — the same trade production codes make.
+/// single-domain run — independent of rank layout (test-enforced,
+/// including dt and Sigma; on a 1x1x1 layout it is also the whole-block
+/// Sigma-phase reference for the single-domain solver's plane-pipelined
+/// sweeps).  With Gauss–Seidel the block-local sweeps use previous-sweep
+/// halo values (block Gauss–Seidel), which converges to the same Sigma but
+/// is not bitwise equal — the same trade production codes make.
 
 #include <array>
 #include <memory>
@@ -37,7 +37,6 @@
 
 #include "common/timer.hpp"
 #include "core/igr_solver3d.hpp"
-#include "fv/cfl.hpp"
 #include "sim/comm.hpp"
 #include "sim/fault.hpp"
 #include "sim/rank_team.hpp"
@@ -77,7 +76,6 @@ template <class Policy>
 class DistributedIgr {
  public:
   using S = typename Policy::storage_t;
-  using C = typename Policy::compute_t;
   /// Ghost depth of every solver field.
   static constexpr int kNg = core::IgrSolver3D<Policy>::kNg;
 
@@ -109,17 +107,15 @@ class DistributedIgr {
     team_ = std::make_unique<RankTeam>(
         static_cast<int>(local_ranks_.size()), cfg.exec_threads,
         comm_.ranks());
-    // Each rank's solver and RHS are built on the worker that steps them,
-    // so that worker first-touches (zero-fills) its own pages.  A rank that
-    // fails to construct rethrows its error here once every worker is done.
+    // Each rank's solver is built on the worker that steps it, so that
+    // worker first-touches (zero-fills) its own pages.  A rank that fails
+    // to construct rethrows its error here once every worker is done.
     ranks_.resize(local_ranks_.size());
-    rhs_.resize(local_ranks_.size());
     team_->run([&](int li) {
       const auto i = static_cast<std::size_t>(li);
       const auto& g = comm_.local_grid(local_ranks_[i]);
       ranks_[i] =
           std::make_unique<core::IgrSolver3D<Policy>>(g, cfg, bc, recon);
-      rhs_[i] = common::StateField3<C>(g.nx(), g.ny(), g.nz(), /*ng=*/0);
     });
     dts_.resize(local_ranks_.size());
   }
@@ -147,15 +143,11 @@ class DistributedIgr {
 
   /// One step at the globally reduced CFL dt; returns dt.
   double step() {
-    run_phase([this](int r) {
-      auto& s = solver(r);
-      // Warm-start Sigma feeds the wave-speed bound, exactly as the
-      // single-domain step() does; the cell-wise max/min reductions inside
-      // compute_dt decompose exactly, so the allreduced dt is bitwise the
-      // single-domain dt under Jacobi sweeps.
-      dts_[local_index(r)] =
-          fv::compute_dt(s.state(), s.grid(), s.eos(), s.config(), &s.sigma());
-    });
+    // Each rank's next_dt() is the dt folded into its previous step's final
+    // RK stage (or a fresh scan after init/scatter), over its own block.
+    // The cell-wise max/min reductions decompose exactly, so the min over
+    // ranks is bitwise the single-domain dt under Jacobi sweeps.
+    run_phase([this](int r) { dts_[local_index(r)] = solver(r).next_dt(); });
     // Local min over this process's ranks, then the cross-process min.
     // min is associative and exact, so the composition is bitwise the
     // single-domain reduction (in-process the global step is an identity).
@@ -164,31 +156,32 @@ class DistributedIgr {
     return dt;
   }
 
+  /// One step at `dt`: IgrSolver3D::step_fixed's stages on every rank, with
+  /// the ghost fills of each stage's input and of Sigma between them.
   void step_fixed(double dt) {
-    run_phase([this](int r) { solver(r).begin_step(); });
-    for (const auto& st : fv::kRk3Stages) {
-      stage_rhs();
-      run_phase([this, &st, dt](int r) {
-        solver(r).rk_update(st, dt, rhs_[local_index(r)]);
+    const bool sigma_active = cfg_.sigma_sweeps > 0 && cfg_.alpha_factor > 0.0;
+    for (int si = 0; si < 3; ++si) {
+      run_phase([this, si, sigma_active](int r) {
+        auto& q = solver(r).stage_input(si);
+        if (exchange_state_ghosts(r, q) && sigma_active)
+          solver(r).build_sigma_source(q);
+      });
+      for (int sw = 0; sigma_active && sw < cfg_.sigma_sweeps; ++sw) {
+        run_phase([this](int r) {
+          if (exchange_sigma_ghosts(r)) solver(r).sigma_sweep();
+        });
+      }
+      run_phase([this, si, dt, sigma_active](int r) {
+        if (sigma_active && !exchange_sigma_ghosts(r)) return;
+        auto& s = solver(r);
+        s.flux_rk_stage(si, dt);
+        if (si == 2) s.finish_step(dt);
       });
     }
-    run_phase([this, dt](int r) { solver(r).finish_step(dt); });
+    // An aborted exchange in the last phase returned early on some rank;
+    // refuse here rather than report a step that did not happen.
+    throw_if_poisoned();
     time_ += dt;
-  }
-
-  /// RHS of the current state into every local rank's RHS field (read it
-  /// with rhs()): the per-phase evaluation one RK stage runs, without the
-  /// update.  Overwrites each rank's stage register and warm-start Sigma,
-  /// like the single-domain IgrSolver3D::compute_rhs.
-  void compute_rhs() {
-    run_phase([this](int r) { solver(r).begin_step(); });
-    stage_rhs();
-  }
-
-  /// RHS field of global rank `r` (local to this process), at compute
-  /// precision and without ghosts: the last stage's RHS after a step.
-  [[nodiscard]] const common::StateField3<C>& rhs(int r) const {
-    return rhs_[local_index(r)];
   }
 
   /// Assemble the global conservative state (for comparison against a
@@ -311,7 +304,6 @@ class DistributedIgr {
   [[nodiscard]] std::size_t memory_bytes() const {
     std::size_t b = 0;
     for (const auto& s : ranks_) b += s->memory_bytes();
-    for (const auto& f : rhs_) b += f.bytes();
     return b;
   }
 
@@ -413,6 +405,17 @@ class DistributedIgr {
     return true;
   }
 
+  /// Refuse to go on once any phase aborted the communicator.
+  void throw_if_poisoned() const {
+    if (!comm_.aborted()) return;
+    std::string msg =
+        "DistributedIgr: a previous phase failed and poisoned the "
+        "communicator; the decomposed state is no longer consistent";
+    const std::string why = comm_.abort_reason();
+    if (!why.empty()) msg += " (" + why + ")";
+    throw std::runtime_error(msg);
+  }
+
   /// Run one SPMD phase over this process's ranks (the phase callback
   /// receives *global* rank ids).  A rank that throws aborts the
   /// communicator first so no peer waits forever on its unposted halos.
@@ -421,14 +424,7 @@ class DistributedIgr {
   /// of silently stepping on corrupt halos.
   template <class Fn>
   void run_phase(Fn&& fn) {
-    if (comm_.aborted()) {
-      std::string msg =
-          "DistributedIgr: a previous phase failed and poisoned the "
-          "communicator; the decomposed state is no longer consistent";
-      const std::string why = comm_.abort_reason();
-      if (!why.empty()) msg += " (" + why + ")";
-      throw std::runtime_error(msg);
-    }
+    throw_if_poisoned();
     team_->run([this, &fn](int li) {
       const int r = local_ranks_[static_cast<std::size_t>(li)];
       try {
@@ -444,39 +440,17 @@ class DistributedIgr {
     });
   }
 
-  [[nodiscard]] std::array<common::Field3<S>*, common::kNumVars> state_comps(
-      int r) {
-    auto& q = solver(r).stage_field();
-    std::array<common::Field3<S>*, common::kNumVars> c{};
-    for (int v = 0; v < common::kNumVars; ++v) c[static_cast<std::size_t>(v)] = &q[v];
-    return c;
-  }
-
-  void fill_state_bc_axis(int r, int axis) {
+  /// Physical-face fill + interior-face exchange of state `q` of rank `r`,
+  /// interleaved per axis in the same x,y,z order as the single-domain
+  /// ghost fill; returns false on an aborted exchange.
+  bool exchange_state_ghosts(int r, common::StateField3<S>& q) {
+    std::array<common::Field3<S>*, common::kNumVars> comps{};
+    for (int v = 0; v < common::kNumVars; ++v)
+      comps[static_cast<std::size_t>(v)] = &q[v];
     auto& s = solver(r);
-    fv::apply_bc_axis(s.stage_field(), bc_, s.grid(), s.eos(), axis,
-                      physical_sides(r, axis));
-  }
-
-  void fill_sigma_bc_axis(int r, int axis) {
-    const auto sides = physical_sides(r, axis);
-    if (sides[0] || sides[1]) {
-      // Per-face kinds derived from the state BC: Sigma wraps across the
-      // periodic faces and clamps elsewhere, matching the single-domain
-      // solver's sigma_bc_from(bc_) exactly (decomposition cannot change
-      // the ghost kind a face sees).
-      core::fill_sigma_ghosts_axis(solver(r).sigma_field(), sigma_bc_, axis,
-                                   sides);
-    }
-  }
-
-  /// Physical-face fill + interior-face exchange of the state for axes
-  /// [0, axes), interleaved per axis in the same x,y,z order as the
-  /// single-domain ghost fill; returns false on an aborted exchange.
-  bool state_ghost_phase(int r, int axes) {
-    auto comps = state_comps(r);
-    for (int axis = 0; axis < axes; ++axis) {
-      fill_state_bc_axis(r, axis);
+    for (int axis = 0; axis < 3; ++axis) {
+      fv::apply_bc_axis(q, bc_, s.grid(), s.eos(), axis,
+                        physical_sides(r, axis));
       comm_.post_axis(Comm::kChanState, r, comps.data(), common::kNumVars,
                       axis);
       if (!comm_.complete_axis(Comm::kChanState, r, comps.data(),
@@ -486,88 +460,21 @@ class DistributedIgr {
     return true;
   }
 
-  void refresh_state_ghosts() {
-    run_phase([this](int r) { state_ghost_phase(r, /*axes=*/3); });
-  }
-
-  /// One RHS evaluation of every rank's stage register into its RHS field.
-  void stage_rhs() {
-    const bool sigma_active = cfg_.sigma_sweeps > 0 && cfg_.alpha_factor > 0.0;
-    if (sigma_active) {
-      refresh_state_and_build_source();
-      for (int sw = 0; sw < cfg_.sigma_sweeps; ++sw) {
-        refresh_sigma_ghosts();
-        run_phase([this](int r) {
-          auto& s = solver(r);
-          s.sigma_sweep(s.stage_field());
-        });
-      }
-      final_sigma_and_fluxes();
-    } else {
-      refresh_state_ghosts();
-      run_phase([this](int r) {
-        auto& s = solver(r);
-        s.compute_fluxes(s.stage_field(), rhs_[local_index(r)]);
-      });
-    }
-  }
-
-  /// State ghost refresh + Sigma source build, with the z exchange of the
-  /// state overlapped by the source build's interior planes (which read no
-  /// z ghost — the source at planes 1..nz-2).  Interior and boundary builds
-  /// are pure per-point maps over disjoint plane sets, so the split cannot
-  /// change a bit (test-enforced against the single-domain solver).
-  void refresh_state_and_build_source() {
-    run_phase([this](int r) {
-      auto& s = solver(r);
-      if (!state_ghost_phase(r, /*axes=*/2)) return;
-      auto comps = state_comps(r);
-      fill_state_bc_axis(r, 2);
-      comm_.post_axis(Comm::kChanState, r, comps.data(), common::kNumVars, 2);
-      s.build_sigma_source_interior(s.stage_field());
-      if (!comm_.complete_axis(Comm::kChanState, r, comps.data(),
-                               common::kNumVars, 2))
-        return;
-      s.build_sigma_source_boundary(s.stage_field());
-    });
-  }
-
-  void refresh_sigma_ghosts() {
-    run_phase([this](int r) { sigma_ghost_phase(r, /*axes=*/3); });
-  }
-
-  /// Sigma bc-fill + post + complete for axes [0, axes); returns false on
-  /// an aborted exchange.
-  bool sigma_ghost_phase(int r, int axes) {
+  /// The same for rank `r`'s Sigma.  Per-face kinds derive from the state
+  /// BC: Sigma wraps across the periodic faces and clamps elsewhere,
+  /// matching the single-domain solver's sigma_bc_from(bc_) exactly
+  /// (decomposition cannot change the ghost kind a face sees).
+  bool exchange_sigma_ghosts(int r) {
     common::Field3<S>* sig = &solver(r).sigma_field();
-    for (int axis = 0; axis < axes; ++axis) {
-      fill_sigma_bc_axis(r, axis);
+    for (int axis = 0; axis < 3; ++axis) {
+      const auto sides = physical_sides(r, axis);
+      if (sides[0] || sides[1])
+        core::fill_sigma_ghosts_axis(*sig, sigma_bc_, axis, sides);
       comm_.post_axis(Comm::kChanSigma, r, &sig, 1, axis);
       if (!comm_.complete_axis(Comm::kChanSigma, r, &sig, 1, axis))
         return false;
     }
     return true;
-  }
-
-  /// Final Sigma ghost refresh of an RHS evaluation, with the flux sweeps
-  /// overlapping the last axis' in-flight exchange: post the z faces, run
-  /// every interior flux line (no ghost reads), then complete and finish
-  /// the boundary shell.
-  void final_sigma_and_fluxes() {
-    run_phase([this](int r) {
-      auto& s = solver(r);
-      if (!sigma_ghost_phase(r, /*axes=*/2)) return;
-      common::Field3<S>* sig = &s.sigma_field();
-      fill_sigma_bc_axis(r, 2);
-      comm_.post_axis(Comm::kChanSigma, r, &sig, 1, 2);
-      // Only the z exchange is in flight, so only z is shaved from the
-      // interior: every cell >= 3 planes off the z faces computes while
-      // the halo moves, and just the two z slabs wait for completion.
-      auto& rhs = rhs_[local_index(r)];
-      s.compute_fluxes_interior(s.stage_field(), rhs, 2);
-      if (!comm_.complete_axis(Comm::kChanSigma, r, &sig, 1, 2)) return;
-      s.compute_fluxes_boundary(s.stage_field(), rhs, 2);
-    });
   }
 
   /// Which sides of `axis` are physical boundaries for `rank` (no comm
@@ -589,8 +496,6 @@ class DistributedIgr {
   /// local_ranks_[i]'s block.
   std::vector<int> local_ranks_;
   std::vector<std::unique_ptr<core::IgrSolver3D<Policy>>> ranks_;
-  /// Caller-owned RHS of each local rank (ranks_[i]'s in rhs_[i]).
-  std::vector<common::StateField3<C>> rhs_;
   std::unique_ptr<RankTeam> team_;
   std::vector<double> dts_;
 };

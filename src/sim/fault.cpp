@@ -1,6 +1,7 @@
 #include "sim/fault.hpp"
 
 #include <csignal>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -16,7 +17,9 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-long parse_long(const std::string& s, const std::string& key) {
+/// Whole-token integer in [0, hi].
+long parse_long(const std::string& s, const std::string& key,
+                long hi = std::numeric_limits<long>::max()) {
   std::size_t pos = 0;
   long v = 0;
   try {
@@ -24,9 +27,15 @@ long parse_long(const std::string& s, const std::string& key) {
   } catch (const std::exception&) {
     pos = 0;
   }
-  if (pos != s.size() || v < 0)
+  if (pos != s.size() || v < 0 || v > hi)
     throw std::invalid_argument("FaultPlan: bad value '" + s + "' for " + key);
   return v;
+}
+
+/// A rank id: parse_long clamped to the int range, so an out-of-range rank
+/// is rejected instead of wrapping.
+int parse_rank(const std::string& s, const std::string& key) {
+  return static_cast<int>(parse_long(s, key, std::numeric_limits<int>::max()));
 }
 
 }  // namespace
@@ -97,8 +106,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
         p.phase_rank = 0;
       } else {
         p.phase_at = parse_long(v.substr(0, at_pos), k);
-        p.phase_rank =
-            static_cast<int>(parse_long(v.substr(at_pos + 1), "phase rank"));
+        p.phase_rank = parse_rank(v.substr(at_pos + 1), "phase rank");
       }
     } else if (k == "kill") {
       const auto at_pos = v.find('@');
@@ -107,8 +115,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
         p.kill_rank = 0;
       } else {
         p.kill_step = parse_long(v.substr(0, at_pos), k);
-        p.kill_rank =
-            static_cast<int>(parse_long(v.substr(at_pos + 1), "kill rank"));
+        p.kill_rank = parse_rank(v.substr(at_pos + 1), "kill rank");
       }
     } else {
       throw std::invalid_argument(

@@ -7,8 +7,7 @@
 /// only when every rank has finished (a barrier) — the in-process analogue
 /// of an MPI program's SPMD structure.  Inside a phase ranks synchronize
 /// pairwise through sim::Comm's posted-epoch halo pipeline, so a phase can
-/// contain a post / interior-compute / complete sequence and genuinely
-/// overlap communication with computation.
+/// exchange halos and then compute on them without a barrier in between.
 ///
 /// Workers pin their OpenMP team size on startup so R ranks x T threads
 /// never oversubscribe the machine (scaling benches run T = 1 to measure

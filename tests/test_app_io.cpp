@@ -13,6 +13,7 @@
 
 #include "app/jet_config.hpp"
 #include "app/simulation.hpp"
+#include "common/cli.hpp"
 #include "io/csv_writer.hpp"
 #include "io/vtk_writer.hpp"
 
@@ -250,6 +251,24 @@ TEST(Config, ValidationCatchesBadInputs) {
   cfg = {};
   cfg.pressure_floor = -1e-3;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+/// `--n <v>` through the shared CLI cursor's int_value(1).
+int parse_n(const char* v) {
+  const char* argv[] = {"prog", "--n", v};
+  igr::common::cli::Args args("prog", 3, const_cast<char**>(argv));
+  args.next();
+  return args.int_value(1);
+}
+
+TEST(CliDeathTest, IntValueRejectsValuesAnIntCannotHold) {
+  EXPECT_EQ(parse_n("16"), 16);
+  EXPECT_EQ(parse_n("2147483647"), 2147483647);
+  // 4294967312 = 2^32 + 16 would wrap to 16.
+  EXPECT_EXIT((void)parse_n("4294967312"), ::testing::ExitedWithCode(2),
+              "allowed range \\[1, 2147483647\\]");
+  EXPECT_EXIT((void)parse_n("0"), ::testing::ExitedWithCode(2),
+              "allowed range");
 }
 
 TEST(Simulation, VtkOutputFromDriver) {

@@ -439,4 +439,51 @@ TEST(CheckpointV2, ManifestRoundTripAndMissingFile) {
   fs::remove(path);
 }
 
+TEST(CheckpointV2, ManifestOverItsLimitIsRejected) {
+  // kManifestLimit bounds both the entry count and the line length; either
+  // excess fails with the limit in the message, before the reader grows a
+  // line or the entry list past it.
+  const auto path = fs::temp_directory_path() / "igr_big.manifest";
+  const int limit = igr::io::kManifestLimit;
+  auto expect_rejected = [&](const std::string& body, const char* why) {
+    {
+      std::ofstream f(path, std::ios::binary);
+      f << "igr-checkpoint-manifest v1\n" << body;
+    }
+    try {
+      (void)igr::io::read_manifest(path.string());
+      ADD_FAILURE() << "accepted a manifest with " << why;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(std::to_string(limit)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected("1 0.5 " + std::string(static_cast<std::size_t>(limit), 'p') +
+                      "\n",
+                  "manifest line longer than");
+  std::string many;
+  for (int i = 0; i <= limit; ++i)
+    many += std::to_string(i) + " 0.5 /tmp/a.ckpt" + std::to_string(i) + "\n";
+  expect_rejected(many, "manifest lists more than");
+
+  // Exactly at the bounds still reads back: `limit` entries, the last one
+  // a line of exactly `limit` bytes (without a trailing newline).
+  const std::string last =
+      "7 0.5 " + std::string(static_cast<std::size_t>(limit) - 6, 'p');
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << "igr-checkpoint-manifest v1\n";
+    for (int i = 0; i + 1 < limit; ++i)
+      f << i << " 0.5 /tmp/a.ckpt" << i << "\n";
+    f << last;
+  }
+  const auto back = igr::io::read_manifest(path.string());
+  ASSERT_EQ(back.size(), static_cast<std::size_t>(limit));
+  EXPECT_EQ(back.back().path, last.substr(6));
+  fs::remove(path);
+}
+
 }  // namespace

@@ -10,6 +10,8 @@
 #include <string>
 
 #include "core/igr_solver3d.hpp"
+#include "eos/ideal_gas.hpp"
+#include "fv/cfl.hpp"
 #include "sim/distributed_igr.hpp"
 
 namespace {
@@ -46,6 +48,36 @@ igr::core::PrimFn smooth_ic() {
   };
 }
 
+/// The CFL dt a dedicated scan of the single-domain state and warm Sigma
+/// gives.
+template <class Policy>
+double scan_dt(const IgrSolver3D<Policy>& s) {
+  return igr::fv::compute_dt(s.state(), s.grid(), s.eos(), s.config(),
+                             &s.sigma());
+}
+
+/// The same scan over the decomposed run's gathered state and Sigma.  The
+/// ranks fold their CFL reduction into the final RK stage of the previous
+/// step; the allreduced fold must equal this whole-domain scan.
+template <class Policy>
+double scan_dt(const DistributedIgr<Policy>& d, const SolverConfig& cfg) {
+  const auto q = d.gather();
+  const auto sigma = d.gather_sigma();
+  return igr::fv::compute_dt(q, d.comm().global_grid(),
+                             igr::eos::IdealGas(cfg.gamma), cfg, &sigma);
+}
+
+/// One adaptive step of both runs; both dts must equal the test's scans.
+template <class Policy>
+void expect_adaptive_step(IgrSolver3D<Policy>& single,
+                          DistributedIgr<Policy>& dist,
+                          const SolverConfig& cfg, int step) {
+  const double scan = scan_dt(single);
+  ASSERT_EQ(scan_dt(dist, cfg), scan) << "step " << step;
+  ASSERT_EQ(single.step(), scan) << "single-domain step " << step;
+  ASSERT_EQ(dist.step(), scan) << "decomposed step " << step;
+}
+
 /// Step a single-domain solver and a `layout` decomposition of the
 /// periodic cube `n` side by side (adaptive dt when `adaptive`, else a
 /// fixed 2e-3), then require identical dts, state, and Sigma.
@@ -62,9 +94,7 @@ void expect_layout_matches_single_domain(int n, std::array<int, 3> layout,
   dist.init(smooth_ic());
   for (int step = 0; step < steps; ++step) {
     if (adaptive) {
-      const double dt_s = single.step();
-      const double dt_d = dist.step();
-      ASSERT_EQ(dt_s, dt_d) << "step " << step;
+      expect_adaptive_step(single, dist, cfg, step);
     } else {
       single.step_fixed(2e-3);
       dist.step_fixed(2e-3);
@@ -155,10 +185,10 @@ TEST(Distributed, NonPeriodicOutflowMatchesSingleDomain) {
 TEST(Distributed, EightRankFusedMatchesSingleDomainBitwise) {
   // The single-domain side runs the full fused step (plane-pipelined sweeps
   // under the Neumann sigma boundary, streamed flux blocks, RK fold, dt
-  // fold); the ranks run the per-phase schedule with the same streamed
-  // flux blocks inside every phase.  Jacobi sweeps keep the decomposition
-  // exact, so the 2x2x2 run must stay bitwise-identical to the fused
-  // solver — state and adaptive dt.
+  // fold); the ranks run whole-block Sigma phases and then the same
+  // streamed flux/RK stage and dt fold.  Jacobi sweeps keep the
+  // decomposition exact, so the 2x2x2 run must stay bitwise-identical to
+  // the fused solver — state and adaptive dt.
   const auto cfg = jacobi_cfg();
   const auto g = Grid::cube(kN);
   const auto bc = BcSpec::all_outflow();
@@ -168,11 +198,8 @@ TEST(Distributed, EightRankFusedMatchesSingleDomainBitwise) {
   DistributedIgr<Fp64> dist(g, 2, 2, 2, cfg, bc);
   dist.init(smooth_ic());
 
-  for (int step = 0; step < 2; ++step) {
-    const double dt_fused = fused_single.step();
-    const double dt_dist = dist.step();
-    ASSERT_EQ(dt_fused, dt_dist) << "step " << step;
-  }
+  for (int step = 0; step < 2; ++step)
+    expect_adaptive_step(fused_single, dist, cfg, step);
   const auto gathered = dist.gather();
   for (int c = 0; c < kNumVars; ++c)
     for (int k = 0; k < kN; ++k)
@@ -190,9 +217,7 @@ TEST(Distributed, CflStepMatchesSingleDomainDt) {
   single.init(smooth_ic());
   DistributedIgr<Fp64> dist(g, 2, 2, 1, cfg, bc);
   dist.init(smooth_ic());
-  const double dt_single = single.step();
-  const double dt_dist = dist.step();
-  EXPECT_EQ(dt_single, dt_dist);
+  expect_adaptive_step(single, dist, cfg, 0);
 }
 
 TEST(Distributed, Fp32PolicyAlsoMatches) {
@@ -330,18 +355,15 @@ TEST(Distributed, ConcurrentScheduleMatchesSingleDomain) {
   expect_layout_matches_single_domain(kN, {2, 2, 1}, 3, /*adaptive=*/true);
 }
 
-TEST(Distributed, OverlapSplitMatchesSingleDomain) {
-  // Interior flux sweeps run while the final Sigma z exchange is in
-  // flight; the boundary slabs finish after it lands.  Split along z with
-  // two ranks on z, so both slabs border an exchanged face.
+TEST(Distributed, ZSplitAdaptiveLayoutMatchesSingleDomain) {
+  // Two ranks on z: every rank's streamed flux blocks and its folded dt
+  // border an exchanged z face.
   expect_layout_matches_single_domain(kN, {2, 1, 2}, 2, /*adaptive=*/true);
 }
 
-TEST(Distributed, OverlapStateSourceSplitMatchesSingleDomain) {
-  // The state-exchange overlap: z halos are posted, the z-interior Sigma
-  // source is built while they are in flight, then the boundary planes
-  // complete after the z ghosts land.  Layouts include nz = 2 and nz = 1
-  // local blocks, where the interior/boundary split degenerates.
+TEST(Distributed, ZSplitLayoutsMatchSingleDomain) {
+  // z-split layouts down to nz = 2 and nz = 1 local blocks, thinner than
+  // one flux block and than the ghost depth.
   expect_layout_matches_single_domain(kN, {2, 1, 2}, 2, /*adaptive=*/false);
   expect_layout_matches_single_domain(kN, {1, 1, 8}, 2, /*adaptive=*/false);
   expect_layout_matches_single_domain(8, {1, 2, 8}, 2, /*adaptive=*/false);
@@ -405,9 +427,9 @@ TEST(Distributed, HalfWireHalvesFp32HaloTrafficPerStep) {
 /// Rank-parallel vs single-domain bitwise equivalence under sustained
 /// concurrency, for one storage policy.  Run under ThreadSanitizer
 /// (`bench/run_sanitize.sh build-tsan tsan`, also a CI job) this doubles
-/// as the halo pipeline's race detector: every phase, epoch publish, and
-/// overlap split is exercised across 12 concurrently stepping ranks for
-/// several adaptive steps.
+/// as the halo pipeline's race detector: every phase and epoch publish is
+/// exercised across 12 concurrently stepping ranks for several adaptive
+/// steps.
 template <class Policy>
 void stress_policy() {
   const auto g = Grid::cube(12);
@@ -423,11 +445,8 @@ void stress_policy() {
   DistributedIgr<Policy> dist(g, 3, 2, 2, rank_cfg, bc);
   dist.init(smooth_ic());
 
-  for (int step = 0; step < 4; ++step) {
-    const double dt_s = single.step();
-    const double dt_d = dist.step();
-    ASSERT_EQ(dt_s, dt_d) << "step " << step;
-  }
+  for (int step = 0; step < 4; ++step)
+    expect_adaptive_step(single, dist, cfg, step);
   const auto gathered = dist.gather();
   for (int c = 0; c < kNumVars; ++c)
     for (int k = 0; k < 12; ++k)

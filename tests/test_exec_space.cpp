@@ -143,7 +143,7 @@ void expect_bitwise_equal(const cases::CaseSpec& spec,
 
 /// Serial vs the default OpenMP exec space, one precision policy, on both
 /// RHS schedules: the single-domain fused step, or (`decomposed`) the
-/// per-phase schedule of a 2x1x1 in-process run.  The jet case covers the
+/// phased schedule of a 2x1x1 in-process run.  The jet case covers the
 /// full kernel surface: inflow + outflow BCs, the fused wavefront, the
 /// Sigma relaxation, the CFL fold.
 template <class Policy>

@@ -52,6 +52,16 @@ TEST(FaultPlan, ParseRoundTrip) {
                std::invalid_argument);
 }
 
+TEST(FaultPlan, RanksOutsideTheIntRangeAreRejected) {
+  // 4294967297 = 2^32 + 1 would wrap to rank 1 in an int.
+  EXPECT_THROW((void)sim::FaultPlan::parse("phase=1@4294967297"),
+               std::invalid_argument);
+  EXPECT_THROW((void)sim::FaultPlan::parse("kill=1@4294967297"),
+               std::invalid_argument);
+  EXPECT_EQ(sim::FaultPlan::parse("phase=1@2147483647").phase_rank,
+            2147483647);
+}
+
 TEST(FaultPlan, SeededPlansAreDeterministicAndArmed) {
   for (std::uint64_t seed = 1; seed <= 32; ++seed) {
     const auto a = sim::FaultPlan::from_seed(seed);

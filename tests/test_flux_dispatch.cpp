@@ -46,14 +46,15 @@ Prim<double> vortex_ic(double x, double y, double z) {
   return w;
 }
 
-/// The fluxes of the solver's current state, evaluated into a fresh RHS
-/// with ghosts and Sigma prepared exactly as a real RHS evaluation would.
+/// The fluxes of the solver's current state, evaluated on a copy of it
+/// into a fresh RHS, with ghosts and Sigma prepared exactly as a real RHS
+/// evaluation would.
 template <class Policy>
 StateField3<typename Policy::compute_t> flux_rhs(IgrSolver3D<Policy>& s) {
-  s.begin_step();
+  auto q = s.state();
   const auto& g = s.grid();
   StateField3<typename Policy::compute_t> rhs(g.nx(), g.ny(), g.nz(), 0);
-  s.compute_rhs(s.stage_field(), rhs);
+  s.compute_rhs(q, rhs);
   return rhs;
 }
 

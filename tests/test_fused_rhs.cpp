@@ -1,18 +1,22 @@
 /// Fused-pipeline equivalence: the single-domain solver's plane-streaming
 /// step (interleaved Sigma source, pipelined relaxation wavefront, k-block
 /// flux sweeps with the RK update and the next step's CFL reduction
-/// trailing the flux front) must be *bitwise identical* — dt, state, Sigma,
-/// and the RHS of the resulting state — to the phased per-phase schedule.
-/// That schedule lives in exactly one place, the decomposed driver: a
-/// 1x1x1 sim::DistributedIgr runs every RHS phase as a full-block pass
-/// (ghost fill, Sigma source, one relaxation sweep per phase, z-split flux
-/// sweeps, RK update) and scans dt at the top of every step.  Both keep the
-/// RHS at compute precision — the fused step in a two-block ring, the
-/// driver in a caller-owned field per rank — so they round it identically
-/// at every storage precision.  Every slot of the fused wavefront reads
-/// exactly the values those passes show it (see the pipeline notes in
-/// igr_solver3d.cpp); any divergence is a scheduling bug, not roundoff.  It
-/// relies on the reproducibility flags pinned in CMakeLists.txt.
+/// trailing the flux front) must be *bitwise identical* to two references.
+///   - A 1x1x1 sim::DistributedIgr: dt, state and Sigma.  The driver runs
+///     the Sigma solve as whole-block phases (ghost fill, source, one
+///     relaxation sweep per phase), so every slot of the fused wavefront
+///     must read exactly the values those phases show it (see the pipeline
+///     notes in igr_solver3d.cpp).
+///   - A textbook SSP-RK3 step written here: stage registers owned by the
+///     test, each RHS from the public compute_rhs into a caller-owned
+///     compute-precision field, then the per-cell convex update.  It pins
+///     the streamed flux/RK stage and its two-block RHS ring at every
+///     storage precision.
+/// Every adaptive dt is also checked against a dedicated fv::compute_dt
+/// scan of the state and warm Sigma the step starts from, which the folded
+/// reduction must reproduce.  Any divergence is a scheduling bug, not
+/// roundoff.  It relies on the reproducibility flags pinned in
+/// CMakeLists.txt.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +26,8 @@
 #include "app/jet_config.hpp"
 #include "common/precision.hpp"
 #include "core/igr_solver3d.hpp"
+#include "fv/cfl.hpp"
+#include "fv/rk3.hpp"
 #include "mesh/grid.hpp"
 #include "sim/distributed_igr.hpp"
 
@@ -46,7 +52,8 @@ bool bits_equal(const S& a, const S& b) {
 }
 
 /// One workload, built twice: the fused single-domain solver and the
-/// phased 1x1x1 decomposed driver over the same grid, config, BCs, and IC.
+/// 1x1x1 decomposed driver, whose Sigma solve runs as whole-block phases,
+/// over the same grid, config, BCs, and IC.
 template <class Policy>
 struct Pair {
   IgrSolver3D<Policy> fused;
@@ -116,35 +123,84 @@ void expect_state_equal(const igr::common::StateField3<S>& a,
   }
 }
 
-/// State and Sigma, then the RHS each schedule evaluates for that state:
-/// the fused pipeline (wavefront Sigma solve, k-blocked fluxes) into a
-/// caller-owned field, the driver's per-phase evaluation into its rank
-/// field.  The RHS evaluation advances the warm-start Sigma on both sides,
-/// which must still agree afterwards.  Ends the comparison: the fused dt
-/// cache is stale once Sigma moved, so no step may follow.
+/// The CFL dt a dedicated scan of the solver's state and warm Sigma gives.
+template <class Policy>
+double scan_dt(const IgrSolver3D<Policy>& s) {
+  return igr::fv::compute_dt(s.state(), s.grid(), s.eos(), s.config(),
+                             &s.sigma());
+}
+
 template <class Policy>
 void expect_same_step(Pair<Policy>& p) {
   expect_state_equal(p.fused.state(), p.ref().state(), "state");
   expect_field_equal(p.fused.sigma(), p.ref().sigma(), "sigma");
-  const auto& g = p.fused.grid();
-  StateField3<typename Policy::compute_t> rhs(g.nx(), g.ny(), g.nz(), 0);
-  p.fused.compute_rhs(p.fused.state(), rhs);
-  p.phased.compute_rhs();
-  expect_state_equal(rhs, p.phased.rhs(0), "rhs");
-  expect_field_equal(p.fused.sigma(), p.ref().sigma(), "post-rhs sigma");
 }
 
-/// Three adaptive steps: the first dt comes from the dedicated CFL scan on
-/// both sides; the later fused dts come from the reduction folded into the
-/// previous step's final RK stage, the phased ones from a fresh scan.
+/// Three adaptive steps: the first dt comes from a fresh scan, the later
+/// ones from the reduction folded into the previous step's final RK stage.
+/// Both must equal the test's own scan on each side.
 template <class Policy>
 void expect_adaptive_steps_equal(Pair<Policy>& p) {
   for (int s = 0; s < 3; ++s) {
-    const double dt_f = p.fused.step();
-    const double dt_p = p.phased.step();
-    ASSERT_EQ(dt_f, dt_p) << "step " << s;
+    const double scan = scan_dt(p.fused);
+    ASSERT_EQ(scan_dt(p.ref()), scan) << "step " << s;
+    ASSERT_EQ(p.fused.step(), scan) << "fused step " << s;
+    ASSERT_EQ(p.phased.step(), scan) << "decomposed step " << s;
   }
   expect_same_step(p);
+}
+
+/// One textbook SSP-RK3 step of `s` at `dt`: the stage register is owned
+/// here, every RHS comes from the public compute_rhs into a caller-owned
+/// field, and each stage applies q_s = a*q^n + b*(q_s + dt*L(q_s)) per
+/// cell at compute precision, rounded to storage once per stage.
+template <class Policy>
+void reference_step(IgrSolver3D<Policy>& s, double dt) {
+  using S = typename Policy::storage_t;
+  using C = typename Policy::compute_t;
+  const auto& g = s.grid();
+  const StateField3<S> qn = s.state();
+  StateField3<S> qs = qn;
+  StateField3<C> rhs(g.nx(), g.ny(), g.nz(), 0);
+  const C dtc = static_cast<C>(dt);
+  for (const auto& st : igr::fv::kRk3Stages) {
+    s.compute_rhs(qs, rhs);
+    const C a = static_cast<C>(st.a);
+    const C b = static_cast<C>(st.b);
+    for (int c = 0; c < kNumVars; ++c)
+      for (int k = 0; k < g.nz(); ++k)
+        for (int j = 0; j < g.ny(); ++j)
+          for (int i = 0; i < g.nx(); ++i) {
+            const C q0 = static_cast<C>(qn[c](i, j, k));
+            const C q1 = static_cast<C>(qs[c](i, j, k));
+            const C r = rhs[c](i, j, k);
+            qs[c](i, j, k) = static_cast<S>(a * q0 + b * (q1 + dtc * r));
+          }
+  }
+  s.state() = qs;
+  s.set_time(s.time() + dt);
+  s.invalidate_dt_cache();
+}
+
+/// The fused step against reference_step on a twin solver: three adaptive
+/// steps, each dt checked against the test's scan, then state and Sigma.
+template <class Policy>
+void expect_reference_steps_equal(int nz) {
+  const auto jet = igr::app::single_engine();
+  const auto cfg = jet.solver_config();
+  const Grid grid(12, 12, nz, {0.0, 1.0}, {0.0, 1.0},
+                  {0.0, static_cast<double>(nz) / 12});
+  IgrSolver3D<Policy> fused(grid, cfg, jet.make_bc());
+  IgrSolver3D<Policy> ref(grid, cfg, jet.make_bc());
+  fused.init(jet.initial_condition(0.005));
+  ref.init(jet.initial_condition(0.005));
+  for (int s = 0; s < 3; ++s) {
+    const double scan = scan_dt(fused);
+    ASSERT_EQ(fused.step(), scan) << "step " << s;
+    reference_step(ref, scan);
+    expect_state_equal(fused.state(), ref.state(), "state");
+    expect_field_equal(fused.sigma(), ref.sigma(), "sigma");
+  }
 }
 
 const ReconScheme kRecons[] = {ReconScheme::kFirst, ReconScheme::kThird,
@@ -212,13 +268,15 @@ TEST(FusedRhs, PeriodicFallbackStepsBitwiseJacobiFp16x32) {
 // heights give one partial block (nz = 4), one exact block (8), and full
 // blocks followed by a ragged last block of one plane (9, 25) or two (18);
 // 18 and 25 reuse each ring slot.  The 16-bit policies pin that the ring
-// keeps the RHS at compute precision exactly as the driver's field does.
+// keeps the RHS at compute precision exactly as the reference's
+// caller-owned field does.
 template <class Policy>
 void run_flux_block_seams() {
   for (int nz : {4, 8, 9, 18, 25}) {
     SCOPED_TRACE("nz " + std::to_string(nz));
     auto p = make_jet<Policy>(ReconScheme::kFifth, true, 12, nz);
     expect_adaptive_steps_equal(p);
+    expect_reference_steps_equal<Policy>(nz);
   }
 }
 
@@ -232,35 +290,15 @@ TEST(FusedRhs, FluxBlockSeamsAreBitwiseFreeBf16x32) {
   run_flux_block_seams<Bf16x32>();
 }
 
-TEST(FusedRhs, RegionRestrictedFluxesMatchWholeBlock) {
-  // The interior/boundary split DistributedIgr overlaps with halo traffic
-  // must union to the whole-block flux sweep bitwise, along every axis.
-  // Each split writes a fresh field, so a cell neither half covers shows.
-  for (auto recon : kRecons) {
-    auto p = make_jet<Fp64>(recon);
-    auto& s = p.fused;
-    s.step_fixed(1e-4);
-    s.begin_step();
-    const auto& g = s.grid();
-    StateField3<double> whole(g.nx(), g.ny(), g.nz(), 0);
-    s.compute_rhs(s.stage_field(), whole);
-    for (int axis = 0; axis < 3; ++axis) {
-      SCOPED_TRACE("axis " + std::to_string(axis));
-      StateField3<double> split(g.nx(), g.ny(), g.nz(), 0);
-      s.compute_fluxes_interior(s.stage_field(), split, axis);
-      s.compute_fluxes_boundary(s.stage_field(), split, axis);
-      expect_state_equal(whole, split, "split rhs");
-    }
-  }
-}
-
 TEST(FusedRhs, StepFixedThenAdaptiveUsesFreshDtCache) {
   // step_fixed refreshes the folded CFL cache too, so a mixed
   // step_fixed/step sequence sees the dt a fresh scan would compute.
   auto p = make_jet<Fp64>(ReconScheme::kFifth);
   p.fused.step_fixed(1e-4);
   p.phased.step_fixed(1e-4);
-  ASSERT_EQ(p.fused.step(), p.phased.step());
+  const double scan = scan_dt(p.fused);
+  ASSERT_EQ(p.fused.step(), scan);
+  ASSERT_EQ(p.phased.step(), scan);
   expect_same_step(p);
 }
 
