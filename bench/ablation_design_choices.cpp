@@ -69,12 +69,9 @@ void ablate_sweeps() {
     app::Simulation<common::Fp64> sim(p);
     sim.init(jet.initial_condition(0.005));
     sim.run_steps(1);
-    common::WallTimer t;
-    t.start();
+    const auto m0 = sim.meters();
     sim.run_steps(2);
-    t.stop();
-    const double grind =
-        t.seconds() * 1e9 / (2.0 * static_cast<double>(p.grid.cells()));
+    const double grind = (sim.meters() - m0).grind_ns(p.grid.cells());
     std::printf("%10d %16.5e %20.0f\n", sweeps, sod_l1(opt), grind);
   }
   std::printf("  -> accuracy saturates by ~5 sweeps while cost keeps "

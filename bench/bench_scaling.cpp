@@ -24,7 +24,8 @@
 /// same wire path igr_launch drives with real processes), measuring the
 /// framing/socket overhead against the shared-memory baseline.
 ///
-/// Strong: fixed N x N x 1.5N global jet, growing rank counts.
+/// Strong: fixed N x N x 1.5N global jet, growing rank counts.  The 1-rank
+/// point is the single-domain solver, as a one-rank app::Simulation runs it.
 /// Weak:   fixed M^3 cells per rank, domain resolution grows with ranks.
 ///
 /// Interpreting results: rank speedup can only materialize when the host
@@ -44,10 +45,9 @@
 #endif
 
 #include "app/jet_config.hpp"
+#include "app/simulation.hpp"
 #include "common/cli.hpp"
-#include "common/timer.hpp"
 #include "mesh/decomp.hpp"
-#include "sim/distributed_igr.hpp"
 
 namespace {
 
@@ -110,39 +110,47 @@ Point run_case_t(const char* mode, const mesh::Grid& grid,
 
   /// Drive one endpoint: the whole team in-process (rank < 0), or exactly
   /// `rank` over the tcp wire.  Rank 0 (or the in-process endpoint) fills
-  /// the timing columns; halo traffic is summed over all endpoints.
+  /// the timing columns; halo traffic is summed over all endpoints.  The
+  /// timed window is the difference of two step-meter snapshots, which
+  /// carry the wall time and the halo bytes and wait alike.
   const auto drive = [&](int rank, const std::string& dir) {
-    sim::DistOptions opts;
-    opts.halo_wire = wire;
+    typename app::Simulation<Policy>::Params prm;
+    prm.grid = grid;
+    prm.cfg = scaling_cfg();
+    prm.cfg.exec_threads = threads_per_rank;
+    prm.bc = jet.make_bc();
+    prm.ranks = layout;
+    prm.dist.halo_wire = wire;
     if (rank >= 0) {
-      opts.transport.kind = sim::TransportSpec::Kind::kTcp;
-      opts.transport.world = R;
-      opts.transport.rank = rank;
-      opts.transport.dir = dir;
+      prm.dist.transport.kind = sim::TransportSpec::Kind::kTcp;
+      prm.dist.transport.world = R;
+      prm.dist.transport.rank = rank;
+      prm.dist.transport.dir = dir;
     }
-    auto cfg = scaling_cfg();
-    cfg.exec_threads = threads_per_rank;
-    sim::DistributedIgr<Policy> d(grid, layout[0], layout[1], layout[2], cfg,
-                                  jet.make_bc(), fv::ReconScheme::kFifth,
-                                  opts);
-    d.init(jet.initial_condition(0.005));
-    for (int s = 0; s < warmup; ++s) d.step();
-    d.comm().reset_traffic();
-    d.comm().barrier();  // endpoints start the timed window together
-    common::WallTimer t;
-    t.start();
-    for (int s = 0; s < steps; ++s) d.step();
-    t.stop();
-    const double bytes = d.comm().allreduce_sum_global(
-        static_cast<double>(d.comm().bytes_exchanged()));
-    const double wait_ns = d.comm().allreduce_sum_global(
-        static_cast<double>(d.comm().halo_wait_ns_total()));
-    const double wait_epochs = d.comm().allreduce_sum_global(
-        static_cast<double>(d.comm().halo_wait_epochs_total()));
+    app::Simulation<Policy> run(prm);
+    run.init(jet.initial_condition(0.005));
+    for (int s = 0; s < warmup; ++s) run.step();
+    // Endpoints start the timed window together.
+    if (run.distributed()) run.dist().comm().barrier();
+    const auto m0 = run.meters();
+    for (int s = 0; s < steps; ++s) run.step();
+    const auto w = run.meters() - m0;
+    double bytes = static_cast<double>(w.wire_bytes);
+    double wait_ns = 0.0, wait_epochs = 0.0;
+    for (int a = 0; a < 3; ++a) {
+      wait_ns += static_cast<double>(w.halo_wait_ns[static_cast<std::size_t>(a)]);
+      wait_epochs +=
+          static_cast<double>(w.halo_wait_epochs[static_cast<std::size_t>(a)]);
+    }
+    if (run.distributed()) {
+      const auto& comm = run.dist().comm();
+      bytes = comm.allreduce_sum_global(bytes);
+      wait_ns = comm.allreduce_sum_global(wait_ns);
+      wait_epochs = comm.allreduce_sum_global(wait_epochs);
+    }
     if (rank <= 0) {
-      p.time_per_step_s = t.seconds() / steps;
-      p.grind_ns =
-          t.seconds() * 1.0e9 / (static_cast<double>(grid.cells()) * steps);
+      p.time_per_step_s = 1.0e-9 * static_cast<double>(w.wall_ns) / steps;
+      p.grind_ns = w.grind_ns(grid.cells());
       p.halo_mb_per_step = 1.0e-6 * bytes / steps;
       p.halo_wait_ms_per_step = 1.0e-6 * wait_ns / (steps * R);
       p.halo_wait_epochs_per_step = wait_epochs / (static_cast<double>(steps) * R);

@@ -12,7 +12,8 @@
 ///      the normalized per-rank-per-cell time stays flat, demonstrating the
 ///      same property the figure shows (on one CPU the ranks execute
 ///      sequentially, so total wall time grows by construction; the metric
-///      is time / (ranks * cells)).
+///      is time / (ranks * cells)).  The 1-rank point is the
+///      single-domain solver, as a one-rank app::Simulation runs it.
 
 #include <cmath>
 #include <cstdio>
@@ -22,7 +23,7 @@
 #include "core/memory_footprint.hpp"
 #include "mem/memory_model.hpp"
 #include "perf/scaling_model.hpp"
-#include "sim/distributed_igr.hpp"
+#include "app/simulation.hpp"
 
 namespace {
 
@@ -124,16 +125,17 @@ void executed_series() {
     const int ranks = rx * ry * rz;
     mesh::Grid g(16 * rx, 16 * ry, 16 * rz, {0, 1. * rx}, {0, 1. * ry},
                  {0, 1. * rz});
-    sim::DistributedIgr<common::Fp64> d(g, rx, ry, rz, cfg, bc);
-    d.init(ic);
-    d.step_fixed(1e-3);  // warm-up
-    common::WallTimer t;
-    t.start();
-    const int steps = 3;
-    for (int s = 0; s < steps; ++s) d.step_fixed(1e-3);
-    t.stop();
-    const double per = t.seconds() * 1e9 /
-                       (static_cast<double>(g.cells()) * steps);
+    app::Simulation<common::Fp64>::Params prm;
+    prm.grid = g;
+    prm.cfg = cfg;
+    prm.bc = bc;
+    prm.ranks = {rx, ry, rz};
+    app::Simulation<common::Fp64> sim(prm);
+    sim.init(ic);
+    sim.step();  // warm-up
+    const auto m0 = sim.meters();
+    sim.run_steps(3);
+    const double per = (sim.meters() - m0).grind_ns(g.cells());
     if (ranks == 1) t0 = per;
     std::printf("  %6d %10zu %22.1f %11.1f%%\n", ranks, g.cells(), per,
                 100.0 * t0 / per);

@@ -5,8 +5,8 @@
 ///
 /// Every parallel kernel in the solver is either a pure per-element map
 /// with disjoint writes, or a parity-phased in-place update whose phases
-/// are barrier-ordered (the red–black color passes, the j-parity plane
-/// relaxation), and every reduction is an exact max/min — so neither the
+/// are barrier-ordered (the two parity phases of a red–black colour
+/// pass), and every reduction is an exact max/min — so neither the
 /// team width nor the partition of work across it can change a single bit
 /// of the result.  That invariance is what lets one kernel body target
 /// every backend here and stay bitwise-identical across them
@@ -57,8 +57,8 @@ class ExecSpace {
     [[nodiscard]] int size() const { return size_; }
 
     /// Block until every member of this launch arrives — the phase
-    /// ordering primitive (e.g. between the two j-parity half-passes of a
-    /// plane relaxation).  Must be reached by all members or by none.
+    /// ordering primitive (e.g. between the two parity phases of a red–black
+    /// colour pass).  Must be reached by all members or by none.
     void barrier() const {
       if (bar_ != nullptr) {
         bar_->arrive_and_wait();

@@ -2,13 +2,6 @@
 
 namespace igr::common {
 
-void WallTimer::stop() {
-  if (!running_) return;
-  const auto t1 = clock::now();
-  acc_ += std::chrono::duration<double>(t1 - t0_).count();
-  running_ = false;
-}
-
 const char* PhaseProfile::name(Phase p) {
   switch (p) {
     case kBc: return "bc";

@@ -1,8 +1,8 @@
 #pragma once
 /// \file timer.hpp
-/// Wall-clock timing and the per-phase step profile.  The paper's primary
-/// single-device metric, "grind time" — nanoseconds per grid cell per time
-/// step (§7.1) — is metered once per step by app::Simulation (StepMeters).
+/// The per-phase step profile.  The paper's primary single-device metric,
+/// "grind time" — nanoseconds per grid cell per time step (§7.1) — is
+/// metered once per step by app::Simulation (StepMeters).
 
 #include <array>
 #include <chrono>
@@ -10,23 +10,6 @@
 #include <string>
 
 namespace igr::common {
-
-/// Simple monotonic stopwatch.
-class WallTimer {
- public:
-  void start() { t0_ = clock::now(); running_ = true; }
-  /// Stop and add the elapsed interval to the accumulated total.
-  void stop();
-  /// Accumulated seconds across all start/stop intervals.
-  [[nodiscard]] double seconds() const { return acc_; }
-  void reset() { acc_ = 0.0; running_ = false; }
-
- private:
-  using clock = std::chrono::steady_clock;
-  clock::time_point t0_{};
-  double acc_ = 0.0;
-  bool running_ = false;
-};
 
 /// Wall-time breakdown of a solver step by RHS phase, so PERF.md tables can
 /// attribute a grind-time change to the phase that moved.  Sampling is off

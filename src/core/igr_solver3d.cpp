@@ -815,13 +815,20 @@ typename IgrSolver3D<Policy>::RhsRows IgrSolver3D<Policy>::ring_block(
 template <class Policy>
 void IgrSolver3D<Policy>::sigma_sweep() {
   ++sigma_sweeps_done_;
-  sigma_sweep_once<Policy>(sigma_, sigma_scratch_, sigma_src_, inv_rho_,
-                           static_cast<C>(alpha_), static_cast<C>(grid_.dx()),
-                           static_cast<C>(grid_.dy()),
-                           static_cast<C>(grid_.dz()),
-                           cfg_.sigma_gauss_seidel ? SweepKind::kRedBlack
-                                                   : SweepKind::kJacobi,
-                           cfg_.exec());
+  const C al = static_cast<C>(alpha_);
+  const C dx = static_cast<C>(grid_.dx());
+  const C dy = static_cast<C>(grid_.dy());
+  const C dz = static_cast<C>(grid_.dz());
+  const int nz = grid_.nz();
+  if (cfg_.sigma_gauss_seidel) {
+    for (int color = 0; color < 2; ++color)
+      sigma_relax_planes<Policy>(sigma_, sigma_src_, inv_rho_, al, dx, dy, dz,
+                                 color, 0, nz, cfg_.exec());
+  } else {
+    sigma_jacobi_planes<Policy>(sigma_scratch_, sigma_, sigma_src_, inv_rho_,
+                                al, dx, dy, dz, 0, nz, cfg_.exec());
+    std::swap(sigma_, sigma_scratch_);
+  }
 }
 
 template <class Policy>

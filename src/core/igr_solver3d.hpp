@@ -137,7 +137,8 @@ class IgrSolver3D {
   // flux_rk_stage, and ends with finish_step.  sim::DistributedIgr calls
   // the same pieces on every rank, with the whole-block Sigma source and
   // sweeps in place of the fused Sigma phase, and fills ghosts (halo
-  // exchange + physical faces) between them. ---
+  // exchange + physical faces) between them.  The periodic-z fallback of
+  // the fused Sigma phase runs the same whole-block sweeps. ---
 
   /// Input of RK stage `si`: the state for stage 0, the RK register after.
   [[nodiscard]] common::StateField3<S>& stage_input(int si) {
@@ -147,7 +148,10 @@ class IgrSolver3D {
   /// the reciprocal-density refresh interleaved with the source in
   /// k-chunks, ghost planes included.
   void build_sigma_source(common::StateField3<S>& q);
-  /// One relaxation pass with the current Sigma ghosts.
+  /// One relaxation sweep of the whole block with the current Sigma
+  /// ghosts: both red–black colours (sigma_relax_planes over [0, nz)), or
+  /// one Jacobi pass and the buffer swap.  The same kernels the fused
+  /// pipeline calls one plane at a time.
   void sigma_sweep();
   /// Flux sweeps of stage_input(si) streamed in k-blocks, with the RK update
   /// of stage `si` trailing one block behind the flux front and, on the

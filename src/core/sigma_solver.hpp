@@ -13,6 +13,11 @@
 /// is the intended discretization (not an arithmetic-mean face density):
 /// it is division-free given the precomputed 1/rho field and keeps the
 /// operator symmetric positive definite for rho > 0.
+///
+/// This file provides the Sigma ghost fills and two relaxation kernels, one
+/// red–black colour pass and one Jacobi pass over a range of k-planes, with
+/// FP32 compute over 16-bit storage for the converting policies (§5.6).
+/// IgrSolver3D composes them into sweeps, whole-block or plane-pipelined.
 
 #include <array>
 
@@ -52,19 +57,6 @@ struct SigmaBcSpec {
   }
 };
 
-/// Relaxation orderings for the eq. (9) sweeps.
-enum class SweepKind {
-  /// Double-buffered simultaneous update.  Embarrassingly parallel and
-  /// decomposition-exact (rank count cannot change the bits), at the cost
-  /// of one extra N-sized buffer and a slightly slower contraction rate.
-  kJacobi,
-  /// In-place two-color (red–black) Gauss–Seidel: each half-pass updates
-  /// one parity of (i+j+k) and is dependency-free, so it parallelizes
-  /// across k-planes and pipelines within a row.  Same fixed point as
-  /// Jacobi, reached in fewer sweeps.  The default.
-  kRedBlack,
-};
-
 /// Fill ghost layers of `sigma` (wrap for periodic, clamp for Neumann).
 /// `layers` limits the fill depth: relaxation sweeps only consume one ghost
 /// layer, while the final reconstruction needs all of them.
@@ -79,12 +71,25 @@ void fill_sigma_ghosts_axis(common::Field3<S>& sigma, SigmaBcSpec bc,
                             int axis, std::array<bool, 2> sides,
                             int layers = -1);
 
-// --- Plane-streaming building blocks (the fused RHS pipeline) ---
-// A full sweep (ghost fill + both red–black colors, or one Jacobi pass)
-// decomposes into per-plane slots whose reads only ever see the values the
-// phased schedule would show them, so a k-skewed wavefront of these calls is
-// bitwise-identical to sigma_sweep_once.  See IgrSolver3D's fused pipeline
-// for the slot schedule and its dependency argument.
+// --- The relaxation kernels ---
+// A sweep is a ghost fill followed by both red–black colours
+// (sigma_relax_planes with colour 0, then colour 1) or by one Jacobi pass
+// (sigma_jacobi_planes, then the caller's buffer swap).  These two kernels
+// are the only relaxation loops, and they serve both schedules:
+//   - IgrSolver3D::sigma_sweep passes the whole block, k ∈ [0, nz) — the
+//     periodic-z fallback and every decomposed rank run it between halo
+//     exchanges;
+//   - the fused pipeline passes one plane per call, on a k-skewed wavefront
+//     whose slots read exactly the values the whole-block schedule shows
+//     them, so the two are bitwise-identical (see IgrSolver3D's fused
+//     pipeline for the slot schedule and its dependency argument).
+// `inv_rho` is the reciprocal density (with ghosts).  Face coefficients are
+// arithmetic means of 1/rho (equivalently, 1/rho_face with a harmonic-mean
+// face density), which keeps the stencil free of divisions; the only
+// division left is the diagonal solve, one per cell.  Arithmetic is at
+// compute_t.  Identity storage reads the field rows in place; 16-bit
+// storage converts each row's stencil through the batched conversion
+// lanes, reusing the current plane's converted rows across adjacent rows.
 
 /// x/y ghost-rim fill of interior planes k ∈ [k0, k1) only — the per-plane
 /// restriction of fill_sigma_ghosts' axis-0 then axis-1 passes (corner cells
@@ -101,13 +106,13 @@ template <class S>
 void fill_sigma_zghosts(common::Field3<S>& sigma, SigmaBcSpec bc, int side,
                         int layers = -1);
 
-/// One red–black half-pass updating parity (i+j+k) ≡ `color` (mod 2),
-/// restricted to planes k ∈ [k0, k1), in place.  Reads only the opposite
-/// parity (planes k0-1..k1) plus src/inv_rho, so the caller may schedule
-/// planes in any order that respects the sweep's cross-plane dependencies.
-/// No k-parity phasing is needed here (unlike the full-field batched pass):
-/// the caller serializes plane slots, so concurrent row gathers never span
-/// a plane another thread is writing.
+/// One red–black half-pass over planes k ∈ [k0, k1), in place: updates the
+/// cells of parity (i+j+k) ≡ `color` (mod 2) using the current ghosts.  It
+/// reads only the opposite parity (planes k0-1..k1) plus src/inv_rho, so
+/// the result does not depend on the order in which rows are relaxed, and
+/// a caller may schedule plane ranges in any order that respects the
+/// sweep's cross-plane dependencies.  In-place two-colour Gauss–Seidel
+/// reaches the same fixed point as Jacobi in fewer sweeps.
 template <class Policy>
 void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         const common::Field3<typename Policy::storage_t>& src,
@@ -118,10 +123,13 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         typename Policy::compute_t dz, int color, int k0,
                         int k1, const common::ExecSpace& exec = {});
 
-/// One Jacobi pass restricted to planes k ∈ [k0, k1): reads `in` (planes
-/// k0-1..k1 and the rim ghosts of [k0,k1)), writes `out`.  The caller owns
-/// the double-buffer bookkeeping (sigma_sweep_once swaps whole fields; a
-/// pipelined caller alternates buffers per sweep and swaps once at the end).
+/// One Jacobi pass over planes k ∈ [k0, k1): reads `in` (planes k0-1..k1
+/// and the rim ghosts of [k0, k1)), writes `out`.  The caller owns the
+/// double-buffer bookkeeping: the whole-block sweep swaps the fields after
+/// each pass, the pipelined one alternates buffers per sweep and swaps once
+/// at the end.  Jacobi is decomposition-exact (rank count cannot change the
+/// bits), at the cost of one extra N-sized buffer — the paper: "An
+/// additional copy of Sigma is required if Jacobi sweeps are used".
 template <class Policy>
 void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          const common::Field3<typename Policy::storage_t>& in,
@@ -132,56 +140,6 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          typename Policy::compute_t dy,
                          typename Policy::compute_t dz, int k0, int k1,
                          const common::ExecSpace& exec = {});
-
-/// Relaxation sweeps for eq. (9).
-///
-/// \param sigma    In: warm start (previous Sigma).  Out: updated solution.
-/// \param scratch  Jacobi double-buffer; unused for Gauss–Seidel (the paper:
-///                 "An additional copy of Sigma is required if Jacobi sweeps
-///                 are used").
-/// \param src      Right-hand side alpha*(tr((grad u)^2) + tr^2(grad u)).
-/// \param inv_rho  Reciprocal density with valid ghost layers.
-/// \tparam Policy  Precision policy; fields hold storage_t, arithmetic is
-///                 performed at compute_t.
-template <class Policy>
-void sigma_solve(common::Field3<typename Policy::storage_t>& sigma,
-                 common::Field3<typename Policy::storage_t>& scratch,
-                 const common::Field3<typename Policy::storage_t>& src,
-                 const common::Field3<typename Policy::storage_t>& inv_rho,
-                 typename Policy::compute_t alpha,
-                 typename Policy::compute_t dx,
-                 typename Policy::compute_t dy,
-                 typename Policy::compute_t dz,
-                 int sweeps, SweepKind kind, SigmaBcSpec bc,
-                 const common::ExecSpace& exec = {});
-
-/// A single relaxation pass using the *current* ghost values of `sigma`
-/// (no internal ghost fill).  Distributed drivers call this in lockstep with
-/// halo exchanges; `sigma_solve` composes it with `fill_sigma_ghosts`.
-/// Jacobi passes write through `scratch` and swap.
-///
-/// `inv_rho` is the reciprocal density (with ghosts); face coefficients are
-/// arithmetic means of 1/rho (equivalently: 1/rho_face with a harmonic-mean
-/// face density), which keeps the stencil free of divisions — the CPU
-/// analogue of the fused GPU kernel's reciprocal arithmetic.  The only
-/// division left is the diagonal solve, one per cell.
-///
-/// For the converting (16-bit storage) policies, the red–black and Jacobi
-/// passes read through per-row float scratch lines filled by the batched
-/// conversion lanes, with the current plane's sigma/inv_rho rows streamed
-/// through a rolling 3-row ring so adjacent (j, k) visits reuse the
-/// converted rows they share instead of re-converting them per stencil
-/// position.  Identity-storage policies read the fields directly.
-template <class Policy>
-void sigma_sweep_once(common::Field3<typename Policy::storage_t>& sigma,
-                      common::Field3<typename Policy::storage_t>& scratch,
-                      const common::Field3<typename Policy::storage_t>& src,
-                      const common::Field3<typename Policy::storage_t>& inv_rho,
-                      typename Policy::compute_t alpha,
-                      typename Policy::compute_t dx,
-                      typename Policy::compute_t dy,
-                      typename Policy::compute_t dz, SweepKind kind,
-                      const common::ExecSpace& exec = {});
 
 /// Max-norm residual of the discrete eq. (9); used by tests and adaptive
 /// sweep-count studies.

@@ -27,7 +27,7 @@ Comm::Comm(const mesh::Grid& global, int rx, int ry, int rz, bool periodic,
       throw TransportError("Comm: tcp ghost_depth out of range");
     // Invert the ghost-plane source resolution into per-axis reader sets:
     // the fixed set of peers every publish along an axis is pushed to.
-    // Both sides of the relation come from source_ranks(), so a published
+    // Both sides of the relation come from resolve_ghosts(), so a published
     // slot reaches exactly the ranks whose complete_axis will await it —
     // which keeps the per-slot sequence numbers in lockstep with the
     // senders' post counts.
@@ -35,14 +35,10 @@ Comm::Comm(const mesh::Grid& global, int rx, int ry, int rz, bool periodic,
     for (int axis = 0; axis < 3; ++axis) {
       for (int r = 0; r < decomp_.ranks(); ++r) {
         if (r == spec_.rank) continue;  // self-reads use the local buffer
-        int srcs[2 * kMaxGhostDepth];
-        const int n = source_ranks(r, axis, mp_ng_, srcs);
-        for (int s = 0; s < n; ++s) {
-          if (srcs[s] == spec_.rank) {
-            readers[static_cast<std::size_t>(axis)].push_back(r);
-            break;
-          }
-        }
+        const auto srcs = resolve_ghosts(r, axis, mp_ng_);
+        const int* end = srcs.rank.data() + srcs.nranks;
+        if (std::find(srcs.rank.data(), end, spec_.rank) != end)
+          readers[static_cast<std::size_t>(axis)].push_back(r);
       }
     }
     transport_ = make_tcp_transport(spec_, slots, readers, frame_caps(mp_ng_));
@@ -132,14 +128,16 @@ void Comm::check_mp_call(int rank, int ng, const char* what) const {
         "(derived for depth " + std::to_string(mp_ng_) + ")");
 }
 
-int Comm::source_ranks(int rank, int axis, int ng,
-                       int out[2 * kMaxGhostDepth]) const {
+Comm::GhostSources Comm::resolve_ghosts(int rank, int axis, int ng) const {
+  if (ng > kMaxGhostDepth)
+    throw std::invalid_argument("Comm: ghost depth above kMaxGhostDepth "
+                                "unsupported");
   const int N = (axis == 0)   ? global_.nx()
                 : (axis == 1) ? global_.ny()
                               : global_.nz();
   const auto blk = decomp_.block(rank);
   const auto coords = decomp_.coords_of(rank);
-  int nsrc = 0;
+  GhostSources out;
   for (int side = 0; side < 2; ++side) {
     for (int g = 0; g < ng; ++g) {
       const int dp = (side == 0) ? -ng + g : blk.n[axis] + g;
@@ -148,16 +146,17 @@ int Comm::source_ranks(int rank, int axis, int ng,
         if (!decomp_.periodic()) continue;  // physical ghost: BC fill owns it
         G = ((G % N) + N) % N;
       }
-      const int oc = decomp_.owner_coord(axis, G);
       int scoord[3] = {coords[0], coords[1], coords[2]};
-      scoord[axis] = oc;
+      scoord[axis] = decomp_.owner_coord(axis, G);
       const int sr = decomp_.rank_of(scoord[0], scoord[1], scoord[2]);
-      bool seen = false;
-      for (int s = 0; s < nsrc; ++s) seen = seen || (out[s] == sr);
-      if (!seen) out[nsrc++] = sr;
+      out.plane[static_cast<std::size_t>(out.nplanes++)] = {
+          dp, sr, G - decomp_.block(sr).lo[axis]};
+      int* seen = out.rank.data() + out.nranks;
+      if (std::find(out.rank.data(), seen, sr) == seen)
+        out.rank[static_cast<std::size_t>(out.nranks++)] = sr;
     }
   }
-  return nsrc;
+  return out;
 }
 
 void Comm::fault_on_post() const {

@@ -276,12 +276,24 @@ class Comm {
   /// desynchronize the per-slot sequence numbers).
   void check_mp_call(int rank, int ng, const char* what) const;
 
-  /// Unique source ranks of `rank`'s ghost planes along `axis` at depth
-  /// `ng` — the resolution loop of complete_axis without the per-plane
-  /// bookkeeping (complete_axis mirrors it; keep the two in sync).  The
-  /// inverse of this relation is the transport's per-axis reader set.
-  int source_ranks(int rank, int axis, int ng,
-                   int out[2 * kMaxGhostDepth]) const;
+  /// Where `rank`'s exchanged ghost planes along `axis` at depth `ng` come
+  /// from, low side first (physical ghosts belong to the BC fill and are
+  /// skipped), plus the distinct source ranks in first-seen order.
+  /// complete_axis unpacks by this resolution, and its source-rank relation,
+  /// inverted, is the transport's per-axis reader set.
+  struct GhostSources {
+    struct Plane {
+      int dst_plane;  ///< ghost-plane coordinate in this block
+      int src_rank;
+      int src_plane;  ///< interior plane in the source block
+    };
+    std::array<Plane, 2 * kMaxGhostDepth> plane{};
+    int nplanes = 0;
+    std::array<int, 2 * kMaxGhostDepth> rank{};
+    int nranks = 0;
+  };
+  [[nodiscard]] GhostSources resolve_ghosts(int rank, int axis,
+                                            int ng) const;
 
   /// Frame-length caps of a tcp team on this decomposition at ghost depth
   /// `ng` (see FrameCaps): the largest slab and block any rank publishes.
@@ -403,11 +415,6 @@ bool Comm::complete_axis(int channel, int rank,
   const int ng = f0.ng();
   check_mp_call(rank, ng, "complete_axis");
   const int nd[3] = {f0.nx(), f0.ny(), f0.nz()};
-  const int N = (axis == 0)   ? global_.nx()
-                : (axis == 1) ? global_.ny()
-                              : global_.nz();
-  const auto blk = decomp_.block(rank);
-  const auto coords = decomp_.coords_of(rank);
   int ta, tb;
   detail::tangential_axes(axis, ta, tb);
   int lo_a, hi_a, lo_b, hi_b;
@@ -416,43 +423,7 @@ bool Comm::complete_axis(int channel, int rank,
   const std::size_t plane_area = static_cast<std::size_t>(hi_a - lo_a) *
                                  static_cast<std::size_t>(hi_b - lo_b);
 
-  // Resolve every ghost plane to (source rank, source local plane).
-  // (source_ranks() mirrors this resolution to derive the transport's
-  // reader sets — keep the two loops in sync.)
-  struct PlaneSrc {
-    int dst_plane;  // ghost-plane coordinate in this block
-    int src_rank;
-    int src_plane;  // interior plane in the source block
-  };
-  PlaneSrc planes[2 * kMaxGhostDepth];  // 2 sides x ng planes
-  if (ng > kMaxGhostDepth)
-    throw std::invalid_argument("Comm: ghost depth above kMaxGhostDepth "
-                                "unsupported");
-  int nplanes_needed = 0;
-  int src_ranks[2 * kMaxGhostDepth];
-  int nsrc = 0;
-  for (int side = 0; side < 2; ++side) {
-    for (int g = 0; g < ng; ++g) {
-      const int dp = (side == 0) ? -ng + g : nd[axis] + g;
-      int G = blk.lo[axis] + dp;
-      if (G < 0 || G >= N) {
-        if (!decomp_.periodic()) continue;  // physical ghost: BC fill owns it
-        G = ((G % N) + N) % N;
-      }
-      const int oc = decomp_.owner_coord(axis, G);
-      int scoord[3] = {coords[0], coords[1], coords[2]};
-      scoord[axis] = oc;
-      const int sr = decomp_.rank_of(scoord[0], scoord[1], scoord[2]);
-      PlaneSrc& p = planes[nplanes_needed++];
-      p.dst_plane = dp;
-      p.src_rank = sr;
-      const auto sblk = decomp_.block(sr);
-      p.src_plane = G - sblk.lo[axis];
-      bool seen = false;
-      for (int s = 0; s < nsrc; ++s) seen = seen || (src_ranks[s] == sr);
-      if (!seen) src_ranks[nsrc++] = sr;
-    }
-  }
+  const GhostSources srcs = resolve_ghosts(rank, axis, ng);
 
   // Wait for every source to publish this rank's current epoch (each rank
   // posts exactly once per scheduled exchange, so its own counter is the
@@ -467,9 +438,9 @@ bool Comm::complete_axis(int channel, int rank,
   // below (which are local compute).
   const auto wait_t0 = std::chrono::steady_clock::now();
   bool acquired = true;
-  for (int s = 0; s < nsrc; ++s) {
-    src_data[s] = transport_->acquire(slot(channel, axis, src_ranks[s]),
-                                      target, src_ranks[s]);
+  for (int s = 0; s < srcs.nranks; ++s) {
+    const int sr = srcs.rank[static_cast<std::size_t>(s)];
+    src_data[s] = transport_->acquire(slot(channel, axis, sr), target, sr);
     if (src_data[s] == nullptr) {
       acquired = false;
       break;
@@ -507,8 +478,8 @@ bool Comm::complete_axis(int channel, int rank,
   };
 
   std::size_t unpacked = 0;
-  for (int p = 0; p < nplanes_needed; ++p) {
-    const PlaneSrc& ps = planes[p];
+  for (int p = 0; p < srcs.nplanes; ++p) {
+    const auto& ps = srcs.plane[static_cast<std::size_t>(p)];
     const auto sblk = decomp_.block(ps.src_rank);
     const int sn = sblk.n[axis];
     const int pos = published_pos(ps.src_plane, sn, ng);
@@ -517,7 +488,7 @@ bool Comm::complete_axis(int channel, int rank,
                              "interior plane (decomposition bug)");
     const int snplanes = published_planes(sn, ng);
     int si = 0;
-    while (src_ranks[si] != ps.src_rank) ++si;
+    while (srcs.rank[static_cast<std::size_t>(si)] != ps.src_rank) ++si;
     const unsigned char* in = src_data[si];
     for (int c = 0; c < nfields; ++c) {
       common::Field3<T>& f = *fields[c];

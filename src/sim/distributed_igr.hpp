@@ -33,6 +33,8 @@
 #include <array>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -191,55 +193,19 @@ class DistributedIgr {
   /// position, non-root processes ship their block to rank 0 and return a
   /// 1-cell placeholder (callers gate global reads on is_root()).
   [[nodiscard]] common::StateField3<S> gather() const {
-    if (comm_.multi_process() && !comm_.is_root()) {
-      send_block_to_root(ranks_[0]->state(), common::kNumVars,
-                         kBlobTagState);
-      return common::StateField3<S>(1, 1, 1, 0);
-    }
-    const auto& g = comm_.global_grid();
-    common::StateField3<S> out(g.nx(), g.ny(), g.nz(), kNg);
-    for (const int r : local_ranks_) {
-      const auto b = comm_.decomp().block(r);
-      const auto& q = solver_const(r).state();
-      for (int c = 0; c < common::kNumVars; ++c) {
-        for (int k = 0; k < b.n[2]; ++k)
-          for (int j = 0; j < b.n[1]; ++j)
-            for (int i = 0; i < b.n[0]; ++i)
-              out[c](b.lo[0] + i, b.lo[1] + j, b.lo[2] + k) = q[c](i, j, k);
-      }
-    }
-    if (comm_.multi_process()) {
-      for (int r = 0; r < comm_.ranks(); ++r) {
-        if (r == local_ranks_[0]) continue;
-        receive_block(out, r, common::kNumVars, kBlobTagState);
-      }
-    }
+    common::StateField3<S> out = global_shaped<common::StateField3<S>>();
+    gather_fields(components(out), kBlobTagState,
+                  [](const auto& s) { return components(s.state()); });
     return out;
   }
 
   /// Assemble the global Sigma field (output/diagnostics).  Collective
   /// over multi-process transports, like gather().
   [[nodiscard]] common::Field3<S> gather_sigma() const {
-    if (comm_.multi_process() && !comm_.is_root()) {
-      send_field_to_root(ranks_[0]->sigma(), kBlobTagSigma);
-      return common::Field3<S>(1, 1, 1, 0);
-    }
-    const auto& g = comm_.global_grid();
-    common::Field3<S> out(g.nx(), g.ny(), g.nz(), kNg);
-    for (const int r : local_ranks_) {
-      const auto b = comm_.decomp().block(r);
-      const auto& sig = solver_const(r).sigma();
-      for (int k = 0; k < b.n[2]; ++k)
-        for (int j = 0; j < b.n[1]; ++j)
-          for (int i = 0; i < b.n[0]; ++i)
-            out(b.lo[0] + i, b.lo[1] + j, b.lo[2] + k) = sig(i, j, k);
-    }
-    if (comm_.multi_process()) {
-      for (int r = 0; r < comm_.ranks(); ++r) {
-        if (r == local_ranks_[0]) continue;
-        receive_field(out, r, kBlobTagSigma);
-      }
-    }
+    common::Field3<S> out = global_shaped<common::Field3<S>>();
+    gather_fields({&out}, kBlobTagSigma, [](const auto& s) {
+      return std::vector<const common::Field3<S>*>{&s.sigma()};
+    });
     return out;
   }
 
@@ -249,36 +215,16 @@ class DistributedIgr {
   /// init().  Each rank's cached dt is invalidated (the cache belonged to
   /// the pre-scatter state).
   void scatter(const common::StateField3<S>& global) {
-    check_global_shape(global.nx(), global.ny(), global.nz(), "scatter");
-    for (const int r : local_ranks_) {
-      const auto b = comm_.decomp().block(r);
-      auto& s = solver(r);
-      auto& q = s.state();
-      for (int c = 0; c < common::kNumVars; ++c) {
-        for (int k = 0; k < b.n[2]; ++k)
-          for (int j = 0; j < b.n[1]; ++j)
-            for (int i = 0; i < b.n[0]; ++i)
-              q[c](i, j, k) = global[c](b.lo[0] + i, b.lo[1] + j, b.lo[2] + k);
-      }
-      s.invalidate_dt_cache();
-    }
+    scatter_fields(components(global), "scatter",
+                   [](auto& s) { return components(s.state()); });
   }
 
   /// Distribute a global Sigma field (restart warm start) — inverse of
   /// gather_sigma().
   void scatter_sigma(const common::Field3<S>& global) {
-    check_global_shape(global.nx(), global.ny(), global.nz(),
-                       "scatter_sigma");
-    for (const int r : local_ranks_) {
-      const auto b = comm_.decomp().block(r);
-      auto& s = solver(r);
-      auto& sig = s.sigma_field();
-      for (int k = 0; k < b.n[2]; ++k)
-        for (int j = 0; j < b.n[1]; ++j)
-          for (int i = 0; i < b.n[0]; ++i)
-            sig(i, j, k) = global(b.lo[0] + i, b.lo[1] + j, b.lo[2] + k);
-      s.invalidate_dt_cache();
-    }
+    scatter_fields({&global}, "scatter_sigma", [](auto& s) {
+      return std::vector<common::Field3<S>*>{&s.sigma_field()};
+    });
   }
 
   /// Reset simulated time on the driver and every rank (restart).
@@ -324,79 +270,112 @@ class DistributedIgr {
     return *ranks_[local_index(global_rank)];
   }
 
-  // --- gather/scatter block packing (multi-process collectives) ---------
+  // --- gather/scatter over lists of fields (the state's components, or
+  // Sigma alone), the convention Comm::post_axis uses -------------------
 
-  static S* pack_block(const common::Field3<S>& f, const int* n, S* p) {
-    for (int k = 0; k < n[2]; ++k)
-      for (int j = 0; j < n[1]; ++j)
-        for (int i = 0; i < n[0]; ++i) *p++ = f(i, j, k);
-    return p;
+  /// The kNumVars component fields of a state, as a list.
+  template <class Q>
+  static auto components(Q& q) {
+    std::vector<std::remove_reference_t<decltype(q[0])>*> f;
+    for (int c = 0; c < common::kNumVars; ++c) f.push_back(&q[c]);
+    return f;
   }
 
-  void send_field_to_root(const common::Field3<S>& f, int tag) const {
-    const auto b = comm_.decomp().block(local_ranks_[0]);
-    const std::size_t cells = static_cast<std::size_t>(b.n[0]) *
-                              static_cast<std::size_t>(b.n[1]) *
-                              static_cast<std::size_t>(b.n[2]);
-    std::vector<unsigned char> blob(cells * sizeof(S));
-    pack_block(f, b.n.data(), reinterpret_cast<S*>(blob.data()));
-    comm_.transport().send_blob(0, tag, blob.data(), blob.size());
+  /// A global-grid field on the IO root, a 1-cell placeholder elsewhere.
+  template <class F>
+  [[nodiscard]] F global_shaped() const {
+    if (comm_.multi_process() && !comm_.is_root()) return F(1, 1, 1, 0);
+    const auto& g = comm_.global_grid();
+    return F(g.nx(), g.ny(), g.nz(), kNg);
   }
 
-  void send_block_to_root(const common::StateField3<S>& q, int ncomp,
-                          int tag) const {
-    const auto b = comm_.decomp().block(local_ranks_[0]);
-    const std::size_t cells = static_cast<std::size_t>(b.n[0]) *
-                              static_cast<std::size_t>(b.n[1]) *
-                              static_cast<std::size_t>(b.n[2]);
-    std::vector<unsigned char> blob(static_cast<std::size_t>(ncomp) * cells *
-                                    sizeof(S));
-    S* p = reinterpret_cast<S*>(blob.data());
-    for (int c = 0; c < ncomp; ++c) p = pack_block(q[c], b.n.data(), p);
-    comm_.transport().send_blob(0, tag, blob.data(), blob.size());
-  }
-
-  void receive_field(common::Field3<S>& out, int r, int tag) const {
+  /// Cells of global rank `r`'s block.
+  [[nodiscard]] std::size_t block_cells(int r) const {
     const auto b = comm_.decomp().block(r);
-    const std::size_t cells = static_cast<std::size_t>(b.n[0]) *
-                              static_cast<std::size_t>(b.n[1]) *
-                              static_cast<std::size_t>(b.n[2]);
-    const auto blob = comm_.transport().recv_blob(r, tag);
-    if (blob.size() != cells * sizeof(S))
-      throw TransportError("DistributedIgr: gather blob from rank " +
-                           std::to_string(r) + " has the wrong size");
-    const S* p = reinterpret_cast<const S*>(blob.data());
+    return static_cast<std::size_t>(b.n[0]) *
+           static_cast<std::size_t>(b.n[1]) *
+           static_cast<std::size_t>(b.n[2]);
+  }
+
+  /// Call `fn(block-local cell, global cell)` over global rank `r`'s block,
+  /// in packing order (i fastest).
+  template <class Fn>
+  void for_block(int r, Fn&& fn) const {
+    const auto b = comm_.decomp().block(r);
     for (int k = 0; k < b.n[2]; ++k)
       for (int j = 0; j < b.n[1]; ++j)
         for (int i = 0; i < b.n[0]; ++i)
-          out(b.lo[0] + i, b.lo[1] + j, b.lo[2] + k) = *p++;
+          fn(std::array<int, 3>{i, j, k},
+             std::array<int, 3>{b.lo[0] + i, b.lo[1] + j, b.lo[2] + k});
   }
 
-  void receive_block(common::StateField3<S>& out, int r, int ncomp,
-                     int tag) const {
-    const auto b = comm_.decomp().block(r);
-    const std::size_t cells = static_cast<std::size_t>(b.n[0]) *
-                              static_cast<std::size_t>(b.n[1]) *
-                              static_cast<std::size_t>(b.n[2]);
-    const auto blob = comm_.transport().recv_blob(r, tag);
-    if (blob.size() != static_cast<std::size_t>(ncomp) * cells * sizeof(S))
-      throw TransportError("DistributedIgr: gather blob from rank " +
-                           std::to_string(r) + " has the wrong size");
-    const S* p = reinterpret_cast<const S*>(blob.data());
-    for (int c = 0; c < ncomp; ++c) {
-      for (int k = 0; k < b.n[2]; ++k)
-        for (int j = 0; j < b.n[1]; ++j)
-          for (int i = 0; i < b.n[0]; ++i)
-            out[c](b.lo[0] + i, b.lo[1] + j, b.lo[2] + k) = *p++;
+  /// Assemble the global fields `out` from every rank's `pick(solver)`
+  /// fields.  Over a multi-process transport non-root processes send
+  /// their block to the root (tagged `tag`) and leave `out` untouched.
+  template <class Pick>
+  void gather_fields(const std::vector<common::Field3<S>*>& out, int tag,
+                     Pick pick) const {
+    if (comm_.multi_process() && !comm_.is_root()) {
+      send_to_root(pick(*ranks_[0]), tag);
+      return;
+    }
+    for (const int r : local_ranks_) {
+      const auto src = pick(solver_const(r));
+      for (std::size_t c = 0; c < out.size(); ++c)
+        for_block(r, [&](auto l, auto g) {
+          (*out[c])(g[0], g[1], g[2]) = (*src[c])(l[0], l[1], l[2]);
+        });
+    }
+    if (comm_.multi_process()) {
+      for (int r = 0; r < comm_.ranks(); ++r)
+        if (r != local_ranks_[0]) receive_from(out, r, tag);
     }
   }
 
-  void check_global_shape(int nx, int ny, int nz, const char* what) const {
+  /// Copy each local rank's block of the global fields `global` into its
+  /// `pick(solver)` fields, and invalidate its dt cache.
+  template <class Pick>
+  void scatter_fields(const std::vector<const common::Field3<S>*>& global,
+                      const char* what, Pick pick) {
     const auto& g = comm_.global_grid();
-    if (nx != g.nx() || ny != g.ny() || nz != g.nz())
+    if (global[0]->nx() != g.nx() || global[0]->ny() != g.ny() ||
+        global[0]->nz() != g.nz())
       throw std::invalid_argument(
           std::string("DistributedIgr::") + what +
           ": global field shape does not match the decomposed grid");
+    for (const int r : local_ranks_) {
+      auto& s = solver(r);
+      const auto dst = pick(s);
+      for (std::size_t c = 0; c < global.size(); ++c)
+        for_block(r, [&](auto l, auto gl) {
+          (*dst[c])(l[0], l[1], l[2]) = (*global[c])(gl[0], gl[1], gl[2]);
+        });
+      s.invalidate_dt_cache();
+    }
+  }
+
+  /// Ship this process's block of `fields` to the root as one blob.
+  void send_to_root(const std::vector<const common::Field3<S>*>& fields,
+                    int tag) const {
+    const int r = local_ranks_[0];
+    std::vector<unsigned char> blob(fields.size() * block_cells(r) *
+                                    sizeof(S));
+    S* p = reinterpret_cast<S*>(blob.data());
+    for (const auto* f : fields)
+      for_block(r, [&](auto l, auto) { *p++ = (*f)(l[0], l[1], l[2]); });
+    comm_.transport().send_blob(0, tag, blob.data(), blob.size());
+  }
+
+  /// Receive rank `r`'s blob into its block of the global fields `out`.
+  void receive_from(const std::vector<common::Field3<S>*>& out, int r,
+                    int tag) const {
+    const auto blob = comm_.transport().recv_blob(r, tag);
+    if (blob.size() != out.size() * block_cells(r) * sizeof(S))
+      throw TransportError("DistributedIgr: gather blob from rank " +
+                           std::to_string(r) + " has the wrong size");
+    const S* p = reinterpret_cast<const S*>(blob.data());
+    for (auto* f : out)
+      for_block(r, [&](auto, auto g) { (*f)(g[0], g[1], g[2]) = *p++; });
   }
 
   static bool is_periodic(const fv::BcSpec& bc) {

@@ -175,9 +175,15 @@ class TcpTransport final : public Transport {
     }
     const auto now = Clock::now();
     for (auto& t : last_heard_) t = now;
+    recv_live_ = world_ - 1;
     for (int p = 0; p < world_; ++p) {
       if (p == rank_) continue;
-      recv_threads_.emplace_back([this, p] { recv_main(p); });
+      recv_threads_.emplace_back([this, p] {
+        recv_main(p);
+        std::lock_guard<std::mutex> lock(mu_);
+        --recv_live_;
+        cv_.notify_all();
+      });
     }
     if (world_ > 1 && hb_period_s_ > 0.0)
       hb_thread_ = std::thread([this] { hb_main(); });
@@ -193,14 +199,27 @@ class TcpTransport final : public Transport {
       hb_cv_.notify_all();
       hb_thread_.join();
     }
+    // Goodbye, then close only our write side: TCP delivers the goodbye
+    // and everything queued before it (a last gather blob included) ahead
+    // of the FIN.  Closing the read side too would make a frame the peer
+    // still sends (a heartbeat) reset the connection, and the reset
+    // discards whatever this end had not transmitted yet.  So the receive
+    // threads keep draining until each peer's own goodbye and EOF, bounded
+    // by the liveness timeout; a peer that stays silent past it gets its
+    // read side shut, which wakes the blocked receive.
     for (int p = 0; p < world_; ++p) {
       if (p == rank_ || fds_[static_cast<std::size_t>(p)] < 0) continue;
-      // Goodbye, then a full shutdown: TCP delivers the queued goodbye (and
-      // any still-buffered halo frames) before the FIN, so a slower peer
-      // sees an orderly exit, while our receive thread's blocking recv
-      // wakes immediately.
       send_frame(p, kGoodbye, 0, 0, 0, nullptr, 0);
-      ::shutdown(fds_[static_cast<std::size_t>(p)], SHUT_RDWR);
+      ::shutdown(fds_[static_cast<std::size_t>(p)], SHUT_WR);
+    }
+    if (liveness_s_ > 0.0) {
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait_for(lk, std::chrono::duration<double>(liveness_s_),
+                   [&] { return recv_live_ == 0; });
+    }
+    for (int p = 0; p < world_; ++p) {
+      if (p != rank_ && fds_[static_cast<std::size_t>(p)] >= 0)
+        ::shutdown(fds_[static_cast<std::size_t>(p)], SHUT_RD);
     }
     for (auto& t : recv_threads_) t.join();
     close_sockets();
@@ -801,6 +820,7 @@ class TcpTransport final : public Transport {
   std::map<std::uint64_t, std::deque<std::vector<unsigned char>>> ctl_;
   std::vector<PeerState> state_;
   std::vector<Clock::time_point> last_heard_;
+  int recv_live_ = 0;  ///< receive threads still running
 
   std::vector<std::thread> recv_threads_;
   std::thread hb_thread_;

@@ -27,6 +27,7 @@
 
 namespace {
 
+using igr::common::Bf16x32;
 using igr::common::ExecBackend;
 using igr::common::ExecSpace;
 using igr::common::Fp16x32;
@@ -169,6 +170,9 @@ TEST(ExecSpaceBitwise, SerialMatchesDefaultFusedFp32) {
 TEST(ExecSpaceBitwise, SerialMatchesDefaultFusedFp16) {
   serial_vs_default<Fp16x32>(false);
 }
+TEST(ExecSpaceBitwise, SerialMatchesDefaultFusedBf16x32) {
+  serial_vs_default<Bf16x32>(false);
+}
 TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp64) {
   serial_vs_default<Fp64>(true);
 }
@@ -178,24 +182,44 @@ TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp32) {
 TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedFp16) {
   serial_vs_default<Fp16x32>(true);
 }
+TEST(ExecSpaceBitwise, SerialMatchesDefaultPhasedBf16x32) {
+  serial_vs_default<Bf16x32>(true);
+}
 
-TEST(ExecSpaceBitwise, ThreadCountCannotMoveABit) {
-  const auto* spec = cases::find("jet-single");
+/// One case at widths 1/2/4 against the Serial run: state fingerprint and
+/// every dt must match.
+template <class Policy>
+void expect_width_invariant(const char* case_name) {
+  const auto* spec = cases::find(case_name);
   ASSERT_NE(spec, nullptr);
   cases::RunOptions base = cases::golden_options(*spec);
   base.exec = ExecBackend::kSerial;
-  const auto [ref_fnv, ref_dts] = fingerprint<Fp64>(*spec, base);
+  const auto [ref_fnv, ref_dts] = fingerprint<Policy>(*spec, base);
   for (int width : {1, 2, 4}) {
     SCOPED_TRACE("width " + std::to_string(width));
     cases::RunOptions o = base;
     o.exec = ExecBackend::kOpenMP;
     o.threads = width;
-    const auto [fnv, dts] = fingerprint<Fp64>(*spec, o);
+    const auto [fnv, dts] = fingerprint<Policy>(*spec, o);
     ASSERT_EQ(dts.size(), ref_dts.size());
     for (std::size_t s = 0; s < dts.size(); ++s)
       EXPECT_EQ(dts[s], ref_dts[s]) << "dt diverged at step " << s;
     EXPECT_EQ(fnv, ref_fnv);
   }
+}
+
+TEST(ExecSpaceBitwise, ThreadCountCannotMoveABit) {
+  expect_width_invariant<Fp64>("jet-single");
+}
+
+// All-periodic BCs keep the single-domain Sigma sweeps whole-block (the
+// plane wavefront cannot cross the z wrap), so these pin the multi-plane
+// red–black colour passes at every team width.
+TEST(ExecSpaceBitwise, TaylorGreenThreadCountCannotMoveABitFp64) {
+  expect_width_invariant<Fp64>("taylor-green");
+}
+TEST(ExecSpaceBitwise, TaylorGreenThreadCountCannotMoveABitBf16x32) {
+  expect_width_invariant<Bf16x32>("taylor-green");
 }
 
 TEST(ExecSpaceBitwise, SedovPhasedSerialMatchesThreads) {

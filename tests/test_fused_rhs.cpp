@@ -229,6 +229,9 @@ TEST(FusedRhs, AdaptiveJetStepsBitwiseFp32) { run_jet_case<Fp32>(true); }
 TEST(FusedRhs, AdaptiveJetStepsBitwiseFp16x32) {
   run_jet_case<Fp16x32>(true);
 }
+TEST(FusedRhs, AdaptiveJetStepsBitwiseBf16x32) {
+  run_jet_case<Bf16x32>(true);
+}
 
 // The Jacobi wavefront alternates buffers per plane slot instead of
 // swapping whole fields per sweep; the final swap must land the same bits
@@ -241,6 +244,9 @@ TEST(FusedRhs, AdaptiveJetStepsBitwiseJacobiFp32) {
 }
 TEST(FusedRhs, AdaptiveJetStepsBitwiseJacobiFp16x32) {
   run_jet_case<Fp16x32>(false);
+}
+TEST(FusedRhs, AdaptiveJetStepsBitwiseJacobiBf16x32) {
+  run_jet_case<Bf16x32>(false);
 }
 
 // All-periodic BCs: the sweep wavefront cannot cross the z wrap, so the
@@ -255,11 +261,17 @@ TEST(FusedRhs, PeriodicFallbackStepsBitwiseFp32) {
 TEST(FusedRhs, PeriodicFallbackStepsBitwiseFp16x32) {
   run_periodic_case<Fp16x32>(true);
 }
+TEST(FusedRhs, PeriodicFallbackStepsBitwiseBf16x32) {
+  run_periodic_case<Bf16x32>(true);
+}
 TEST(FusedRhs, PeriodicFallbackStepsBitwiseJacobiFp64) {
   run_periodic_case<Fp64>(false);
 }
 TEST(FusedRhs, PeriodicFallbackStepsBitwiseJacobiFp16x32) {
   run_periodic_case<Fp16x32>(false);
+}
+TEST(FusedRhs, PeriodicFallbackStepsBitwiseJacobiBf16x32) {
+  run_periodic_case<Bf16x32>(false);
 }
 
 // The k-block seams of the streamed flux stage re-evaluate shared faces,

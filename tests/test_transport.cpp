@@ -289,6 +289,59 @@ TEST(TcpFabric, MissedHeartbeatsDeclareAWedgedPeerDead) {
   fs::remove_all(dir);
 }
 
+TEST(TcpFabric, LastBlobSurvivesTeardownWithoutABarrier) {
+  // Rank 1 sends one blob to the root and destroys its transport at once,
+  // while the root's 1 ms heartbeats keep arriving.  Teardown must drain
+  // them instead of resetting the connection, which would discard the
+  // part of the blob still queued in rank 1's socket.
+  std::array<std::vector<int>, 3> no_readers{{{}, {}, {}}};
+  // Larger than the socket buffers, so that part of it is still queued at
+  // rank 1 when its destructor runs.
+  constexpr sim::FrameCaps kCaps{1u << 20, 16u << 20};
+  std::vector<unsigned char> payload(kCaps.blob);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<unsigned char>(i * 131 + 7);
+  constexpr int kReps = 50;
+  int delivered = 0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto dir = scratch_dir("teardown");
+    std::string error;
+    bool intact = false;
+    std::thread t0([&] {
+      try {
+        auto spec = pair_spec(0, dir);
+        spec.heartbeat_period_s = 0.001;
+        auto t =
+            sim::make_tcp_transport(spec, kPairSlots, no_readers, kCaps);
+        t->set_wait_timeout(30.0);
+        intact = t->recv_blob(1, /*tag=*/7) == payload;
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+    });
+    std::thread t1([&] {
+      try {
+        auto spec = pair_spec(1, dir);
+        spec.heartbeat_period_s = 0.001;
+        auto t =
+            sim::make_tcp_transport(spec, kPairSlots, no_readers, kCaps);
+        // Compute for a while, so that heartbeats are in flight when this
+        // endpoint tears down.
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        t->send_blob(0, /*tag=*/7, payload.data(), payload.size());
+      } catch (const std::exception&) {
+        // Rank 0's error names what rank 1's sends lost.
+      }
+    });
+    t0.join();
+    t1.join();
+    if (intact) ++delivered;
+    EXPECT_EQ(error, "") << "repetition " << rep;
+    fs::remove_all(dir);
+  }
+  EXPECT_EQ(delivered, kReps);
+}
+
 /// The 32-byte frame header of the tcp wire protocol (transport_tcp.cpp),
 /// replicated so a test can speak the protocol as a misbehaving peer.
 struct WireHeader {
