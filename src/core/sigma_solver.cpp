@@ -92,11 +92,13 @@ class FieldRows {
       : src_(src), inv_rho_(inv_rho) {}
 
   StencilRows<C> fetch(const common::Field3<S>& sig, int j, int k) const {
-    const common::Field3<S>& ir = inv_rho_;
-    return {&sig(-1, j, k),     &sig(-1, j - 1, k), &sig(-1, j + 1, k),
-            &sig(-1, j, k - 1), &sig(-1, j, k + 1), &ir(-1, j, k),
-            &ir(-1, j - 1, k),  &ir(-1, j + 1, k),  &ir(-1, j, k - 1),
-            &ir(-1, j, k + 1),  &src_(-1, j, k)};
+    // The fields share one shape, so one offset locates all eleven rows.
+    const std::size_t o = sig.idx(-1, j, k);
+    const std::ptrdiff_t sy = sig.stride(1), sz = sig.stride(2);
+    const S* s = sig.data() + o;
+    const S* r = inv_rho_.data() + o;
+    return {s,      s - sy, s + sy, s - sz, s + sz,           r,
+            r - sy, r + sy, r - sz, r + sz, src_.data() + o};
   }
 
  private:
