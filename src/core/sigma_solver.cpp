@@ -321,9 +321,10 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
   // rows of every plane by the parity of j + k would also be race-free, but
   // it loads, and for 16-bit storage converts, each plane's stencil rows
   // once per phase instead of once per pass; whole-block passes measured
-  // about a third slower that way.)  Which lanes a row stores does not
-  // depend on the schedule: a stored lane reads only the other colour,
-  // which this pass never writes, so no order of the rows can move a bit.
+  // 11–43% slower that way on a 4-core Xeon with GCC 12.2, see PERF.md.)
+  // Which lanes a row stores does not depend on the schedule: a stored
+  // lane reads only the other colour, which this pass never writes, so no
+  // order of the rows can move a bit.
   const int ny = sigma.ny();
   const bool plane_items = k1 - k0 > 1;
   const int items = plane_items ? k1 - k0 : ny;

@@ -83,13 +83,14 @@ void fill_sigma_ghosts_axis(common::Field3<S>& sigma, SigmaBcSpec bc,
 //     whose slots read exactly the values the whole-block schedule shows
 //     them, so the two are bitwise-identical (see IgrSolver3D's fused
 //     pipeline for the slot schedule and its dependency argument).
-// `inv_rho` is the reciprocal density (with ghosts).  Face coefficients are
-// arithmetic means of 1/rho (equivalently, 1/rho_face with a harmonic-mean
-// face density), which keeps the stencil free of divisions; the only
-// division left is the diagonal solve, one per cell.  Arithmetic is at
-// compute_t.  Identity storage reads the field rows in place; 16-bit
-// storage converts each row's stencil through the batched conversion
-// lanes, reusing the current plane's converted rows across adjacent rows.
+// All fields of a call share one shape and ghost depth.  `inv_rho` is the
+// reciprocal density (with ghosts).  Face coefficients are arithmetic means
+// of 1/rho (equivalently, 1/rho_face with a harmonic-mean face density),
+// which keeps the stencil free of divisions; the only division left is the
+// diagonal solve, one per cell.  Arithmetic is at compute_t.  Identity
+// storage reads the field rows in place; 16-bit storage converts each row's
+// stencil through the batched conversion lanes, reusing the current plane's
+// converted rows across adjacent rows.
 
 /// x/y ghost-rim fill of interior planes k ∈ [k0, k1) only — the per-plane
 /// restriction of fill_sigma_ghosts' axis-0 then axis-1 passes (corner cells
