@@ -137,10 +137,9 @@ Point run_case_t(const char* mode, const mesh::Grid& grid,
     const auto w = run.meters() - m0;
     double bytes = static_cast<double>(w.wire_bytes);
     double wait_ns = 0.0, wait_epochs = 0.0;
-    for (int a = 0; a < 3; ++a) {
-      wait_ns += static_cast<double>(w.halo_wait_ns[static_cast<std::size_t>(a)]);
-      wait_epochs +=
-          static_cast<double>(w.halo_wait_epochs[static_cast<std::size_t>(a)]);
+    for (std::size_t a = 0; a < 3; ++a) {
+      wait_ns += static_cast<double>(w.halo_wait_ns[a]);
+      wait_epochs += static_cast<double>(w.halo_wait_epochs[a]);
     }
     if (run.distributed()) {
       const auto& comm = run.dist().comm();
