@@ -210,6 +210,12 @@ class Comm {
   [[nodiscard]] std::uint64_t halo_wait_epochs(int axis) const {
     return wait_epochs_[check_axis(axis)].load(std::memory_order_relaxed);
   }
+  [[nodiscard]] std::uint64_t halo_wait_ns_total() const {
+    return halo_wait_ns(0) + halo_wait_ns(1) + halo_wait_ns(2);
+  }
+  [[nodiscard]] std::uint64_t halo_wait_epochs_total() const {
+    return halo_wait_epochs(0) + halo_wait_epochs(1) + halo_wait_epochs(2);
+  }
 
   void reset_traffic() const {
     bytes_.store(0, std::memory_order_relaxed);
