@@ -5,6 +5,7 @@
 #include <climits>
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -140,7 +141,7 @@ class GatheredRows {
         row_len_(static_cast<std::size_t>(src.nx()) + 2),
         num_rows_(static_cast<std::size_t>(src.ny()) + 2),
         held_(2 * num_rows_, kEmpty),
-        slots_(2 * num_rows_ * row_len_),
+        slots_(new C[2 * num_rows_ * row_len_]),
         aux_(5 * row_len_) {}
 
   StencilRows<C> fetch(const common::Field3<S>& sig, int j, int k) {
@@ -175,7 +176,7 @@ class GatheredRows {
   const C* slot(const common::Field3<S>& f, int which, int j) {
     const std::size_t s = static_cast<std::size_t>(which) * num_rows_ +
                           static_cast<std::size_t>(j + 1);
-    C* dst = slots_.data() + s * row_len_;
+    C* dst = slots_.get() + s * row_len_;
     if (held_[s] != j) {
       line(f, j, k_, dst);
       held_[s] = j;
@@ -189,7 +190,7 @@ class GatheredRows {
   std::size_t num_rows_;
   int k_ = kEmpty;
   std::vector<int> held_;
-  std::vector<C> slots_;
+  std::unique_ptr<C[]> slots_;  // not zeroed: read only once converted into
   std::vector<C> aux_;
 };
 
