@@ -18,7 +18,7 @@
 /// rows for that registered scenario at every precision, so grind time is
 /// tracked per workload *shape* — BC mix, smooth vs shock-dominated —
 /// rather than jet-only.  --threads re-runs the IGR matrix at each listed
-/// exec-space width (the fused-wavefront multi-core scaling table; 0 =
+/// exec-space width (the multi-core scaling table; 0 =
 /// ambient); the baseline rows run once, ambient — the WENO baseline does
 /// not go through the exec-space layer.
 

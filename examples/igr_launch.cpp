@@ -46,6 +46,7 @@
 
 #include "common/cli.hpp"
 #include "common/telemetry.hpp"
+#include "launch_verdict.hpp"
 
 namespace {
 
@@ -68,13 +69,8 @@ struct Child {
   int rank = -1;
 };
 
-/// Outcome of one team attempt.
-struct Attempt {
-  bool ok = false;         ///< Every rank exited 0.
-  bool retryable = false;  ///< Some rank exited 75 or died on a signal.
-  int fatal_code = 0;      ///< First non-retryable nonzero exit (0: none).
-  std::string why;         ///< Human-readable first failure.
-};
+using igr::launch::Attempt;
+using igr::launch::Death;
 
 void kill_team(std::vector<Child>& team) {
   for (auto& c : team)
@@ -104,9 +100,11 @@ pid_t spawn(const std::vector<std::string>& argv_s) {
 }
 
 /// Run one full-team attempt; blocks until every rank is reaped.  The first
-/// failed rank decides the verdict and the rest of the team is killed — a
-/// survivor blocked in a halo wait on the dead peer would otherwise hold
-/// the attempt open until its own timeout.
+/// failed rank ends the attempt: the ranks that have already exited are
+/// drained, the rest of the team is killed — a survivor blocked in a halo
+/// wait on the dead peer would otherwise hold the attempt open until its
+/// own timeout — and attempt_verdict picks the cause among the drained
+/// deaths.  The launcher's own SIGKILLs never count.
 Attempt run_attempt(const std::vector<std::string>& base_cmd, int world,
                     const std::string& dir) {
   std::vector<Child> team;
@@ -127,47 +125,47 @@ Attempt run_attempt(const std::vector<std::string>& base_cmd, int world,
     team.push_back({pid, r});
   }
 
-  Attempt a;
+  std::vector<Death> deaths;
   int live = world;
-  while (live > 0) {
+  // Record a reaped pid of the team; false if it is not ours.
+  auto record = [&](pid_t pid, int status) {
+    for (auto& c : team) {
+      if (c.pid != pid) continue;
+      c.pid = -1;
+      --live;
+      deaths.push_back({c.rank, status});
+      return true;
+    }
+    return false;
+  };
+  bool failed = false;
+  while (live > 0 && !failed) {
     int status = 0;
     const pid_t pid = ::waitpid(-1, &status, 0);
     if (pid < 0) {
       if (errno == EINTR) continue;
+      Attempt a;
       a.fatal_code = 1;
       a.why = "waitpid failed: " + std::string(std::strerror(errno));
-      break;
+      kill_team(team);
+      return a;
     }
-    int rank = -1;
+    if (!record(pid, status)) continue;  // not ours (shouldn't happen)
+    failed = !(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+  if (failed) {
     for (auto& c : team) {
-      if (c.pid == pid) {
-        c.pid = -1;
-        rank = c.rank;
-        break;
+      if (c.pid <= 0) continue;
+      int status = 0;
+      pid_t got;
+      while ((got = ::waitpid(c.pid, &status, WNOHANG)) < 0 &&
+             errno == EINTR) {
       }
+      if (got == c.pid) record(got, status);
     }
-    if (rank < 0) continue;  // not ours (shouldn't happen)
-    --live;
-
-    if (WIFSIGNALED(status)) {
-      a.retryable = true;
-      a.why = "rank " + std::to_string(rank) + " killed by signal " +
-              std::to_string(WTERMSIG(status));
-      break;
-    }
-    const int code = WIFEXITED(status) ? WEXITSTATUS(status) : 1;
-    if (code == 0) continue;
-    if (code == 75) {  // EX_TEMPFAIL: the rank asked for a respawn
-      a.retryable = true;
-      a.why = "rank " + std::to_string(rank) + " exited 75 (retryable)";
-    } else {
-      a.fatal_code = code;
-      a.why = "rank " + std::to_string(rank) + " exited " +
-              std::to_string(code);
-    }
-    break;
   }
   kill_team(team);
+  Attempt a = igr::launch::attempt_verdict(deaths);
   a.ok = !a.retryable && a.fatal_code == 0 && live == 0;
   return a;
 }

@@ -393,7 +393,7 @@ void Simulation<Policy>::load_checkpoint(const std::string& path) {
     const double t = io::read_checkpoint(path, igr_->state());
     io::read_checkpoint_field(path + ".sigma", igr_->sigma_field());
     igr_->set_time(t);
-    // The fused pipeline's cached next-step dt belongs to the pre-restore
+    // The solver's cached next-step dt belongs to the pre-restore
     // state; force the next step() to rescan (which reproduces the same
     // bits the cache would have held for a matching state + Sigma).
     igr_->invalidate_dt_cache();

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,40 +30,55 @@ namespace igr::common::cli {
   std::exit(2);
 }
 
+/// strtol of the integer field at `s` into `v`, with `end` past it: false
+/// when the field has no digits, overflows a long, or leaves [lo, hi].
+inline bool long_field(const char* s, long lo, long hi, long& v,
+                       char*& end) {
+  errno = 0;
+  v = std::strtol(s, &end, 10);
+  return end != s && errno != ERANGE && v >= lo && v <= hi;
+}
+
+inline constexpr long kIntMax = std::numeric_limits<int>::max();
+
 /// Whole-token integer in [lo, hi]; dies on garbage or range violations.
 inline long parse_long(const char* prog, const char* flag, const char* s,
                        long lo = std::numeric_limits<long>::min(),
                        long hi = std::numeric_limits<long>::max()) {
   char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
+  long v = 0;
+  const bool in_range = long_field(s, lo, hi, v, end);
   if (end == s || *end != '\0')
     die(prog, std::string("bad ") + flag + " '" + s + "' (not an integer)");
-  if (v < lo || v > hi)
+  if (!in_range)
     die(prog, std::string("bad ") + flag + " '" + s + "' (allowed range [" +
                   std::to_string(lo) + ", " + std::to_string(hi) + "])");
   return v;
 }
 
-/// Whole-token floating-point value; dies on garbage.
+/// Whole-token finite floating-point value; dies on garbage, nan and inf.
 inline double parse_double(const char* prog, const char* flag,
                            const char* s) {
   char* end = nullptr;
   const double v = std::strtod(s, &end);
   if (end == s || *end != '\0')
     die(prog, std::string("bad ") + flag + " '" + s + "' (not a number)");
+  if (!std::isfinite(v))
+    die(prog, std::string("bad ") + flag + " '" + s + "' (not finite)");
   return v;
 }
 
-/// Comma-separated integers, each >= lo (e.g. `--ranks 1,2,4,8`,
-/// `--threads 1,2,4`); dies on an empty list or a malformed element.
+/// Comma-separated integers, each in [lo, INT_MAX] (e.g. `--ranks
+/// 1,2,4,8`, `--threads 1,2,4`); dies on an empty list or a malformed
+/// element.
 inline std::vector<int> parse_int_list(const char* prog, const char* flag,
                                        const char* s, long lo = 1) {
   std::vector<int> out;
   const char* p = s;
   while (*p) {
     char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    if (end == p || (*end != '\0' && *end != ',') || v < lo)
+    long v = 0;
+    if (!long_field(p, lo, kIntMax, v, end) || (*end != '\0' && *end != ','))
       die(prog, std::string("bad ") + flag + " list '" + s + "'");
     out.push_back(static_cast<int>(v));
     p = (*end == ',') ? end + 1 : end;
@@ -80,31 +97,38 @@ struct RankSpec {
   bool balanced = false;  ///< true: bare count, caller picks the layout.
 };
 
-/// "rx,ry,rz" or a bare rank count N.  A comma commits the caller to a full
-/// explicit layout: a partial "2,2" or trailing garbage ("2,2,1,4") dies
-/// rather than silently passing.
+/// "rx,ry,rz" or a bare rank count N, each field in [1, INT_MAX] and the
+/// count rx·ry·rz no larger than INT_MAX.  A comma commits the caller to a
+/// full explicit layout: a partial "2,2" or trailing garbage ("2,2,1,4")
+/// dies rather than silently passing.
 inline RankSpec parse_ranks(const char* prog, const char* flag,
                             const char* s) {
-  RankSpec r;
-  if (std::strchr(s, ',')) {
-    int rx = 0, ry = 0, rz = 0;
-    char junk = '\0';
-    if (std::sscanf(s, "%d,%d,%d%c", &rx, &ry, &rz, &junk) == 3 && rx >= 1 &&
-        ry >= 1 && rz >= 1) {
-      r.layout = {rx, ry, rz};
-      r.count = rx * ry * rz;
-      return r;
-    }
-  } else {
+  const std::string bad = std::string("bad ") + flag + " '" + s + "' ";
+  long f[3] = {1, 1, 1};
+  int fields = 0;
+  const char* p = s;
+  for (;;) {
     char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end != s && *end == '\0' && v >= 1) {
-      r.count = static_cast<int>(v);
-      r.balanced = true;
-      return r;
-    }
+    if (fields == 3 || !long_field(p, 1, kIntMax, f[fields], end))
+      die(prog, bad + "(rx,ry,rz or N, each in [1, 2147483647])");
+    ++fields;
+    if (*end == '\0') break;
+    if (*end != ',') die(prog, bad + "(rx,ry,rz or N)");
+    p = end + 1;
   }
-  die(prog, std::string("bad ") + flag + " '" + s + "' (rx,ry,rz or N)");
+  if (fields == 2) die(prog, bad + "(rx,ry,rz or N)");
+  // Each field fits in 31 bits, so a partial product checked against
+  // INT_MAX cannot overflow a long long.
+  const long long xy = static_cast<long long>(f[0]) * f[1];
+  if (xy > kIntMax || xy * f[2] > kIntMax)
+    die(prog, bad + "(rank count above 2147483647)");
+  RankSpec r;
+  r.count = static_cast<int>(xy * f[2]);
+  r.balanced = fields == 1;
+  if (!r.balanced)
+    r.layout = {static_cast<int>(f[0]), static_cast<int>(f[1]),
+                static_cast<int>(f[2])};
+  return r;
 }
 
 /// Cursor over argv: `while (args.next())`, `args.is("--flag")`, then one
@@ -139,7 +163,7 @@ class Args {
                 long hi = std::numeric_limits<int>::max()) {
     const char* f = flag();
     lo = std::max(lo, static_cast<long>(std::numeric_limits<int>::min()));
-    hi = std::min(hi, static_cast<long>(std::numeric_limits<int>::max()));
+    hi = std::min(hi, kIntMax);
     return static_cast<int>(parse_long(prog_, f, value(), lo, hi));
   }
   double double_value() {

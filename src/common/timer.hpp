@@ -15,9 +15,9 @@ namespace igr::common {
 /// attribute a grind-time change to the phase that moved.  Sampling is off
 /// by default (SolverConfig::phase_timing turns it on; the bench harness
 /// does) — when disabled a PhaseScope is a pair of branch-predicted loads,
-/// so production steps pay nothing.  The fused pipeline attributes each
-/// plane/block slot to the phase the work belongs to, which makes the
-/// breakdown comparable between the fused and phased schedules.
+/// so production steps pay nothing.  The streamed flux/RK stage attributes
+/// each k-block to the phase its work belongs to (flux, or rk_dt for the
+/// trailing update).
 class PhaseProfile {
  public:
   enum Phase : int {

@@ -819,14 +819,13 @@ void IgrSolver3D<Policy>::sigma_sweep() {
   const C dx = static_cast<C>(grid_.dx());
   const C dy = static_cast<C>(grid_.dy());
   const C dz = static_cast<C>(grid_.dz());
-  const int nz = grid_.nz();
   if (cfg_.sigma_gauss_seidel) {
     for (int color = 0; color < 2; ++color)
       sigma_relax_planes<Policy>(sigma_, sigma_src_, inv_rho_, al, dx, dy, dz,
-                                 color, 0, nz, cfg_.exec());
+                                 color, cfg_.exec());
   } else {
     sigma_jacobi_planes<Policy>(sigma_scratch_, sigma_, sigma_src_, inv_rho_,
-                                al, dx, dy, dz, 0, nz, cfg_.exec());
+                                al, dx, dy, dz, cfg_.exec());
     std::swap(sigma_, sigma_scratch_);
   }
 }
@@ -871,151 +870,31 @@ void IgrSolver3D<Policy>::compute_rhs(common::StateField3<S>& q,
     common::PhaseScope t(profile_, common::PhaseProfile::kBc);
     apply_domain_bc(q);
   }
-  fused_sigma_phase(q);
+  sigma_phase(q);
   common::PhaseScope t(profile_, common::PhaseProfile::kFlux);
   compute_fluxes(q, rhs);
 }
 
 template <class Policy>
-void IgrSolver3D<Policy>::fused_sigma_phase(common::StateField3<S>& q) {
+void IgrSolver3D<Policy>::sigma_phase(common::StateField3<S>& q) {
   if (!(alpha_ > 0.0 && cfg_.sigma_sweeps > 0)) {
     sigma_.fill(S{});
     return;
   }
-  if (sigma_bc_.side(2, 0) == SigmaBc::kPeriodic ||
-      sigma_bc_.side(2, 1) == SigmaBc::kPeriodic) {
-    // A periodic Sigma wrap *along z* makes plane 0's sweep s read plane
-    // nz-1's post-sweep-(s-1) values — which an ascending plane stream has
-    // not produced yet when its front is near 0.  Sweeps stay full-field
-    // passes here; the interleaved source build and the streamed flux/RK
-    // stages still apply.  Periodic x/y faces are no obstacle: their wraps
-    // are per-plane rim fills reading the same plane's post-previous-sweep
-    // interior, exactly the snapshot a whole-field fill takes.
-    {
-      common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
-      build_sigma_source(q);
-    }
-    common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps);
-    for (int s = 0; s < cfg_.sigma_sweeps; ++s) {
-      fill_sigma_ghosts(sigma_, sigma_bc_, 1);
-      sigma_sweep();
-    }
-    fill_sigma_ghosts(sigma_, sigma_bc_);  // reconstruction: full depth
-    return;
+  // Whole-block phases, the schedule every decomposed rank runs with halo
+  // exchanges in place of the ghost fills: each sweep reads one ghost layer
+  // snapshotted from the previous sweep's values, and the reconstruction
+  // reads the full depth.
+  {
+    common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
+    build_sigma_source(q);
   }
-  fused_sigma_pipeline(q);
-}
-
-/// The skewed plane wavefront: with S sweeps, the front f executes
-///
-///   source(f)                                  (in chunks, inv_rho ahead)
-///   for s = 1..S:   color0(s, f - 2(s-1))  then  color1(s, f - 2s + 1)
-///   final boundary fill of plane f - (2S - 1)
-///
-/// (Jacobi replaces the color pair with one pass at f - (s-1) and a final
-/// fill at f - S + 1.)  Dependency check, writing c0/c1 for the red–black
-/// half-passes (c0 updates parity (i+j+k) even+color offset, reading only
-/// the opposite parity and vice versa):
-///   - c0(s,k) reads the opposite parity of planes k-1..k+1 at
-///     post-sweep-(s-1) values: c1(s,k-1) runs at front k+2s-2 — the same
-///     front, in a later slot (s ascending, c0 before c1 ... of the same s,
-///     and c1(s,k-1) belongs to slot s at front (k-1)+2s-1 = k+2s-2) — and
-///     c1(s,k+1) at front k+2s, strictly later.  ✓
-///   - c1(s,k) reads post-c0-of-sweep-s values of planes k-1..k+1:
-///     c0(s,k+1) runs at the same front in the preceding slot.  ✓
-///   - c0(s+1,k) needs c1(s,·) complete on k-1..k+1: latest is c1(s,k+1)
-///     at front k+2s, while c0(s+1,k) runs at front k+2s — same front,
-///     earlier sweep slot first.  ✓
-/// Ghost handling: each sweep's one-layer rim fill of plane p runs in the
-/// c0 slot (p is still entirely post-sweep-(s-1) there — the values a
-/// whole-field per-sweep fill_sigma_ghosts snapshot holds), and the Neumann
-/// z ghost planes are copied when the boundary planes 0 / nz-1 hit their c0
-/// slot, again from post-(s-1) values.  Both colors then read that same
-/// snapshot, exactly like the per-sweep Sigma phases of sim::DistributedIgr.
-template <class Policy>
-void IgrSolver3D<Policy>::fused_sigma_pipeline(common::StateField3<S>& q) {
-  const int nz = grid_.nz();
-  const int ng = q.ng();
-  const int sweeps = cfg_.sigma_sweeps;
-  // The pipeline performs `sweeps` logical relaxation passes without going
-  // through sigma_sweep(); credit them up front so the meter agrees with
-  // a whole-field sweep per pass.
-  sigma_sweeps_done_ += static_cast<std::uint64_t>(sweeps);
-  const bool rb = cfg_.sigma_gauss_seidel;
-  const int depth = rb ? 2 * sweeps - 1 : sweeps - 1;
-  constexpr int chunk = kFluxBlock;
-  const C al = static_cast<C>(alpha_);
-  const C dx = static_cast<C>(grid_.dx());
-  const C dy = static_cast<C>(grid_.dy());
-  const C dz = static_cast<C>(grid_.dz());
-
-  int ir_hi = -ng;
-  auto ensure_ir = [&](int upto) {  // exclusive
-    upto = std::min(upto, nz + ng);
-    if (upto > ir_hi) {
-      // Attributed to the source phase like build_sigma_source's
-      // interleaved refresh, so the breakdowns stay comparable.
-      common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
-      refresh_inv_rho_planes(q, ir_hi, upto);
-      ir_hi = upto;
-    }
-  };
-  // Per-sweep ghost fills of one plane: the one-layer rim (wrapping or
-  // clamping per x/y face) plus, on the boundary planes, the Neumann z
-  // ghost snapshot (the pipeline gate guarantees both z faces clamp).
-  auto sweep_ghosts = [&](common::Field3<S>& sig, int p, int layers) {
-    fill_sigma_rim(sig, sigma_bc_, p, p + 1, layers);
-    if (p == 0) fill_sigma_zghosts(sig, sigma_bc_, 0, layers);
-    if (p == nz - 1) fill_sigma_zghosts(sig, sigma_bc_, 1, layers);
-  };
-
-  common::Field3<S>& fin =
-      (!rb && (sweeps % 2 == 1)) ? sigma_scratch_ : sigma_;
-
-  for (int f = 0; f <= nz - 1 + depth; ++f) {
-    if (f < nz && f % chunk == 0) {
-      const int c1 = std::min(f + chunk, nz);
-      ensure_ir(c1 + 1);
-      common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSource);
-      compute_sigma_source_planes(q, f, c1);
-    }
-    common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps);
-    for (int s = 1; s <= sweeps; ++s) {
-      if (rb) {
-        const int p0 = f - 2 * (s - 1);
-        if (p0 >= 0 && p0 < nz) {
-          sweep_ghosts(sigma_, p0, 1);
-          sigma_relax_planes<Policy>(sigma_, sigma_src_, inv_rho_, al, dx, dy,
-                                     dz, /*color=*/0, p0, p0 + 1,
-                                     cfg_.exec());
-        }
-        const int p1 = f - (2 * s - 1);
-        if (p1 >= 0 && p1 < nz) {
-          sigma_relax_planes<Policy>(sigma_, sigma_src_, inv_rho_, al, dx, dy,
-                                     dz, /*color=*/1, p1, p1 + 1,
-                                     cfg_.exec());
-        }
-      } else {
-        const int p = f - (s - 1);
-        if (p >= 0 && p < nz) {
-          // Sweep s reads the buffer sweep s-1 wrote (sigma_ first) and
-          // writes the other; one swap at the end mirrors sigma_sweep's
-          // per-sweep field swaps.
-          auto& in = (s % 2 == 1) ? sigma_ : sigma_scratch_;
-          auto& out = (s % 2 == 1) ? sigma_scratch_ : sigma_;
-          sweep_ghosts(in, p, 1);
-          sigma_jacobi_planes<Policy>(out, in, sigma_src_, inv_rho_, al, dx,
-                                      dy, dz, p, p + 1, cfg_.exec());
-        }
-      }
-    }
-    const int pf = f - depth;
-    if (pf >= 0 && pf < nz) {
-      sweep_ghosts(fin, pf, -1);  // reconstruction needs the full depth
-    }
+  common::PhaseScope t(profile_, common::PhaseProfile::kSigmaSweeps);
+  for (int s = 0; s < cfg_.sigma_sweeps; ++s) {
+    fill_sigma_ghosts(sigma_, sigma_bc_, 1);
+    sigma_sweep();
   }
-  ensure_ir(nz + ng);  // trailing ghost planes (viscous transverse taps)
-  if (!rb && (sweeps % 2 == 1)) std::swap(sigma_, sigma_scratch_);
+  fill_sigma_ghosts(sigma_, sigma_bc_);
 }
 
 template <class Policy>
@@ -1186,7 +1065,7 @@ void IgrSolver3D<Policy>::step_fixed(double dt) {
       common::PhaseScope t(profile_, common::PhaseProfile::kBc);
       apply_domain_bc(q);
     }
-    fused_sigma_phase(q);
+    sigma_phase(q);
     flux_rk_stage(si, dt);
   }
   finish_step(dt);

@@ -15,19 +15,16 @@
 /// Note on kernel organization: the paper fuses reconstruction, both flux
 /// families, and the Sigma source into one GPU kernel with thread-local
 /// temporaries, interleaving the elliptic solve with the x-direction sweep
-/// (Algorithm 1).  The CPU port realizes the same traversal discipline with
-/// a fused, k-plane-streaming RHS pipeline: per RK stage, a rolling window
-/// of planes flows once through the Sigma-source build, the ≤5 warm-started
-/// relaxation sweeps (pipelined across planes as a red–black/Jacobi
-/// wavefront where the Sigma boundary handling permits), and the three flux
-/// sweeps streamed in k-blocks, with the SSP-RK3 convex update trailing the
-/// flux front and the CFL reduction for the next step's dt folded into the
-/// final stage's write-back.  Every slot of the pipeline reads exactly the
-/// values a phase-by-phase schedule would show it.  sim::DistributedIgr
-/// runs the same flux/RK stage and dt fold on every rank through the stage
-/// API below, with whole-block Sigma phases between halo exchanges; on a
-/// 1x1x1 layout its state, Sigma *and* dt are bitwise this solver's
-/// (test-enforced).
+/// (Algorithm 1).  The CPU port keeps one Sigma schedule and streams the
+/// rest: per RK stage, the Sigma source is built with the reciprocal-density
+/// refresh interleaved in k-chunks, the ≤5 warm-started red–black or Jacobi
+/// sweeps each relax the whole block after a one-layer ghost fill, and the
+/// three flux sweeps stream in k-blocks, with the SSP-RK3 convex update
+/// trailing the flux front and the CFL reduction for the next step's dt
+/// folded into the final stage's write-back.  sim::DistributedIgr runs the
+/// same pieces on every rank through the stage API below, with halo
+/// exchanges in place of the physical ghost fills; on a 1x1x1 layout its
+/// state, Sigma *and* dt are bitwise this solver's (test-enforced).
 
 #include <array>
 #include <cstdint>
@@ -82,7 +79,7 @@ class IgrSolver3D {
   void step_fixed(double dt);
 
   /// RHS of the semi-discrete system for state `q` (ghosts are filled
-  /// here): BC fill → Sigma source and pipelined relaxation wavefront →
+  /// here): BC fill → Sigma source and whole-block relaxation sweeps →
   /// k-block-streamed flux sweeps, the same RHS a step evaluates per stage
   /// (the RK/dt folds live in flux_rk_stage, not here).  Public so tests
   /// can probe spatial accuracy and conservation directly.  `q` must have
@@ -117,8 +114,7 @@ class IgrSolver3D {
     return profile_;
   }
   /// Total Sigma relaxation sweeps executed so far (always maintained — one
-  /// integer add per sweep; the fused pipeline credits its logical sweeps in
-  /// one batch).  Telemetry reads deltas of this per step.
+  /// integer add per sweep).  Telemetry reads deltas of this per step.
   [[nodiscard]] std::uint64_t sigma_sweeps_done() const {
     return sigma_sweeps_done_;
   }
@@ -133,12 +129,11 @@ class IgrSolver3D {
   [[nodiscard]] common::Cons<double> conserved_totals() const;
 
   // --- Stage API: the pieces of a step.  step_fixed runs, per RK stage,
-  // the ghost fill and fused Sigma phase of stage_input(si) and then
-  // flux_rk_stage, and ends with finish_step.  sim::DistributedIgr calls
-  // the same pieces on every rank, with the whole-block Sigma source and
-  // sweeps in place of the fused Sigma phase, and fills ghosts (halo
-  // exchange + physical faces) between them.  The periodic-z fallback of
-  // the fused Sigma phase runs the same whole-block sweeps. ---
+  // the ghost fill of stage_input(si), build_sigma_source, each
+  // sigma_sweep after a one-layer Sigma ghost fill, the full-depth Sigma
+  // fill, and flux_rk_stage, and ends with finish_step.
+  // sim::DistributedIgr calls the same pieces on every rank and fills
+  // ghosts (halo exchange + physical faces) between them. ---
 
   /// Input of RK stage `si`: the state for stage 0, the RK register after.
   [[nodiscard]] common::StateField3<S>& stage_input(int si) {
@@ -149,9 +144,8 @@ class IgrSolver3D {
   /// k-chunks, ghost planes included.
   void build_sigma_source(common::StateField3<S>& q);
   /// One relaxation sweep of the whole block with the current Sigma
-  /// ghosts: both red–black colours (sigma_relax_planes over [0, nz)), or
-  /// one Jacobi pass and the buffer swap.  The same kernels the fused
-  /// pipeline calls one plane at a time.
+  /// ghosts: both red–black colours (sigma_relax_planes), or one Jacobi
+  /// pass (sigma_jacobi_planes) and the buffer swap.
   void sigma_sweep();
   /// Flux sweeps of stage_input(si) streamed in k-blocks, with the RK update
   /// of stage `si` trailing one block behind the flux front and, on the
@@ -230,7 +224,12 @@ class IgrSolver3D {
   /// when the Sigma solve is disabled.
   void prepare_flux_pass(common::StateField3<S>& q);
 
-  // --- Fused plane-streaming pipeline ---
+  /// Sigma solve of one RHS evaluation for state `q` (ghosts filled):
+  /// build_sigma_source, then per sweep a one-layer Sigma ghost fill and
+  /// sigma_sweep, then the full-depth fill the reconstruction reads.
+  void sigma_phase(common::StateField3<S>& q);
+
+  // --- Streamed flux/RK stage ---
   /// k-block thickness of the streamed flux stage (and of the source
   /// build's chunks).  Larger blocks amortize the re-evaluated z faces at
   /// block seams; smaller ones keep the rolling window cache-resident (8
@@ -239,14 +238,6 @@ class IgrSolver3D {
   // The trailing RK update of block b-1 must not touch planes the z-flux
   // stencil of block b still reads.
   static_assert(kFluxBlock >= kNg, "flux blocks must span the ghost depth");
-  /// Ghost fill + Sigma solve of one RHS evaluation, plane-pipelined where
-  /// the Sigma boundary handling permits (see the .cpp for the wavefront
-  /// schedule and its dependency argument).
-  void fused_sigma_phase(common::StateField3<S>& q);
-  /// Source + sweeps + boundary fill as one skewed plane wavefront
-  /// (Neumann Sigma ghosts only — a periodic wrap would need far-boundary
-  /// post-sweep values before the stream reaches them).
-  void fused_sigma_pipeline(common::StateField3<S>& q);
   /// RK update restricted to planes [k0, k1).
   void rk_update_planes(const fv::Rk3Stage& st, double dt, int k0, int k1,
                         const RhsRows& rhs);

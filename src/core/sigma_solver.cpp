@@ -111,24 +111,22 @@ class FieldRows {
 /// batched conversion lanes.  The sigma and reciprocal-density rows of the
 /// current plane (j ∈ [-1, ny]) go through a get-or-convert slot per row,
 /// so adjacent (j, k) visits reuse the rows they share: a j walk converts
-/// each plane row once instead of three times, and the two phases of a
-/// colour pass on one plane share the slots — phase 1 reads every
-/// center-plane row phase 0 already converted.  The single-use rows —
+/// each plane row once instead of three times.  The single-use rows —
 /// sigma/inv_rho at the k∓1 planes and the source — are converted per visit.
 /// (Scratch is 2 fields × (ny + 2) rows per team member, of which only the
-/// stencil's three rows are hot at a time.)
+/// stencil's three rows are hot at a time.)  Slots are per member and per
+/// plane, and each plane is relaxed by one member, so no slot is shared
+/// between members or across a phase barrier.
 ///
 /// Red–black staleness note: the in-place colour pass stores into rows
 /// already converted here, so a slot can be stale in the *updated*
-/// colour's lanes — including across the phase barrier, where phase 0 has
-/// written its rows' colour lanes before phase 1 reads them.  Those lanes
-/// are never consumed: every tap feeding a stored value reads the opposite
-/// parity ((i+j+k) of each stencil neighbour flips), which the colour pass
-/// does not write, so the stored bits equal a fresh conversion's
-/// (tests/test_mixed_precision_step.cpp asserts the end-to-end
-/// consequence).  A slot must never survive into the *next* colour or
-/// sweep, whose taps do consume the previous pass's writes: every kernel
-/// call builds its own.
+/// colour's lanes.  Those lanes are never consumed: every tap feeding a
+/// stored value reads the opposite parity ((i+j+k) of each stencil
+/// neighbour flips), which the colour pass does not write, so the stored
+/// bits equal a fresh conversion's (tests/test_mixed_precision_step.cpp
+/// asserts the end-to-end consequence).  A slot must never survive into
+/// the *next* colour or sweep, whose taps do consume the previous pass's
+/// writes: every kernel call builds its own.
 template <class Policy>
 class GatheredRows {
   using C = typename Policy::compute_t;
@@ -253,53 +251,6 @@ class RowRelax {
   std::vector<C> kept_;
 };
 
-/// Shared body of the per-axis ghost fills.  For axes 0/1 the tangential k
-/// loop can be restricted to interior planes [kr0, kr1) — the per-plane rim
-/// fill of the fused pipeline; the full-extent fills pass [0, nz).  Axis 2
-/// ignores the range (its writes are whole ghost planes).
-template <class S>
-void fill_sigma_axis_krange(common::Field3<S>& sigma, SigmaBcSpec bc,
-                            int axis, std::array<bool, 2> sides, int layers,
-                            int kr0, int kr1) {
-  const int ng = (layers < 0 || layers > sigma.ng()) ? sigma.ng() : layers;
-  const int n[3] = {sigma.nx(), sigma.ny(), sigma.nz()};
-  {
-    int lo[3], hi[3];
-    for (int a = 0; a < 3; ++a) {
-      lo[a] = (a < axis) ? -ng : 0;
-      hi[a] = (a < axis) ? n[a] + ng : n[a];
-    }
-    if (axis < 2) {
-      lo[2] = kr0;
-      hi[2] = kr1;
-    }
-    for (int side = 0; side < 2; ++side) {
-      if (!sides[static_cast<std::size_t>(side)]) continue;
-      const SigmaBc face_bc = bc.side(axis, side);
-      for (int g = 1; g <= ng; ++g) {
-        const int ghost = (side == 0) ? -g : n[axis] + g - 1;
-        const int src = (face_bc == SigmaBc::kPeriodic)
-                            ? ((side == 0) ? n[axis] - g : g - 1)
-                            : ((side == 0) ? 0 : n[axis] - 1);
-        int i0 = lo[0], i1 = hi[0], j0 = lo[1], j1 = hi[1], k0 = lo[2],
-            k1 = hi[2];
-        if (axis == 0) { i0 = ghost; i1 = ghost + 1; }
-        if (axis == 1) { j0 = ghost; j1 = ghost + 1; }
-        if (axis == 2) { k0 = ghost; k1 = ghost + 1; }
-        for (int k = k0; k < k1; ++k) {
-          for (int j = j0; j < j1; ++j) {
-            for (int i = i0; i < i1; ++i) {
-              int sidx[3] = {i, j, k};
-              sidx[axis] = src;
-              sigma(i, j, k) = sigma(sidx[0], sidx[1], sidx[2]);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 template <class Policy>
@@ -309,38 +260,31 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         typename Policy::compute_t alpha,
                         typename Policy::compute_t dx,
                         typename Policy::compute_t dy,
-                        typename Policy::compute_t dz, int color, int k0,
-                        int k1, const common::ExecSpace& exec) {
+                        typename Policy::compute_t dz, int color,
+                        const common::ExecSpace& exec) {
   // Two phases, each split between the members in contiguous chunks of
-  // work items.  Over several planes an item is a whole plane and the
-  // phases split the planes by the parity of k; in a one-plane call an item
-  // is one row and the phases split the rows by the parity of j.  A row's
-  // whole-row evaluation reads rows j∓1 and k∓1 at every column.  Those of
-  // another item of the same phase have the other parity, and rows j∓1 of a
-  // plane item belong to the same member, so the items of one phase may
-  // update concurrently; the team barrier orders the phases.  (Splitting the
-  // rows of every plane by the parity of j + k would also be race-free, but
-  // it loads, and for 16-bit storage converts, each plane's stencil rows
-  // once per phase instead of once per pass; whole-block passes measured
-  // 11–43% slower that way on a 4-core Xeon with GCC 12.2, see PERF.md.)
-  // Which lanes a row stores does not depend on the schedule: a stored
-  // lane reads only the other colour, which this pass never writes, so no
-  // order of the rows can move a bit.
-  const int ny = sigma.ny();
-  const bool plane_items = k1 - k0 > 1;
-  const int items = plane_items ? k1 - k0 : ny;
+  // whole planes: phase 0 relaxes the even planes, phase 1 the odd ones.  A
+  // row's whole-row evaluation reads rows j∓1 and k∓1 at every column.
+  // Rows k∓1 lie in planes of the other phase, and rows j∓1 in the same
+  // plane, which one member relaxes, so the planes of one phase may update
+  // concurrently; the team barrier orders the phases.  (Splitting the rows
+  // of every plane by the parity of j + k would also be race-free, but it
+  // loads, and for 16-bit storage converts, each plane's stencil rows once
+  // per phase instead of once per pass; whole-block passes measured 11–43%
+  // slower that way on a 4-core Xeon with GCC 12.2, see PERF.md.)  Which
+  // lanes a row stores does not depend on the schedule: a stored lane reads
+  // only the other colour, which this pass never writes, so no order of the
+  // rows can move a bit.
+  const int ny = sigma.ny(), nz = sigma.nz();
   exec.run_team([&](const common::ExecSpace::Team& t) {
     RowRelax<Policy> rr(src, inv_rho, alpha, dx, dy, dz);
     for (int phase = 0; phase < 2; ++phase) {
       if (phase == 1) t.barrier();
       long cb, ce;
-      t.chunk((items - phase + 1) / 2, cb, ce);
+      t.chunk((nz - phase + 1) / 2, cb, ce);
       for (long c = cb; c < ce; ++c) {
-        const int item = phase + 2 * static_cast<int>(c);
-        const int k = plane_items ? k0 + item : k0;
-        const int j0 = plane_items ? 0 : item;
-        const int j1 = plane_items ? ny : item + 1;
-        for (int j = j0; j < j1; ++j) {
+        const int k = phase + 2 * static_cast<int>(c);
+        for (int j = 0; j < ny; ++j) {
           rr.relax(sigma, j, k);
           rr.store_color(sigma, j, k, (color + j + k) & 1);
         }
@@ -357,18 +301,17 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          typename Policy::compute_t alpha,
                          typename Policy::compute_t dx,
                          typename Policy::compute_t dy,
-                         typename Policy::compute_t dz, int k0, int k1,
+                         typename Policy::compute_t dz,
                          const common::ExecSpace& exec) {
-  // Contiguous chunks of the rows (j, k) of [k0, k1); writes are disjoint
-  // rows of `out`.
+  // Contiguous chunks of the rows (j, k); writes are disjoint rows of `out`.
   const int ny = out.ny();
-  const long rows = static_cast<long>(k1 - k0) * ny;
+  const long rows = static_cast<long>(out.nz()) * ny;
   exec.run_team([&](const common::ExecSpace::Team& t) {
     RowRelax<Policy> rr(src, inv_rho, alpha, dx, dy, dz);
     long cb, ce;
     t.chunk(rows, cb, ce);
     for (long r = cb; r < ce; ++r) {
-      const int k = k0 + static_cast<int>(r / ny);
+      const int k = static_cast<int>(r / ny);
       const int j = static_cast<int>(r % ny);
       rr.relax(in, j, k);
       rr.store_row(out, j, k);
@@ -379,21 +322,39 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
 template <class S>
 void fill_sigma_ghosts_axis(common::Field3<S>& sigma, SigmaBcSpec bc,
                             int axis, std::array<bool, 2> sides, int layers) {
-  fill_sigma_axis_krange(sigma, bc, axis, sides, layers, 0, sigma.nz());
-}
-
-template <class S>
-void fill_sigma_rim(common::Field3<S>& sigma, SigmaBcSpec bc, int k0, int k1,
-                    int layers) {
-  fill_sigma_axis_krange(sigma, bc, 0, {true, true}, layers, k0, k1);
-  fill_sigma_axis_krange(sigma, bc, 1, {true, true}, layers, k0, k1);
-}
-
-template <class S>
-void fill_sigma_zghosts(common::Field3<S>& sigma, SigmaBcSpec bc, int side,
-                        int layers) {
-  fill_sigma_axis_krange(sigma, bc, 2,
-                         {side == 0, side == 1}, layers, 0, sigma.nz());
+  const int ng = (layers < 0 || layers > sigma.ng()) ? sigma.ng() : layers;
+  const int n[3] = {sigma.nx(), sigma.ny(), sigma.nz()};
+  // Tangential extent: ghosts included along the axes filled before this
+  // one, so the corners come out of the earlier passes.
+  int lo[3], hi[3];
+  for (int a = 0; a < 3; ++a) {
+    lo[a] = (a < axis) ? -ng : 0;
+    hi[a] = (a < axis) ? n[a] + ng : n[a];
+  }
+  for (int side = 0; side < 2; ++side) {
+    if (!sides[static_cast<std::size_t>(side)]) continue;
+    const SigmaBc face_bc = bc.side(axis, side);
+    for (int g = 1; g <= ng; ++g) {
+      const int ghost = (side == 0) ? -g : n[axis] + g - 1;
+      const int src = (face_bc == SigmaBc::kPeriodic)
+                          ? ((side == 0) ? n[axis] - g : g - 1)
+                          : ((side == 0) ? 0 : n[axis] - 1);
+      int i0 = lo[0], i1 = hi[0], j0 = lo[1], j1 = hi[1], k0 = lo[2],
+          k1 = hi[2];
+      if (axis == 0) { i0 = ghost; i1 = ghost + 1; }
+      if (axis == 1) { j0 = ghost; j1 = ghost + 1; }
+      if (axis == 2) { k0 = ghost; k1 = ghost + 1; }
+      for (int k = k0; k < k1; ++k) {
+        for (int j = j0; j < j1; ++j) {
+          for (int i = i0; i < i1; ++i) {
+            int sidx[3] = {i, j, k};
+            sidx[axis] = src;
+            sigma(i, j, k) = sigma(sidx[0], sidx[1], sidx[2]);
+          }
+        }
+      }
+    }
+  }
 }
 
 template <class S>
@@ -405,11 +366,7 @@ void fill_sigma_ghosts(common::Field3<S>& sigma, SigmaBcSpec bc, int layers) {
 #define IGR_INSTANTIATE_SIGMA_GHOSTS(T)                                        \
   template void fill_sigma_ghosts<T>(common::Field3<T>&, SigmaBcSpec, int);    \
   template void fill_sigma_ghosts_axis<T>(common::Field3<T>&, SigmaBcSpec,     \
-                                          int, std::array<bool, 2>, int);      \
-  template void fill_sigma_rim<T>(common::Field3<T>&, SigmaBcSpec, int, int,   \
-                                  int);                                        \
-  template void fill_sigma_zghosts<T>(common::Field3<T>&, SigmaBcSpec, int,    \
-                                      int);
+                                          int, std::array<bool, 2>, int);
 
 IGR_INSTANTIATE_SIGMA_GHOSTS(double)
 IGR_INSTANTIATE_SIGMA_GHOSTS(float)
@@ -476,11 +433,11 @@ using common::Fp64;
   template void sigma_relax_planes<P>(                                         \
       common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,      \
       const common::Field3<P::storage_t>&, P::compute_t, P::compute_t,         \
-      P::compute_t, P::compute_t, int, int, int, const common::ExecSpace&);    \
+      P::compute_t, P::compute_t, int, const common::ExecSpace&);              \
   template void sigma_jacobi_planes<P>(                                        \
       common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,      \
       const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
-      P::compute_t, P::compute_t, P::compute_t, P::compute_t, int, int,        \
+      P::compute_t, P::compute_t, P::compute_t, P::compute_t,                  \
       const common::ExecSpace&);
 
 IGR_INSTANTIATE_SIGMA(Fp64)

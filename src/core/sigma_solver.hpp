@@ -14,10 +14,10 @@
 /// it is division-free given the precomputed 1/rho field and keeps the
 /// operator symmetric positive definite for rho > 0.
 ///
-/// This file provides the Sigma ghost fills and two relaxation kernels, one
-/// red–black colour pass and one Jacobi pass over a range of k-planes, with
-/// FP32 compute over 16-bit storage for the converting policies (§5.6).
-/// IgrSolver3D composes them into sweeps, whole-block or plane-pipelined.
+/// This file provides the Sigma ghost fills and two whole-block relaxation
+/// kernels, one red–black colour pass and one Jacobi pass, with FP32
+/// compute over 16-bit storage for the converting policies (§5.6).
+/// IgrSolver3D composes them into sweeps.
 
 #include <array>
 
@@ -74,15 +74,10 @@ void fill_sigma_ghosts_axis(common::Field3<S>& sigma, SigmaBcSpec bc,
 // --- The relaxation kernels ---
 // A sweep is a ghost fill followed by both red–black colours
 // (sigma_relax_planes with colour 0, then colour 1) or by one Jacobi pass
-// (sigma_jacobi_planes, then the caller's buffer swap).  These two kernels
-// are the only relaxation loops, and they serve both schedules:
-//   - IgrSolver3D::sigma_sweep passes the whole block, k ∈ [0, nz) — the
-//     periodic-z fallback and every decomposed rank run it between halo
-//     exchanges;
-//   - the fused pipeline passes one plane per call, on a k-skewed wavefront
-//     whose slots read exactly the values the whole-block schedule shows
-//     them, so the two are bitwise-identical (see IgrSolver3D's fused
-//     pipeline for the slot schedule and its dependency argument).
+// (sigma_jacobi_planes, then the caller's buffer swap), each over the whole
+// block.  These two kernels are the only relaxation loops, and
+// IgrSolver3D::sigma_sweep is their one library caller: the single-domain solver
+// and every decomposed rank run it, between ghost fills or halo exchanges.
 // All fields of a call share one shape and ghost depth.  `inv_rho` is the
 // reciprocal density (with ghosts).  Face coefficients are arithmetic means
 // of 1/rho (equivalently, 1/rho_face with a harmonic-mean face density),
@@ -92,28 +87,12 @@ void fill_sigma_ghosts_axis(common::Field3<S>& sigma, SigmaBcSpec bc,
 // stencil through the batched conversion lanes, reusing the current plane's
 // converted rows across adjacent rows.
 
-/// x/y ghost-rim fill of interior planes k ∈ [k0, k1) only — the per-plane
-/// restriction of fill_sigma_ghosts' axis-0 then axis-1 passes (corner cells
-/// match: the axis-1 fill reads the axis-0 columns written just before).
-template <class S>
-void fill_sigma_rim(common::Field3<S>& sigma, SigmaBcSpec bc, int k0,
-                    int k1, int layers = -1);
-
-/// z ghost-plane fill of one side (0 = low, 1 = high): whole-plane copies
-/// over the full x/y-extended extent, exactly the axis-2 pass of
-/// fill_sigma_ghosts restricted to one face.  The source plane's rim must
-/// already hold the values the phased fill would copy.
-template <class S>
-void fill_sigma_zghosts(common::Field3<S>& sigma, SigmaBcSpec bc, int side,
-                        int layers = -1);
-
-/// One red–black half-pass over planes k ∈ [k0, k1), in place: updates the
+/// One red–black half-pass over the whole block, in place: updates the
 /// cells of parity (i+j+k) ≡ `color` (mod 2) using the current ghosts.  It
-/// reads only the opposite parity (planes k0-1..k1) plus src/inv_rho, so
-/// the result does not depend on the order in which rows are relaxed, and
-/// a caller may schedule plane ranges in any order that respects the
-/// sweep's cross-plane dependencies.  In-place two-colour Gauss–Seidel
-/// reaches the same fixed point as Jacobi in fewer sweeps.
+/// reads only the opposite parity plus src/inv_rho, so the result does not
+/// depend on the order in which rows are relaxed (nor on the team width).
+/// In-place two-colour Gauss–Seidel reaches the same fixed point as Jacobi
+/// in fewer sweeps.
 template <class Policy>
 void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         const common::Field3<typename Policy::storage_t>& src,
@@ -121,16 +100,15 @@ void sigma_relax_planes(common::Field3<typename Policy::storage_t>& sigma,
                         typename Policy::compute_t alpha,
                         typename Policy::compute_t dx,
                         typename Policy::compute_t dy,
-                        typename Policy::compute_t dz, int color, int k0,
-                        int k1, const common::ExecSpace& exec = {});
+                        typename Policy::compute_t dz, int color,
+                        const common::ExecSpace& exec = {});
 
-/// One Jacobi pass over planes k ∈ [k0, k1): reads `in` (planes k0-1..k1
-/// and the rim ghosts of [k0, k1)), writes `out`.  The caller owns the
-/// double-buffer bookkeeping: the whole-block sweep swaps the fields after
-/// each pass, the pipelined one alternates buffers per sweep and swaps once
-/// at the end.  Jacobi is decomposition-exact (rank count cannot change the
-/// bits), at the cost of one extra N-sized buffer — the paper: "An
-/// additional copy of Sigma is required if Jacobi sweeps are used".
+/// One Jacobi pass over the whole block: reads `in` (interior and one ghost
+/// layer), writes the interior of `out`.  The caller owns the double-buffer
+/// bookkeeping and swaps the fields after each pass.  Jacobi is
+/// decomposition-exact (rank count cannot change the bits), at the cost of
+/// one extra N-sized buffer — the paper: "An additional copy of Sigma is
+/// required if Jacobi sweeps are used".
 template <class Policy>
 void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          const common::Field3<typename Policy::storage_t>& in,
@@ -139,7 +117,7 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          typename Policy::compute_t alpha,
                          typename Policy::compute_t dx,
                          typename Policy::compute_t dy,
-                         typename Policy::compute_t dz, int k0, int k1,
+                         typename Policy::compute_t dz,
                          const common::ExecSpace& exec = {});
 
 /// Max-norm residual of the discrete eq. (9); used by tests and adaptive

@@ -61,8 +61,8 @@ class Comm {
   /// different field families never alias (reposting a channel's buffers is
   /// only safe after a schedule barrier: DistributedIgr's phases post each
   /// channel at most once per axis).
-  enum Channel : int { kChanState = 0, kChanSigma = 1, kChanGeneral = 2 };
-  static constexpr int kNumChannels = 3;
+  enum Channel : int { kChanState = 0, kChanSigma = 1 };
+  static constexpr int kNumChannels = 2;
   /// Largest supported ghost depth (sizes the fixed per-face plane tables).
   static constexpr int kMaxGhostDepth = 8;
 

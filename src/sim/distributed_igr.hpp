@@ -24,9 +24,8 @@
 ///
 /// With Jacobi sweeps the decomposed run is *bitwise identical* to the
 /// single-domain run — independent of rank layout (test-enforced,
-/// including dt and Sigma; on a 1x1x1 layout it is also the whole-block
-/// Sigma-phase reference for the single-domain solver's plane-pipelined
-/// sweeps).  With Gauss–Seidel the block-local sweeps use previous-sweep
+/// including dt and Sigma; on a 1x1x1 layout it is also the reference
+/// for the single-domain solver's own ghost fills).  With Gauss–Seidel the block-local sweeps use previous-sweep
 /// halo values (block Gauss–Seidel), which converges to the same Sigma but
 /// is not bitwise equal — the same trade production codes make.
 

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "app/jet_config.hpp"
 #include "app/simulation.hpp"
@@ -269,6 +270,46 @@ TEST(CliDeathTest, IntValueRejectsValuesAnIntCannotHold) {
               "allowed range \\[1, 2147483647\\]");
   EXPECT_EXIT((void)parse_n("0"), ::testing::ExitedWithCode(2),
               "allowed range");
+}
+
+namespace cli = igr::common::cli;
+
+TEST(CliDeathTest, RanksRejectFieldsAndCountsAnIntCannotHold) {
+  const auto layout = cli::parse_ranks("prog", "--ranks", "2,3,4");
+  EXPECT_EQ(layout.layout, (std::array<int, 3>{2, 3, 4}));
+  EXPECT_EQ(layout.count, 24);
+  EXPECT_FALSE(layout.balanced);
+  const auto bare = cli::parse_ranks("prog", "--ranks", "8");
+  EXPECT_EQ(bare.count, 8);
+  EXPECT_TRUE(bare.balanced);
+  EXPECT_EQ(cli::parse_ranks("prog", "--ranks", "2147483647").count,
+            2147483647);
+  // 4294967297 = 2^32 + 1 would wrap to one rank.
+  EXPECT_EXIT((void)cli::parse_ranks("prog", "--ranks", "4294967297"),
+              ::testing::ExitedWithCode(2), "each in \\[1, 2147483647\\]");
+  EXPECT_EXIT((void)cli::parse_ranks("prog", "--ranks", "1,4294967297,1"),
+              ::testing::ExitedWithCode(2), "each in \\[1, 2147483647\\]");
+  EXPECT_EXIT((void)cli::parse_ranks("prog", "--ranks", "65536,65536,1"),
+              ::testing::ExitedWithCode(2), "rank count above 2147483647");
+  EXPECT_EXIT((void)cli::parse_ranks("prog", "--ranks", "2,2"),
+              ::testing::ExitedWithCode(2), "rx,ry,rz or N");
+  EXPECT_EXIT((void)cli::parse_ranks("prog", "--ranks", "2,2,1,4"),
+              ::testing::ExitedWithCode(2), "rx,ry,rz or N");
+}
+
+TEST(CliDeathTest, IntListRejectsElementsAnIntCannotHold) {
+  EXPECT_EQ(cli::parse_int_list("prog", "--threads", "1,2147483647"),
+            (std::vector<int>{1, 2147483647}));
+  EXPECT_EXIT((void)cli::parse_int_list("prog", "--threads", "1,4294967297"),
+              ::testing::ExitedWithCode(2), "bad --threads list");
+}
+
+TEST(CliDeathTest, DoubleRejectsNanAndInf) {
+  EXPECT_EQ(cli::parse_double("prog", "--cfl-scale", "0.5"), 0.5);
+  for (const char* v : {"nan", "inf", "-inf", "1e999"})
+    EXPECT_EXIT((void)cli::parse_double("prog", "--cfl-scale", v),
+                ::testing::ExitedWithCode(2), "not finite")
+        << v;
 }
 
 TEST(Simulation, VtkOutputFromDriver) {

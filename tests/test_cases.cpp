@@ -247,7 +247,7 @@ TEST(CaseDistributed, TaylorGreenDecomposedBitwiseEqualSerial) {
 
 /// Interrupted-and-restarted == uninterrupted, bit for bit: the checkpoint
 /// round-trips the state *and* Sigma (the warm start), and the restarted
-/// step()'s dt rescan reproduces the fused pipeline's cached dt.
+/// step()'s dt rescan reproduces the solver's cached dt.
 template <class Policy>
 void check_restart_bitwise(const char* name) {
   const auto* spec = cases::find(name);

@@ -61,17 +61,17 @@ std::vector<Field3<double>> scatter(const Comm& comm) {
 }
 
 /// Lockstep halo exchange of one field per rank along one axis (x=0, y=1,
-/// z=2): post every rank, then complete every rank, on the general channel.
+/// z=2): post every rank, then complete every rank, on the Sigma channel.
 template <class T>
 void halo_exchange_axis(const Comm& comm,
                         const std::vector<Field3<T>*>& fields, int axis) {
   for (int r = 0; r < comm.ranks(); ++r) {
     const Field3<T>* f = fields[static_cast<std::size_t>(r)];
-    comm.post_axis(Comm::kChanGeneral, r, &f, 1, axis);
+    comm.post_axis(Comm::kChanSigma, r, &f, 1, axis);
   }
   for (int r = 0; r < comm.ranks(); ++r) {
     Field3<T>* f = fields[static_cast<std::size_t>(r)];
-    ASSERT_TRUE(comm.complete_axis(Comm::kChanGeneral, r, &f, 1, axis));
+    ASSERT_TRUE(comm.complete_axis(Comm::kChanSigma, r, &f, 1, axis));
   }
 }
 
@@ -232,7 +232,7 @@ TEST(Comm, HalfWireMetersWireBytesAndRoundTripsExactValues) {
   // double -> float -> half -> float -> double round trip unchanged.
   const auto g = Grid::cube(kN);
   Comm comm(g, 3, 2, 1, true);
-  comm.set_wire(Comm::kChanGeneral, Comm::WirePrecision::kHalf);
+  comm.set_wire(Comm::kChanSigma, Comm::WirePrecision::kHalf);
 
   // Integers below 2^11 are exact in binary16.
   auto exact = [](int gi, int gj, int gk) {
@@ -282,7 +282,7 @@ TEST(Comm, HalfWireQuartersFp64AndHalvesFp32Traffic) {
 
   auto run_double = [&](Comm::WirePrecision w) {
     Comm comm(g, 2, 2, 1, true);
-    comm.set_wire(Comm::kChanGeneral, w);
+    comm.set_wire(Comm::kChanSigma, w);
     auto blocks = scatter(comm);
     std::vector<Field3<double>*> ptrs;
     for (auto& b : blocks) ptrs.push_back(&b);
@@ -292,7 +292,7 @@ TEST(Comm, HalfWireQuartersFp64AndHalvesFp32Traffic) {
   };
   auto run_float = [&](Comm::WirePrecision w) {
     Comm comm(g, 2, 2, 1, true);
-    comm.set_wire(Comm::kChanGeneral, w);
+    comm.set_wire(Comm::kChanSigma, w);
     std::vector<Field3<float>> blocks;
     for (int r = 0; r < comm.ranks(); ++r) {
       const auto b = comm.decomp().block(r);
@@ -332,7 +332,7 @@ TEST(Comm, HalfWirePassesTwoByteStorageThroughBitwise) {
   const auto g = Grid::cube(kN);
   auto run = [&](Comm::WirePrecision w, std::size_t& bytes) {
     Comm comm(g, 2, 1, 1, true);
-    comm.set_wire(Comm::kChanGeneral, w);
+    comm.set_wire(Comm::kChanSigma, w);
     std::vector<Field3<half>> blocks;
     for (int r = 0; r < comm.ranks(); ++r) {
       const auto b = comm.decomp().block(r);

@@ -183,10 +183,10 @@ TEST(Distributed, NonPeriodicOutflowMatchesSingleDomain) {
 }
 
 TEST(Distributed, EightRankFusedMatchesSingleDomainBitwise) {
-  // The single-domain side runs the full fused step (plane-pipelined sweeps
+  // The single-domain side runs the full step (whole-block Sigma sweeps
   // under the Neumann sigma boundary, streamed flux blocks, RK fold, dt
-  // fold); the ranks run whole-block Sigma phases and then the same
-  // streamed flux/RK stage and dt fold.  Jacobi sweeps keep the
+  // fold); the ranks run the same Sigma sweeps between halo exchanges and
+  // then the same streamed flux/RK stage and dt fold.  Jacobi sweeps keep the
   // decomposition exact, so the 2x2x2 run must stay bitwise-identical to
   // the fused solver — state and adaptive dt.
   const auto cfg = jacobi_cfg();

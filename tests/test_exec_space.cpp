@@ -1,9 +1,10 @@
 /// The exec-space contract: every backend and every team width produces the
 /// same bits.  Covers the ExecSpace primitive itself (partition coverage,
 /// team launch, barrier phase ordering), then the solver-level guarantees —
-/// Serial vs OpenMP bitwise on state fingerprints AND per-step dt for both
-/// RHS schedules and every storage precision, thread-count invariance at
-/// widths 1/2/4, the distributed driver with a multi-threaded exec
+/// Serial vs OpenMP bitwise on state fingerprints AND per-step dt for the
+/// single-domain and decomposed drivers and every storage precision,
+/// thread-count invariance at widths 1/2/4 (also on blocks thinner than
+/// the team), the distributed driver with a multi-threaded exec
 /// space inside each rank worker (the configuration the TSan tree races),
 /// and the whole-field passes outside the step: initial-condition
 /// evaluation and the health scan, single-domain and per rank worker.
@@ -143,10 +144,10 @@ void expect_bitwise_equal(const cases::CaseSpec& spec,
 }
 
 /// Serial vs the default OpenMP exec space, one precision policy, on both
-/// RHS schedules: the single-domain fused step, or (`decomposed`) the
-/// phased schedule of a 2x1x1 in-process run.  The jet case covers the
-/// full kernel surface: inflow + outflow BCs, the fused wavefront, the
-/// Sigma relaxation, the CFL fold.
+/// drivers: the single-domain fused step, or (`decomposed`) a 2x1x1
+/// in-process run with halo exchanges between the stage pieces.  The jet
+/// case covers the full kernel surface: inflow + outflow BCs, the Sigma
+/// source and relaxation, the streamed flux/RK stage, the CFL fold.
 template <class Policy>
 void serial_vs_default(bool decomposed) {
   const auto* spec = cases::find("jet-single");
@@ -212,9 +213,8 @@ TEST(ExecSpaceBitwise, ThreadCountCannotMoveABit) {
   expect_width_invariant<Fp64>("jet-single");
 }
 
-// All-periodic BCs keep the single-domain Sigma sweeps whole-block (the
-// plane wavefront cannot cross the z wrap), so these pin the multi-plane
-// red–black colour passes at every team width.
+// All-periodic BCs: the Sigma ghosts wrap on every face, and the red–black
+// colour passes must not move a bit at any team width.
 TEST(ExecSpaceBitwise, TaylorGreenThreadCountCannotMoveABitFp64) {
   expect_width_invariant<Fp64>("taylor-green");
 }
@@ -430,6 +430,79 @@ TEST(ExecSpaceDistributed, HealthOfRankBlocksEqualsSingleDomainScan) {
                                          ExecSpace::serial());
   EXPECT_EQ(ref.negative_density_cells, 2u);
   expect_same_health(sim.health(), ref, "2x2x1 ranks");
+}
+
+// --- Blocks with fewer planes than team members --------------------------
+
+/// FNV-1a over Sigma's interior, in (k, j, i) order.
+template <class S>
+std::uint64_t sigma_fnv1a(const igr::common::Field3<S>& f) {
+  igr::common::Fnv1a64 h;
+  for (int k = 0; k < f.nz(); ++k)
+    for (int j = 0; j < f.ny(); ++j)
+      for (int i = 0; i < f.nx(); ++i) {
+        const double v = static_cast<double>(f(i, j, k));
+        h.update(&v, sizeof v);
+      }
+  return h.value();
+}
+
+struct ThinRun {
+  std::uint64_t state_fnv = 0, sigma_fnv = 0;
+  std::vector<double> dts;
+};
+
+/// Serial against OpenMP widths 2 and 4, red–black and Jacobi: state,
+/// Sigma and every dt of `run(cfg)` must match bit for bit.  A colour pass
+/// hands whole planes to the members, so on these blocks most members get
+/// no plane.
+template <class Run>
+void expect_thin_blocks_width_invariant(const Run& run) {
+  for (const bool gauss_seidel : {true, false}) {
+    SCOPED_TRACE(gauss_seidel ? "red-black" : "jacobi");
+    SolverConfig cfg = config_on(ExecSpace::serial());
+    cfg.sigma_gauss_seidel = gauss_seidel;
+    const ThinRun ref = run(cfg);
+    for (const int width : {2, 4}) {
+      SCOPED_TRACE("width " + std::to_string(width));
+      SolverConfig wide = config_on(ExecSpace(ExecBackend::kOpenMP, width));
+      wide.sigma_gauss_seidel = gauss_seidel;
+      const ThinRun got = run(wide);
+      EXPECT_EQ(got.dts, ref.dts);
+      EXPECT_EQ(got.state_fnv, ref.state_fnv);
+      EXPECT_EQ(got.sigma_fnv, ref.sigma_fnv);
+    }
+  }
+}
+
+constexpr int kThinSteps = 3;
+
+TEST(ExecSpaceThinBlocks, TwoPlaneDomainIsWidthInvariant) {
+  expect_thin_blocks_width_invariant([](const SolverConfig& cfg) {
+    IgrSolver3D<Fp64> s(Grid(8, 8, 2, {0.0, 1.0}, {0.0, 1.0}, {0.0, 0.25}),
+                        cfg, igr::fv::BcSpec::all_outflow());
+    s.init(graded_ic);
+    ThinRun r;
+    for (int n = 0; n < kThinSteps; ++n) r.dts.push_back(s.step());
+    r.state_fnv = igr::common::state_fnv1a(s.state());
+    r.sigma_fnv = sigma_fnv1a(s.sigma());
+    return r;
+  });
+}
+
+TEST(ExecSpaceThinBlocks, OnePlaneRankBlocksAreWidthInvariant) {
+  // {1,1,8} at n = 8: every rank block is one plane deep (periodic z, so
+  // the ghost planes come from multi-hop exchanges).
+  expect_thin_blocks_width_invariant([](const SolverConfig& cfg) {
+    igr::sim::DistributedIgr<Fp64> d(Grid::cube(8), 1, 1, 8, cfg,
+                                     igr::fv::BcSpec::all_periodic());
+    d.init(graded_ic);
+    ThinRun r;
+    for (int n = 0; n < kThinSteps; ++n) r.dts.push_back(d.step());
+    r.state_fnv = igr::common::state_fnv1a(d.gather());
+    r.sigma_fnv = sigma_fnv1a(d.gather_sigma());
+    return r;
+  });
 }
 
 }  // namespace

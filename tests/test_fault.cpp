@@ -100,12 +100,12 @@ TEST(CommFault, WaitTimeoutAbortsInsteadOfDeadlocking) {
   const auto lg = comm.local_grid(0);
   common::Field3<double> f(lg.nx(), lg.ny(), lg.nz(), 2);
   const common::Field3<double>* cf = &f;
-  comm.post_axis(sim::Comm::kChanGeneral, 0, &cf, 1, 0);
+  comm.post_axis(sim::Comm::kChanSigma, 0, &cf, 1, 0);
 
   // Rank 1 never posts (a dead peer): rank 0's complete must time out and
   // self-abort with a reason rather than spin forever.
   common::Field3<double>* mf = &f;
-  EXPECT_FALSE(comm.complete_axis(sim::Comm::kChanGeneral, 0, &mf, 1, 0));
+  EXPECT_FALSE(comm.complete_axis(sim::Comm::kChanSigma, 0, &mf, 1, 0));
   EXPECT_TRUE(comm.aborted());
   EXPECT_NE(comm.abort_reason().find("halo wait exceeded"), std::string::npos)
       << comm.abort_reason();
@@ -154,15 +154,15 @@ TEST(CommFault, HalfWireWaitTimeoutAbortsInsteadOfDeadlocking) {
   const auto g = mesh::Grid::cube(8);
   sim::Comm comm(g, 2, 1, 1, /*periodic=*/true);
   comm.set_wait_timeout(0.2);
-  comm.set_wire(sim::Comm::kChanGeneral, sim::Comm::WirePrecision::kHalf);
+  comm.set_wire(sim::Comm::kChanSigma, sim::Comm::WirePrecision::kHalf);
 
   const auto lg = comm.local_grid(0);
   common::Field3<double> f(lg.nx(), lg.ny(), lg.nz(), 2);
   const common::Field3<double>* cf = &f;
-  comm.post_axis(sim::Comm::kChanGeneral, 0, &cf, 1, 0);
+  comm.post_axis(sim::Comm::kChanSigma, 0, &cf, 1, 0);
 
   common::Field3<double>* mf = &f;
-  EXPECT_FALSE(comm.complete_axis(sim::Comm::kChanGeneral, 0, &mf, 1, 0));
+  EXPECT_FALSE(comm.complete_axis(sim::Comm::kChanSigma, 0, &mf, 1, 0));
   EXPECT_TRUE(comm.aborted());
   EXPECT_NE(comm.abort_reason().find("halo wait exceeded"), std::string::npos)
       << comm.abort_reason();

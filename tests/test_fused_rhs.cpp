@@ -1,12 +1,13 @@
-/// Fused-pipeline equivalence: the single-domain solver's plane-streaming
-/// step (interleaved Sigma source, pipelined relaxation wavefront, k-block
-/// flux sweeps with the RK update and the next step's CFL reduction
-/// trailing the flux front) must be *bitwise identical* to two references.
-///   - A 1x1x1 sim::DistributedIgr: dt, state and Sigma.  The driver runs
-///     the Sigma solve as whole-block phases (ghost fill, source, one
-///     relaxation sweep per phase), so every slot of the fused wavefront
-///     must read exactly the values those phases show it (see the pipeline
-///     notes in igr_solver3d.cpp).
+/// Fused-step equivalence: the single-domain solver's step (Sigma source
+/// interleaved with the reciprocal-density refresh, whole-block relaxation
+/// sweeps, k-block flux sweeps with the RK update and the next step's CFL
+/// reduction trailing the flux front) must be *bitwise identical* to two
+/// references.
+///   - A 1x1x1 sim::DistributedIgr: dt, state and Sigma.  The driver calls
+///     the same stage pieces with its own ghost fills (halo exchange and
+///     physical faces, axis by axis, one Sigma phase per sweep), so the
+///     solver's ghost fills must show every kernel the values the driver's
+///     fills show it.
 ///   - A textbook SSP-RK3 step written here: stage registers owned by the
 ///     test, each RHS from the public compute_rhs into a caller-owned
 ///     compute-precision field, then the per-cell convex update.  It pins
@@ -70,7 +71,7 @@ struct Pair {
 };
 
 /// The bench harness's Mach-10 jet at smoke size (outflow/inflow faces, so
-/// the Sigma boundary handling is Neumann and the sweep wavefront engages).
+/// every Sigma ghost face clamps).
 template <class Policy>
 Pair<Policy> make_jet(ReconScheme recon, bool gauss_seidel = true, int n = 12,
                       int nz = 18) {
@@ -83,8 +84,8 @@ Pair<Policy> make_jet(ReconScheme recon, bool gauss_seidel = true, int n = 12,
                       jet.initial_condition(0.005));
 }
 
-/// All-periodic variant: exercises the periodic-Sigma fallback (phased
-/// sweeps inside the fused schedule) plus the streamed flux/RK/dt folds.
+/// All-periodic variant: wrapping Sigma ghosts on every face plus the
+/// streamed flux/RK/dt folds.
 template <class Policy>
 Pair<Policy> make_periodic(ReconScheme recon, bool gauss_seidel = true,
                            int n = 12) {
@@ -233,9 +234,8 @@ TEST(FusedRhs, AdaptiveJetStepsBitwiseBf16x32) {
   run_jet_case<Bf16x32>(true);
 }
 
-// The Jacobi wavefront alternates buffers per plane slot instead of
-// swapping whole fields per sweep; the final swap must land the same bits
-// in the same field object.
+// Jacobi swaps the Sigma buffers after every sweep; an odd sweep count
+// must land the same bits in the same field object on both sides.
 TEST(FusedRhs, AdaptiveJetStepsBitwiseJacobiFp64) {
   run_jet_case<Fp64>(false);
 }
@@ -249,28 +249,28 @@ TEST(FusedRhs, AdaptiveJetStepsBitwiseJacobiBf16x32) {
   run_jet_case<Bf16x32>(false);
 }
 
-// All-periodic BCs: the sweep wavefront cannot cross the z wrap, so the
-// fused schedule keeps phased sweeps — but still streams source, fluxes,
-// RK, and the dt fold, which must stay bitwise.
-TEST(FusedRhs, PeriodicFallbackStepsBitwiseFp64) {
+// All-periodic BCs: Sigma ghosts wrap on every face, including z, while
+// the source, fluxes, RK and the dt fold stream as on the jet; all must
+// stay bitwise.
+TEST(FusedRhs, PeriodicStepsBitwiseFp64) {
   run_periodic_case<Fp64>(true);
 }
-TEST(FusedRhs, PeriodicFallbackStepsBitwiseFp32) {
+TEST(FusedRhs, PeriodicStepsBitwiseFp32) {
   run_periodic_case<Fp32>(true);
 }
-TEST(FusedRhs, PeriodicFallbackStepsBitwiseFp16x32) {
+TEST(FusedRhs, PeriodicStepsBitwiseFp16x32) {
   run_periodic_case<Fp16x32>(true);
 }
-TEST(FusedRhs, PeriodicFallbackStepsBitwiseBf16x32) {
+TEST(FusedRhs, PeriodicStepsBitwiseBf16x32) {
   run_periodic_case<Bf16x32>(true);
 }
-TEST(FusedRhs, PeriodicFallbackStepsBitwiseJacobiFp64) {
+TEST(FusedRhs, PeriodicStepsBitwiseJacobiFp64) {
   run_periodic_case<Fp64>(false);
 }
-TEST(FusedRhs, PeriodicFallbackStepsBitwiseJacobiFp16x32) {
+TEST(FusedRhs, PeriodicStepsBitwiseJacobiFp16x32) {
   run_periodic_case<Fp16x32>(false);
 }
-TEST(FusedRhs, PeriodicFallbackStepsBitwiseJacobiBf16x32) {
+TEST(FusedRhs, PeriodicStepsBitwiseJacobiBf16x32) {
   run_periodic_case<Bf16x32>(false);
 }
 

@@ -18,6 +18,8 @@
 #include <sstream>
 #include <string>
 
+#include "../examples/launch_verdict.hpp"
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -138,6 +140,38 @@ TEST(NetLaunch, SigkilledRankRecoversToTheGoldenFingerprint) {
   EXPECT_NE(rep.find("\"retryable\": true"), std::string::npos) << rep;
   EXPECT_NE(rep.find("\"ok\": true"), std::string::npos) << rep;
   fs::remove_all(dir);
+}
+
+TEST(NetLaunch, VerdictRanksASignalAboveAnEarlierExit75) {
+  // Real wait statuses, from shells that exit or SIGKILL themselves.
+  const int exit0 = std::system("exit 0");
+  const int exit2 = std::system("exit 2");
+  const int exit75 = std::system("exit 75");
+  const int killed = std::system("kill -9 $$");
+  ASSERT_TRUE(WIFEXITED(exit75) && WEXITSTATUS(exit75) == 75);
+  ASSERT_TRUE(WIFSIGNALED(killed) && WTERMSIG(killed) == 9);
+  using igr::launch::attempt_verdict;
+
+  // Rank 0 lost its peer and exited 75; that exit was reaped before rank
+  // 1's SIGKILL, which is still the cause.
+  const auto a = attempt_verdict({{0, exit75}, {1, killed}});
+  EXPECT_EQ(a.why, "rank 1 killed by signal 9");
+  EXPECT_TRUE(a.retryable);
+  EXPECT_EQ(a.fatal_code, 0);
+
+  // Exit 75 outranks another non-zero exit reaped before it.
+  const auto b = attempt_verdict({{0, exit0}, {1, exit2}, {2, exit75}});
+  EXPECT_EQ(b.why, "rank 2 exited 75 (retryable)");
+  EXPECT_TRUE(b.retryable);
+  EXPECT_EQ(b.fatal_code, 0);
+
+  // With no retryable death the first other non-zero exit is fatal.
+  const auto c = attempt_verdict({{1, exit0}, {0, exit2}});
+  EXPECT_EQ(c.why, "rank 0 exited 2");
+  EXPECT_FALSE(c.retryable);
+  EXPECT_EQ(c.fatal_code, 2);
+
+  EXPECT_TRUE(attempt_verdict({{0, exit0}}).why.empty());
 }
 
 TEST(NetLaunch, ExhaustedRespawnBudgetFailsCleanly) {

@@ -46,11 +46,10 @@ void sigma_solve(Field3<typename Policy::storage_t>& sigma,
     if (kind == SweepKind::kRedBlack) {
       for (int color = 0; color < 2; ++color)
         igr::core::sigma_relax_planes<Policy>(sigma, src, inv_rho, alpha, dx,
-                                              dy, dz, color, 0, sigma.nz());
+                                              dy, dz, color);
     } else {
       igr::core::sigma_jacobi_planes<Policy>(scratch, sigma, src, inv_rho,
-                                             alpha, dx, dy, dz, 0,
-                                             sigma.nz());
+                                             alpha, dx, dy, dz);
       std::swap(sigma, scratch);
     }
   }
