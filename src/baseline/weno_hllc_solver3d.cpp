@@ -269,18 +269,7 @@ double WenoHllcSolver3D<Policy>::storage_per_cell() const {
 
 template <class Policy>
 common::Cons<double> WenoHllcSolver3D<Policy>::conserved_totals() const {
-  const int nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-  const double dv = grid_.dx() * grid_.dy() * grid_.dz();
-  common::Cons<double> tot{};
-  for (int k = 0; k < nz; ++k) {
-    for (int j = 0; j < ny; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        for (int c = 0; c < kNumVars; ++c)
-          tot[c] += static_cast<double>(q_[c](i, j, k)) * dv;
-      }
-    }
-  }
-  return tot;
+  return common::conserved_totals(q_, grid_.dx() * grid_.dy() * grid_.dz());
 }
 
 template class WenoHllcSolver3D<common::Fp64>;

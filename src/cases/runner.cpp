@@ -43,14 +43,7 @@ namespace {
 template <class S>
 common::Cons<double> totals_of(const common::StateField3<S>& q,
                                const mesh::Grid& g) {
-  const double dv = g.dx() * g.dy() * g.dz();
-  common::Cons<double> tot{};
-  for (int k = 0; k < g.nz(); ++k)
-    for (int j = 0; j < g.ny(); ++j)
-      for (int i = 0; i < g.nx(); ++i)
-        for (int c = 0; c < common::kNumVars; ++c)
-          tot[c] += static_cast<double>(q[c](i, j, k)) * dv;
-  return tot;
+  return common::conserved_totals(q, g.dx() * g.dy() * g.dz());
 }
 
 }  // namespace

@@ -13,9 +13,14 @@
 /// mixed-precision storage competitive on CPUs (see PERF.md).  The batch
 /// hooks are element-wise bitwise-identical to the per-element
 /// `load`/`store` (tests/test_half_batch.cpp, tests/test_bfloat16.cpp).
+///
+/// Kernels that stream rows reach storage through `ComputeRows`, the one
+/// place that decides between reading a field in place (FP64, FP32) and
+/// converting it through scratch rows (FP16/32, BF16/32).
 
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <string_view>
 #include <type_traits>
 
@@ -133,5 +138,76 @@ inline void store_line_strided(const typename Policy::compute_t* src,
       dst[static_cast<std::ptrdiff_t>(i) * stride] = static_cast<S>(src[i]);
   }
 }
+
+/// Compute-precision rows of storage: a kernel fetches its input rows,
+/// computes into an output row, and commits that row.  When storage is
+/// compute precision (FP64, FP32), `fetch` and `out` return the field row
+/// itself and `commit` does nothing, so fields are read and written in
+/// place with no copy.  For 16-bit storage, `fetch` fills scratch slot `s`
+/// through the batched lane (load_line), `out` hands out slot `s`, and
+/// `commit` narrows the row back (store_line).  Slots hold `row_len`
+/// elements each and are not zeroed (only converted or computed values are
+/// read); one instance belongs to one team member.
+template <class Policy>
+class ComputeRows {
+  using S = typename Policy::storage_t;
+  using C = typename Policy::compute_t;
+  static constexpr bool kInPlace = !converts_storage<Policy>;
+
+ public:
+  ComputeRows(std::size_t slots, std::size_t row_len)
+      : row_len_(row_len),
+        scratch_(kInPlace ? nullptr : new C[slots * row_len]) {}
+
+  /// Row `src` (`n` <= row_len elements) at compute precision.
+  const C* fetch(std::size_t s, const S* src, std::size_t n) {
+    return fetch(s, const_cast<S*>(src), n);
+  }
+  /// Writable form, for a row updated in place and then committed.
+  C* fetch(std::size_t s, S* src, std::size_t n) {
+    if constexpr (kInPlace) {
+      return src;
+    } else {
+      C* row = slot(s);
+      load_line<Policy>(src, row, n);
+      return row;
+    }
+  }
+
+  /// Row to compute the output for storage row `dst` into.
+  C* out(std::size_t s, S* dst) {
+    if constexpr (kInPlace) {
+      return dst;
+    } else {
+      return slot(s);
+    }
+  }
+
+  /// Make `n` elements of `row` (from fetch/out for `dst`) the contents of
+  /// `dst`.
+  static void commit(const C* row, S* dst, std::size_t n) {
+    if constexpr (!kInPlace) store_line<Policy>(row, dst, n);
+  }
+
+ private:
+  C* slot(std::size_t s) { return scratch_.get() + s * row_len_; }
+
+  std::size_t row_len_;
+  std::unique_ptr<C[]> scratch_;
+};
+
+/// The policy that stores `S`, for kernels templated on the storage type.
+template <class S>
+struct StoragePolicy;
+template <>
+struct StoragePolicy<double> { using type = Fp64; };
+template <>
+struct StoragePolicy<float> { using type = Fp32; };
+template <>
+struct StoragePolicy<half> { using type = Fp16x32; };
+template <>
+struct StoragePolicy<bfloat16> { using type = Bf16x32; };
+template <class S>
+using storage_policy_t = typename StoragePolicy<S>::type;
 
 }  // namespace igr::common

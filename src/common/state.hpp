@@ -49,4 +49,18 @@ struct Prim {
   [[nodiscard]] T speed2() const { return u * u + v * v + w * w; }
 };
 
+/// Conserved totals of q's interior in double: the k/j/i/c sum of
+/// `q * dv`, one fixed order so every caller's totals agree bitwise.
+template <class S>
+[[nodiscard]] Cons<double> conserved_totals(const StateField3<S>& q,
+                                            double dv) {
+  Cons<double> tot{};
+  for (int k = 0; k < q.nz(); ++k)
+    for (int j = 0; j < q.ny(); ++j)
+      for (int i = 0; i < q.nx(); ++i)
+        for (int c = 0; c < kNumVars; ++c)
+          tot[c] += static_cast<double>(q[c](i, j, k)) * dv;
+  return tot;
+}
+
 }  // namespace igr::common

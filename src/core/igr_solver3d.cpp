@@ -307,40 +307,25 @@ void IgrSolver3D<Policy>::init(const PrimFn& prim) {
 template <class Policy>
 void IgrSolver3D<Policy>::refresh_inv_rho_planes(common::StateField3<S>& q,
                                                  int k0, int k1) {
-  const int nx = grid_.nx(), ny = grid_.ny();
+  const int ny = grid_.ny();
   const int ng = q.ng();
-  const std::size_t row_len = static_cast<std::size_t>(nx) + 2 * ng;
-  const common::ExecSpace exec = cfg_.exec();
-  if constexpr (common::converts_storage<Policy>) {
-    // Whole ghosted rows through the batched conversion lanes: one batch
-    // load, a vector reciprocal, one batch store per row.
-    exec.run_team([&](const common::ExecSpace::Team& t) {
-      std::vector<C> row(row_len);
-      long cb, ce;
-      t.chunk(k1 - k0, cb, ce);
-      for (long kk = cb; kk < ce; ++kk) {
-        const int k = k0 + static_cast<int>(kk);
-        for (int j = -ng; j < ny + ng; ++j) {
-          common::load_line<Policy>(&q[kRho](-ng, j, k), row.data(),
-                                    row_len);
-          for (std::size_t i = 0; i < row_len; ++i) row[i] = C(1) / row[i];
-          common::store_line<Policy>(row.data(), &inv_rho_(-ng, j, k),
-                                     row_len);
-        }
-      }
-    });
-  } else {
-    exec.for_each(k1 - k0, [&](long kk) {
+  const std::size_t row_len = static_cast<std::size_t>(grid_.nx()) + 2 * ng;
+  // Whole ghosted rows: one fetch, a vector reciprocal, one commit per row.
+  cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
+    common::ComputeRows<Policy> rows(2, row_len);
+    long cb, ce;
+    t.chunk(k1 - k0, cb, ce);
+    for (long kk = cb; kk < ce; ++kk) {
       const int k = k0 + static_cast<int>(kk);
       for (int j = -ng; j < ny + ng; ++j) {
-        const S* pr = &q[kRho](-ng, j, k);
-        S* pir = &inv_rho_(-ng, j, k);
-        for (int i = 0; i < nx + 2 * ng; ++i) {
-          pir[i] = static_cast<S>(C(1) / static_cast<C>(pr[i]));
-        }
+        S* dst = &inv_rho_(-ng, j, k);
+        const C* __restrict r = rows.fetch(0, &q[kRho](-ng, j, k), row_len);
+        C* __restrict ir = rows.out(1, dst);
+        for (std::size_t i = 0; i < row_len; ++i) ir[i] = C(1) / r[i];
+        rows.commit(ir, dst, row_len);
       }
-    });
-  }
+    }
+  });
 }
 
 template <class Policy>
@@ -352,126 +337,78 @@ void IgrSolver3D<Policy>::compute_sigma_source_planes(
   const C inv2dz = C(0.5) / static_cast<C>(grid_.dz());
   const C al = static_cast<C>(alpha_);
 
-  if constexpr (common::converts_storage<Policy>) {
-    // Batched form with a rolling per-plane row cache: each thread
-    // streams a contiguous plane range and keeps the velocity rows
-    // u_a = m_a * (1/rho) of planes k-1, k, k+1 in a 3-plane ring, so
-    // every momentum/inv_rho row is converted once per plane visit
-    // instead of once per stencil position (the old slab form converted
-    // each row up to five times across adjacent (j,k) iterations).  Rows
-    // span i in [-1, nx] and j in [-1, ny] so both the in-row i∓1 taps
-    // and the j∓1 neighbor rows are in-ring; the products are the exact
-    // expressions of the per-position slab, so values are bitwise
-    // unchanged.
-    const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
-    const std::size_t rows_per_plane = static_cast<std::size_t>(ny) + 2;
-    const std::size_t plane_elems = 3 * rows_per_plane * row_len;
-    const common::ExecSpace exec = cfg_.exec();
-    exec.run_team([&](const common::ExecSpace::Team& t) {
-      std::vector<C> ring(3 * plane_elems);
-      std::vector<C> ir_row(row_len), mom_row(row_len);
-      std::vector<C> src_row(static_cast<std::size_t>(nx));
-      // Velocity row of component `a` at (j, plane k); ring slot cycles
-      // with k (k >= -1 here, so k+1 is a valid modulus argument).
-      auto vrow = [&](int k, int j, int a) -> C* {
-        return ring.data() +
-               static_cast<std::size_t>((k + 1) % 3) * plane_elems +
-               (static_cast<std::size_t>(j + 1) * 3 +
-                static_cast<std::size_t>(a)) *
-                   row_len;
-      };
-      auto fill_plane = [&](int k) {
-        for (int j = -1; j <= ny; ++j) {
-          common::load_line<Policy>(&inv_rho_(-1, j, k), ir_row.data(),
-                                    row_len);
-          for (int a = 0; a < 3; ++a) {
-            common::load_line<Policy>(&q[kMomX + a](-1, j, k),
-                                      mom_row.data(), row_len);
-            C* v = vrow(k, j, a);
-            for (std::size_t i = 0; i < row_len; ++i)
-              v[i] = mom_row[i] * ir_row[i];
-          }
+  // Each member streams a contiguous plane range and keeps the velocity
+  // rows u_a = m_a * (1/rho) of planes k-1, k, k+1 in a 3-plane ring, so
+  // every momentum/inv_rho row is fetched (converted, for 16-bit storage)
+  // once per plane visit and every product is formed once.  Rows span i in
+  // [-1, nx] and j in [-1, ny] so both the in-row i∓1 taps and the j∓1
+  // neighbor rows are in-ring; each tap is the product the per-cell
+  // stencil would form, so the source bits do not depend on the ring.
+  const std::size_t row_len = static_cast<std::size_t>(nx) + 2;
+  const std::size_t rows_per_plane = static_cast<std::size_t>(ny) + 2;
+  const std::size_t plane_elems = 3 * rows_per_plane * row_len;
+  cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
+    std::vector<C> ring(3 * plane_elems);
+    common::ComputeRows<Policy> rows(2, row_len);
+    // Source rows are computed into member-private scratch and then
+    // stored, also at FP64/FP32: writing them straight into the field
+    // measured 2-3x slower there (n=32, one thread, GCC 12.2 on a Xeon),
+    // as the stencil loop then cannot assume its output misses the ring.
+    std::vector<C> src_row(static_cast<std::size_t>(nx));
+    // Velocity row of component `a` at (j, plane k); ring slot cycles
+    // with k (k >= -1 here, so k+1 is a valid modulus argument).
+    auto vrow = [&](int k, int j, int a) -> C* {
+      return ring.data() +
+             static_cast<std::size_t>((k + 1) % 3) * plane_elems +
+             (static_cast<std::size_t>(j + 1) * 3 +
+              static_cast<std::size_t>(a)) *
+                 row_len;
+    };
+    auto fill_plane = [&](int k) {
+      for (int j = -1; j <= ny; ++j) {
+        const C* __restrict ir = rows.fetch(0, &inv_rho_(-1, j, k), row_len);
+        for (int a = 0; a < 3; ++a) {
+          const C* __restrict m =
+              rows.fetch(1, &q[kMomX + a](-1, j, k), row_len);
+          C* __restrict v = vrow(k, j, a);
+          for (std::size_t i = 0; i < row_len; ++i) v[i] = m[i] * ir[i];
         }
-      };
-      // Contiguous per-member plane chunks (the ring needs an ascending
-      // serial walk); remainder planes go to the low tids.
-      long cb, ce;
-      t.chunk(k1 - k0, cb, ce);
-      const int c0 = k0 + static_cast<int>(cb);
-      const int c1 = k0 + static_cast<int>(ce);
-      if (c0 < c1) {
-        fill_plane(c0 - 1);
-        fill_plane(c0);
-        for (int k = c0; k < c1; ++k) {
-          fill_plane(k + 1);
-          for (int j = 0; j < ny; ++j) {
-            for (int i = 0; i < nx; ++i) {
-              const std::size_t o = static_cast<std::size_t>(i) + 1;
-              fv::VelGrad<C> g;
-              for (int a = 0; a < 3; ++a) {
-                const C* vc = vrow(k, j, a);
-                const C* vjm = vrow(k, j - 1, a);
-                const C* vjp = vrow(k, j + 1, a);
-                const C* vkm = vrow(k - 1, j, a);
-                const C* vkp = vrow(k + 1, j, a);
-                g.g[a][0] = (vc[o + 1] - vc[o - 1]) * inv2dx;
-                g.g[a][1] = (vjp[o] - vjm[o]) * inv2dy;
-                g.g[a][2] = (vkp[o] - vkm[o]) * inv2dz;
-              }
-              const C d = g.div();
-              src_row[static_cast<std::size_t>(i)] =
-                  al * (g.tr_sq() + d * d);
+      }
+    };
+    // Contiguous per-member plane chunks (the ring needs an ascending
+    // serial walk); remainder planes go to the low tids.
+    long cb, ce;
+    t.chunk(k1 - k0, cb, ce);
+    const int c0 = k0 + static_cast<int>(cb);
+    const int c1 = k0 + static_cast<int>(ce);
+    if (c0 < c1) {
+      fill_plane(c0 - 1);
+      fill_plane(c0);
+      for (int k = c0; k < c1; ++k) {
+        fill_plane(k + 1);
+        for (int j = 0; j < ny; ++j) {
+          for (int i = 0; i < nx; ++i) {
+            const std::size_t o = static_cast<std::size_t>(i) + 1;
+            fv::VelGrad<C> g;
+            for (int a = 0; a < 3; ++a) {
+              const C* vc = vrow(k, j, a);
+              const C* vjm = vrow(k, j - 1, a);
+              const C* vjp = vrow(k, j + 1, a);
+              const C* vkm = vrow(k - 1, j, a);
+              const C* vkp = vrow(k + 1, j, a);
+              g.g[a][0] = (vc[o + 1] - vc[o - 1]) * inv2dx;
+              g.g[a][1] = (vjp[o] - vjm[o]) * inv2dy;
+              g.g[a][2] = (vkp[o] - vkm[o]) * inv2dz;
             }
-            common::store_line<Policy>(src_row.data(),
-                                       sigma_src_.row(j, k),
-                                       static_cast<std::size_t>(nx));
+            const C d = g.div();
+            src_row[static_cast<std::size_t>(i)] = al * (g.tr_sq() + d * d);
           }
+          common::store_line<Policy>(src_row.data(), sigma_src_.row(j, k),
+                                     static_cast<std::size_t>(nx));
         }
       }
-    });
-  } else {
-    // Stencil taps hoisted into per-row stream pointers (the indexed-offset
-    // form defeats the vectorizer); same products, same bits.
-    const std::ptrdiff_t sy = inv_rho_.stride(1);
-    const std::ptrdiff_t sz = inv_rho_.stride(2);
-    cfg_.exec().for_each(k1 - k0, [&](long kk) {
-      const int k = k0 + static_cast<int>(kk);
-      for (int j = 0; j < ny; ++j) {
-        const S* pir = &inv_rho_(0, j, k);
-        const S* mx_ = &q[kMomX](0, j, k);
-        const S* my_ = &q[kMomY](0, j, k);
-        const S* mz_ = &q[kMomZ](0, j, k);
-        S* __restrict psrc = &sigma_src_(0, j, k);
-        const S* ir_jm = pir - sy;
-        const S* ir_jp = pir + sy;
-        const S* ir_km = pir - sz;
-        const S* ir_kp = pir + sz;
-        // The component loop is unrolled with named stream pointers — a base
-        // pointer re-loaded from an array per iteration defeats the
-        // vectorizer's data-reference analysis.  Straight unroll of the
-        // a = 0..2 loop; expressions (and bits) unchanged.
-        auto grad = [&](const S* m, int i, C* g3) {
-          g3[0] = (static_cast<C>(m[i + 1]) * static_cast<C>(pir[i + 1]) -
-                   static_cast<C>(m[i - 1]) * static_cast<C>(pir[i - 1])) *
-                  inv2dx;
-          g3[1] = (static_cast<C>(m[i + sy]) * static_cast<C>(ir_jp[i]) -
-                   static_cast<C>(m[i - sy]) * static_cast<C>(ir_jm[i])) *
-                  inv2dy;
-          g3[2] = (static_cast<C>(m[i + sz]) * static_cast<C>(ir_kp[i]) -
-                   static_cast<C>(m[i - sz]) * static_cast<C>(ir_km[i])) *
-                  inv2dz;
-        };
-        for (int i = 0; i < nx; ++i) {
-          fv::VelGrad<C> g;
-          grad(mx_, i, g.g[0]);
-          grad(my_, i, g.g[1]);
-          grad(mz_, i, g.g[2]);
-          const C d = g.div();
-          psrc[i] = static_cast<S>(al * (g.tr_sq() + d * d));
-        }
-      }
-    });
-  }
+    }
+  });
 }
 
 template <class Policy>
@@ -502,9 +439,9 @@ void IgrSolver3D<Policy>::build_sigma_source(common::StateField3<S>& q) {
 }
 
 /// One dimensional flux sweep, row-streaming: faces are evaluated a *row*
-/// (unit-stride x span) at a time, reading the six stencil rows of each
-/// face row directly from the fields (identity-storage policies) or from a
-/// rolling ring of batch-converted rows (16-bit storage).  All inner loops
+/// (unit-stride x span) at a time from the six stencil rows of each face
+/// row, fetched through common::ComputeRows (the field rows themselves for
+/// FP64/FP32, batch-converted rows for 16-bit storage).  All inner loops
 /// are unit-stride, and for the transverse sweeps each face row is computed
 /// once and reused by the two cell rows it bounds (a rolling flux-row
 /// pair).  The per-face arithmetic lives in compute_face_row; the flux RHS
@@ -563,10 +500,7 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
     const long na = grid_.ny();
     const long n_rows = static_cast<long>(k1 - k0) * na;
     exec.run_team([&](const common::ExecSpace::Team& team) {
-      std::vector<C> conv;  // converted stencil rows (FP16/32 only)
-      if constexpr (common::converts_storage<Policy>) {
-        conv.resize(static_cast<std::size_t>(kNumVars + 1) * span);
-      }
+      common::ComputeRows<Policy> rows(kNumVars + 1, span);
       std::vector<C> prows(5 * pspan);
       std::vector<C> faces(2 * (kNumVars + 1) * fn);
       std::vector<C> fprims(2 * 6 * fn);
@@ -581,15 +515,8 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
           const int j = static_cast<int>(ridx % na);
           const C* sc[kNumVars + 1][6];
           for (int c = 0; c <= kNumVars; ++c) {
-            const S* row = field_row(c, j, k) - 3;
-            const C* crow;
-            if constexpr (common::converts_storage<Policy>) {
-              C* dst = conv.data() + static_cast<std::size_t>(c) * span;
-              common::load_line<Policy>(row, dst, span);
-              crow = dst;
-            } else {
-              crow = row;
-            }
+            const C* crow = rows.fetch(static_cast<std::size_t>(c),
+                                       field_row(c, j, k) - 3, span);
             for (int t = 0; t < 6; ++t) sc[c][t] = crow + t;
           }
           // Cell prims over -1 .. nx: index i of sc[c][2] is cell i-1,
@@ -632,9 +559,9 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
   } else {
     // Transverse sweep (Dir = 1 or 2): stream face rows along the sweep
     // axis at fixed outer coordinate, rolling (a) a 6-deep ring of
-    // compute-precision stencil rows per variable, (b) the two cell-prim
-    // rows bounding the current face row, and (c) the flux-row pair that
-    // turns two consecutive face rows into one RHS row.
+    // compute-precision stencil row pointers per variable, (b) the two
+    // cell-prim rows bounding the current face row, and (c) the flux-row
+    // pair that turns two consecutive face rows into one RHS row.
     const std::size_t fn = static_cast<std::size_t>(nx);
     const int s_lo = (Dir == 1) ? 0 : k0;
     const int s_hi = (Dir == 1) ? grid_.ny() : k1;
@@ -642,51 +569,32 @@ void IgrSolver3D<Policy>::flux_sweep_stream(common::StateField3<S>& q,
     const int o_hi = (Dir == 1) ? k1 : grid_.ny();
     const common::ExecSpace exec = cfg_.exec();
     exec.run_team([&](const common::ExecSpace::Team& team) {
-      std::vector<C> ring;  // [c][slot] rows (FP16/32 only)
-      if constexpr (common::converts_storage<Policy>) {
-        ring.resize(static_cast<std::size_t>(kNumVars + 1) * 6 * fn);
-      }
+      common::ComputeRows<Policy> rows((kNumVars + 1) * 6, fn);
       std::vector<C> prows(2 * 5 * fn);      // rolling cell-prim rows
       std::vector<C> faces(2 * (kNumVars + 1) * fn);
       std::vector<C> fprims(2 * 6 * fn);
       std::vector<C> smax_buf(fn);
       std::vector<unsigned char> fallback(fn);
       std::vector<C> flux2(2 * kNumVars * fn);  // rolling flux-row pair
+      // ring[c][slot(si)]: row of variable c at sweep coordinate si.
+      const C* ring[kNumVars + 1][6];
+      // Ring slot of sweep coordinate si (si >= s_lo - 3 >= -3).
+      auto slot = [](int si) { return static_cast<std::size_t>((si + 6) % 6); };
       long ob, oe;
       team.chunk(o_hi - o_lo, ob, oe);
       for (long oo = ob; oo < oe; ++oo) {
         const int oc = o_lo + static_cast<int>(oo);
         const int j_of = (Dir == 1) ? -1 : oc;   // -1 marks "varies"
         const int k_of = (Dir == 1) ? oc : -1;
-        // Compute-precision row of variable c at sweep coordinate sc_i.
-        auto cons_row = [&](int c, int si) -> const C* {
+        // Fetch row si of variable c into its ring slot.
+        auto cons_row = [&](int c, int si) {
           const int jj = (Dir == 1) ? si : j_of;
           const int kk = (Dir == 1) ? k_of : si;
-          const S* row = field_row(c, jj, kk);
-          if constexpr (common::converts_storage<Policy>) {
-            C* dst = ring.data() +
-                     (static_cast<std::size_t>(c) * 6 +
-                      static_cast<std::size_t>(((si % 6) + 6) % 6)) *
-                         fn;
-            common::load_line<Policy>(row, dst, fn);
-            return dst;
-          } else {
-            return row;
-          }
+          const std::size_t t = slot(si);
+          ring[c][t] = rows.fetch(static_cast<std::size_t>(c) * 6 + t,
+                                  field_row(c, jj, kk), fn);
         };
-        // Ring slot lookup without reconversion (row already loaded).
-        auto ring_row = [&](int c, int si) -> const C* {
-          if constexpr (common::converts_storage<Policy>) {
-            return ring.data() +
-                   (static_cast<std::size_t>(c) * 6 +
-                    static_cast<std::size_t>(((si % 6) + 6) % 6)) *
-                       fn;
-          } else {
-            const int jj = (Dir == 1) ? si : j_of;
-            const int kk = (Dir == 1) ? k_of : si;
-            return field_row(c, jj, kk);
-          }
-        };
+        auto ring_row = [&](int c, int si) { return ring[c][slot(si)]; };
         auto prim_rows = [&](int si, C** out5) {
           C* base = prows.data() +
                     static_cast<std::size_t>(si & 1) * 5 * fn;
@@ -901,98 +809,58 @@ template <class Policy>
 void IgrSolver3D<Policy>::rk_update_planes(const fv::Rk3Stage& st, double dt,
                                            int k0, int k1,
                                            const RhsRows& rhs) {
-  const int nx = grid_.nx(), ny = grid_.ny();
+  const int ny = grid_.ny();
+  const std::size_t nxs = static_cast<std::size_t>(grid_.nx());
   const C a = static_cast<C>(st.a);
   const C b = static_cast<C>(st.b);
   const C dtc = static_cast<C>(dt);
-  if constexpr (common::converts_storage<Policy>) {
-    // Row-batched update: 2 batch loads + 1 batch store per component row
-    // replace 2 scalar conversions + 1 round-trip per element (the RHS is
-    // already at compute precision).
-    const std::size_t nxs = static_cast<std::size_t>(nx);
-    cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
-      std::vector<C> qn_row(nxs), qs_row(nxs);
-      long cb, ce;
-      t.chunk(k1 - k0, cb, ce);
-      for (long kk = cb; kk < ce; ++kk) {
-        const int k = k0 + static_cast<int>(kk);
-        for (int j = 0; j < ny; ++j) {
-          for (int c = 0; c < kNumVars; ++c) {
-            common::load_line<Policy>(q_[c].row(j, k), qn_row.data(), nxs);
-            common::load_line<Policy>(qstage_[c].row(j, k), qs_row.data(),
-                                      nxs);
-            const C* __restrict r_row = rhs.row(c, j, k);
-            for (std::size_t i = 0; i < nxs; ++i)
-              qs_row[i] = a * qn_row[i] + b * (qs_row[i] + dtc * r_row[i]);
-            common::store_line<Policy>(qs_row.data(), qstage_[c].row(j, k),
-                                       nxs);
-          }
-        }
-      }
-    });
-  } else {
-    // Row-pointer form (restrict: the three fields never alias) so the
-    // update vectorizes; the per-element expression is unchanged and cells
-    // are independent, so the c-outer order writes the same bits.
-    cfg_.exec().for_each(k1 - k0, [&](long kk) {
+  // Cells are independent, so the c-outer row order writes the same bits
+  // as any other; the stage row is updated in place and committed.
+  cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
+    common::ComputeRows<Policy> rows(2, nxs);
+    long cb, ce;
+    t.chunk(k1 - k0, cb, ce);
+    for (long kk = cb; kk < ce; ++kk) {
       const int k = k0 + static_cast<int>(kk);
       for (int j = 0; j < ny; ++j) {
         for (int c = 0; c < kNumVars; ++c) {
-          const S* __restrict qn_row = q_[c].row(j, k);
-          S* __restrict qs_row = qstage_[c].row(j, k);
-          const C* __restrict r_row = rhs.row(c, j, k);
-          for (int i = 0; i < nx; ++i) {
-            const C qn = static_cast<C>(qn_row[i]);
-            const C qs = static_cast<C>(qs_row[i]);
-            qs_row[i] = static_cast<S>(a * qn + b * (qs + dtc * r_row[i]));
-          }
+          S* dst = qstage_[c].row(j, k);
+          const C* __restrict qn = rows.fetch(0, q_[c].row(j, k), nxs);
+          C* __restrict qs = rows.fetch(1, dst, nxs);
+          const C* __restrict r = rhs.row(c, j, k);
+          for (std::size_t i = 0; i < nxs; ++i)
+            qs[i] = a * qn[i] + b * (qs[i] + dtc * r[i]);
+          rows.commit(qs, dst, nxs);
         }
       }
-    });
-  }
+    }
+  });
 }
 
 template <class Policy>
 void IgrSolver3D<Policy>::rk_stage1_planes(double dt, int k0, int k1,
                                            const RhsRows& rhs) {
-  const int nx = grid_.nx(), ny = grid_.ny();
+  const int ny = grid_.ny();
+  const std::size_t nxs = static_cast<std::size_t>(grid_.nx());
   const C dtc = static_cast<C>(dt);
-  if constexpr (common::converts_storage<Policy>) {
-    const std::size_t nxs = static_cast<std::size_t>(nx);
-    cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
-      std::vector<C> qn_row(nxs);
-      long cb, ce;
-      t.chunk(k1 - k0, cb, ce);
-      for (long kk = cb; kk < ce; ++kk) {
-        const int k = k0 + static_cast<int>(kk);
-        for (int j = 0; j < ny; ++j) {
-          for (int c = 0; c < kNumVars; ++c) {
-            common::load_line<Policy>(q_[c].row(j, k), qn_row.data(), nxs);
-            const C* __restrict r_row = rhs.row(c, j, k);
-            for (std::size_t i = 0; i < nxs; ++i)
-              qn_row[i] = qn_row[i] + dtc * r_row[i];
-            common::store_line<Policy>(qn_row.data(), qstage_[c].row(j, k),
-                                       nxs);
-          }
-        }
-      }
-    });
-  } else {
-    cfg_.exec().for_each(k1 - k0, [&](long kk) {
+  cfg_.exec().run_team([&](const common::ExecSpace::Team& t) {
+    common::ComputeRows<Policy> rows(2, nxs);
+    long cb, ce;
+    t.chunk(k1 - k0, cb, ce);
+    for (long kk = cb; kk < ce; ++kk) {
       const int k = k0 + static_cast<int>(kk);
       for (int j = 0; j < ny; ++j) {
         for (int c = 0; c < kNumVars; ++c) {
-          const S* __restrict qn_row = q_[c].row(j, k);
-          const C* __restrict r_row = rhs.row(c, j, k);
-          S* __restrict qs_row = qstage_[c].row(j, k);
-          for (int i = 0; i < nx; ++i) {
-            const C qn = static_cast<C>(qn_row[i]);
-            qs_row[i] = static_cast<S>(qn + dtc * r_row[i]);
-          }
+          S* dst = qstage_[c].row(j, k);
+          const C* __restrict qn = rows.fetch(0, q_[c].row(j, k), nxs);
+          C* __restrict qs = rows.out(1, dst);
+          const C* __restrict r = rhs.row(c, j, k);
+          for (std::size_t i = 0; i < nxs; ++i) qs[i] = qn[i] + dtc * r[i];
+          rows.commit(qs, dst, nxs);
         }
       }
-    });
-  }
+    }
+  });
 }
 
 template <class Policy>
@@ -1106,18 +974,7 @@ double IgrSolver3D<Policy>::storage_per_cell() const {
 
 template <class Policy>
 common::Cons<double> IgrSolver3D<Policy>::conserved_totals() const {
-  const int nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-  const double dv = grid_.dx() * grid_.dy() * grid_.dz();
-  common::Cons<double> tot{};
-  for (int k = 0; k < nz; ++k) {
-    for (int j = 0; j < ny; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        for (int c = 0; c < kNumVars; ++c)
-          tot[c] += static_cast<double>(q_[c](i, j, k)) * dv;
-      }
-    }
-  }
-  return tot;
+  return common::conserved_totals(q_, grid_.dx() * grid_.dy() * grid_.dz());
 }
 
 template class IgrSolver3D<common::Fp64>;

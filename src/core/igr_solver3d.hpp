@@ -190,20 +190,21 @@ class IgrSolver3D {
     refresh_inv_rho_planes(q, -q.ng(), grid_.nz() + q.ng());
   }
   /// Sigma source over interior planes [k0, k1) (needs inv_rho through
-  /// planes k0-1..k1).  For the converting policy with batched lanes, each
-  /// thread streams its plane range through a rolling 3-plane ring of
-  /// velocity rows, so every momentum/inv_rho row is converted once per
-  /// visit instead of once per stencil position (five times).
+  /// planes k0-1..k1).  Each team member streams its plane range through a
+  /// rolling 3-plane ring of compute-precision velocity rows, so every
+  /// momentum/inv_rho row is fetched once per plane visit and every
+  /// velocity product is formed once, not once per stencil position.
   void compute_sigma_source_planes(common::StateField3<S>& q, int k0, int k1);
   /// One dimensional flux sweep, templated on the sweep axis and on the
   /// reconstruction operator (a fv::ReconFixed<R>): axis selection,
   /// pressure placement, and the reconstruction stencil all resolve at
   /// compile time, leaving no per-face dispatch.  Faces are evaluated a
-  /// unit-stride x-row at a time straight from the fields, with rolling
-  /// stencil/prim/flux rows for the transverse directions.  `overwrite`
-  /// folds the RHS zeroing into the first sweep's write-back.  Only the
-  /// cells of planes [k0, k1) are written (the whole block in x and y),
-  /// and only their stencil extent is read.
+  /// unit-stride x-row at a time from compute-precision stencil rows
+  /// (common::ComputeRows), with rolling stencil/prim/flux rows for the
+  /// transverse directions.  `overwrite` folds the RHS zeroing into the
+  /// first sweep's write-back.  Only the cells of planes [k0, k1) are
+  /// written (the whole block in x and y), and only their stencil extent
+  /// is read.
   template <int Dir, class ReconOp>
   void flux_sweep_stream(common::StateField3<S>& q, const RhsRows& rhs,
                          ReconOp recon, bool overwrite, int k0, int k1);

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <mutex>
-#include <type_traits>
-#include <vector>
 
 #include "common/bfloat16.hpp"
 #include "common/exec.hpp"
@@ -22,13 +20,11 @@ void accumulate_cfl_rates(const common::StateField3<T>& q,
                           CflRates& r) {
   const int nx = q.nx(), ny = q.ny();
 
-  // For 16-bit storage (binary16, bfloat16), pull each row through the
-  // batched conversion lanes once instead of 6 scalar conversions per cell;
-  // other storage is read in place.  The rate math is shared and stays in
-  // double: 16-bit -> float and float -> double are exact, so the converted
-  // rows feed the values a per-element cast would.
-  constexpr bool kLanes = common::has_conversion_lane<T>;
-  using Row = std::conditional_t<kLanes, float, T>;
+  // Rows are read at the storage policy's compute precision (in place for
+  // FP64/FP32, through the batched lanes for 16-bit storage); the rate math
+  // is shared and stays in double: 16-bit -> float and float -> double are
+  // exact, so the rows feed the values a per-element cast would.
+  using Policy = common::storage_policy_t<T>;
   const std::size_t nxs = static_cast<std::size_t>(nx);
 
   // Each team member folds its plane chunk into local extrema and merges
@@ -40,19 +36,7 @@ void accumulate_cfl_rates(const common::StateField3<T>& q,
   double merged_max_rate = r.max_rate;
   double merged_min_rho = r.min_rho;
   exec.run_team([&](const common::ExecSpace::Team& t) {
-    std::vector<float> row_buf;
-    if constexpr (kLanes) row_buf.resize((common::kNumVars + 1) * nxs);
-    // Row of component c (kNumVars = Sigma) at (j, k), at Row precision.
-    auto row = [&](const common::Field3<T>& f, int c, int j,
-                   int k) -> const Row* {
-      if constexpr (kLanes) {
-        float* dst = row_buf.data() + static_cast<std::size_t>(c) * nxs;
-        common::convert_to_float(f.row(j, k), dst, nxs);
-        return dst;
-      } else {
-        return f.row(j, k);
-      }
-    };
+    common::ComputeRows<Policy> rows(common::kNumVars + 1, nxs);
     double max_rate = r.max_rate;
     double min_rho = r.min_rho;
     long cb, ce;
@@ -60,10 +44,13 @@ void accumulate_cfl_rates(const common::StateField3<T>& q,
     for (long kk = cb; kk < ce; ++kk) {
       const int k = k0 + static_cast<int>(kk);
       for (int j = 0; j < ny; ++j) {
-        const Row* qrow[common::kNumVars];
-        for (int c = 0; c < common::kNumVars; ++c) qrow[c] = row(q[c], c, j, k);
-        const Row* srow =
-            sigma ? row(*sigma, common::kNumVars, j, k) : nullptr;
+        const typename Policy::compute_t* qrow[common::kNumVars];
+        for (int c = 0; c < common::kNumVars; ++c)
+          qrow[c] = rows.fetch(static_cast<std::size_t>(c), q[c].row(j, k),
+                               nxs);
+        const auto* srow =
+            sigma ? rows.fetch(common::kNumVars, sigma->row(j, k), nxs)
+                  : nullptr;
         for (int i = 0; i < nx; ++i) {
           common::Cons<double> qc;
           for (int c = 0; c < common::kNumVars; ++c)

@@ -217,16 +217,6 @@ class Comm {
     return halo_wait_epochs(0) + halo_wait_epochs(1) + halo_wait_epochs(2);
   }
 
-  void reset_traffic() const {
-    bytes_.store(0, std::memory_order_relaxed);
-    for (int a = 0; a < 3; ++a) {
-      wait_ns_[static_cast<std::size_t>(a)].store(0,
-                                                  std::memory_order_relaxed);
-      wait_epochs_[static_cast<std::size_t>(a)].store(
-          0, std::memory_order_relaxed);
-    }
-  }
-
  private:
   [[nodiscard]] static std::size_t check_axis(int axis) {
     if (axis < 0 || axis > 2)

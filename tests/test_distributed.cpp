@@ -414,9 +414,9 @@ TEST(Distributed, HalfWireHalvesFp32HaloTrafficPerStep) {
     DistributedIgr<Fp32> d(g, 2, 2, 1, cfg, bc,
                            igr::fv::ReconScheme::kFifth, opts);
     d.init(smooth_ic());
-    d.comm().reset_traffic();
+    const std::size_t before = d.comm().bytes_exchanged();
     for (int step = 0; step < 2; ++step) d.step_fixed(1e-3);
-    return d.comm().bytes_exchanged();
+    return d.comm().bytes_exchanged() - before;
   };
   const auto full = traffic(igr::sim::Comm::WirePrecision::kFull);
   const auto half = traffic(igr::sim::Comm::WirePrecision::kHalf);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -245,6 +246,69 @@ TEST(HalfBatch, StridedStoreMatchesPerElementAcrossChunkBoundaries) {
             << "store n=" << n << " stride=" << stride << " i=" << i;
     }
   }
+}
+
+/// ComputeRows on identity storage: fetch and out return the storage row
+/// itself, so FP64/FP32 kernels read and write fields in place, no copy.
+template <class Policy>
+void expect_rows_in_place() {
+  using S = typename Policy::storage_t;
+  std::vector<S> a(37, S(1.5)), b(37, S(-2.5));
+  igr::common::ComputeRows<Policy> rows(2, a.size());
+  const S* ca = a.data();
+  EXPECT_EQ(rows.fetch(0, ca, a.size()), ca);
+  EXPECT_EQ(rows.fetch(1, b.data(), b.size()), b.data());
+  EXPECT_EQ(rows.out(1, b.data()), b.data());
+  igr::common::ComputeRows<Policy>::commit(b.data(), b.data(), b.size());
+  EXPECT_EQ(b[0], S(-2.5));
+}
+
+/// ComputeRows on 16-bit storage: every fetched row — all 65536 patterns —
+/// is bitwise the per-element `load`, and committing a computed row (the
+/// narrowing corpus) is bitwise the per-element `store`.
+template <class Policy>
+void expect_rows_convert() {
+  using S = typename Policy::storage_t;
+  const auto patterns = all_half_patterns();
+  const std::size_t n = patterns.size();
+  std::vector<S> src(n);
+  for (std::size_t i = 0; i < n; ++i) src[i] = S::from_bits(patterns[i]);
+  const auto corpus = from_float_corpus();
+  igr::common::ComputeRows<Policy> rows(2, corpus.size());
+
+  const S* csrc = src.data();
+  const float* got = rows.fetch(0, csrc, n);
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(f32_bits(got[i]), f32_bits(igr::common::load<Policy>(src[i])))
+        << Policy::name << " fetch i=" << i;
+
+  // A writable fetch round-trips the row unchanged.
+  std::vector<S> io = src;
+  float* row = rows.fetch(1, io.data(), n);
+  igr::common::ComputeRows<Policy>::commit(row, io.data(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const S want =
+        igr::common::store<Policy>(igr::common::load<Policy>(src[i]));
+    ASSERT_EQ(io[i].bits(), want.bits()) << Policy::name << " io i=" << i;
+  }
+
+  std::vector<S> dst(corpus.size());
+  float* out = rows.out(1, dst.data());
+  std::copy(corpus.begin(), corpus.end(), out);
+  igr::common::ComputeRows<Policy>::commit(out, dst.data(), corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i)
+    ASSERT_EQ(dst[i].bits(), igr::common::store<Policy>(corpus[i]).bits())
+        << Policy::name << " commit i=" << i;
+}
+
+TEST(ComputeRows, IdentityStorageRowsAreReadInPlace) {
+  expect_rows_in_place<igr::common::Fp64>();
+  expect_rows_in_place<igr::common::Fp32>();
+}
+
+TEST(ComputeRows, SixteenBitRowsMatchPerElementLoadAndStore) {
+  expect_rows_convert<igr::common::Fp16x32>();
+  expect_rows_convert<igr::common::Bf16x32>();
 }
 
 TEST(HalfBatch, BackendReportingIsConsistent) {
