@@ -11,13 +11,11 @@
 ///   bench_scaling [--smoke] [--n N] [--weak-n M] [--ranks 1,2,4,8]
 ///                 [--warmup W] [--steps S] [--mode strong|weak|both]
 ///                 [--threads-per-rank T] [--label NAME] [--out PATH]
-///                 [--precision fp64|fp32|fp16x32|bf16x32] [--wire full|half]
+///                 [--precision fp64|fp32|fp16x32|bf16x32]
 ///                 [--transport inproc|tcp]
 ///
-/// --wire half narrows the state and Sigma halo payloads to binary16 on the
-/// wire (Comm::WirePrecision::kHalf); the halo_mb_per_step column measures
-/// the reduction directly (2x for fp32, 4x for fp64; 16-bit storage already
-/// moves 2-byte halos, so half wire is a bitwise no-op there).
+/// Halos move at storage width, so the halo_mb_per_step column falls with
+/// --precision (16-bit storage moves 2-byte halos).
 ///
 /// --transport tcp runs each rank as its own Comm endpoint exchanging over
 /// loopback sockets (one endpoint thread per rank in this process — the
@@ -98,8 +96,7 @@ std::string fresh_rendezvous_dir() {
 template <class Policy>
 Point run_case_t(const char* mode, const mesh::Grid& grid,
                  std::array<int, 3> layout, int warmup, int steps,
-                 int threads_per_rank, sim::Comm::WirePrecision wire,
-                 sim::TransportSpec::Kind transport) {
+                 int threads_per_rank, sim::TransportSpec::Kind transport) {
   const auto jet = app::single_engine();
   const int R = layout[0] * layout[1] * layout[2];
   Point p;
@@ -120,7 +117,6 @@ Point run_case_t(const char* mode, const mesh::Grid& grid,
     prm.cfg.exec_threads = threads_per_rank;
     prm.bc = jet.make_bc();
     prm.ranks = layout;
-    prm.dist.halo_wire = wire;
     if (rank >= 0) {
       prm.dist.transport.kind = sim::TransportSpec::Kind::kTcp;
       prm.dist.transport.world = R;
@@ -180,25 +176,24 @@ Point run_case_t(const char* mode, const mesh::Grid& grid,
 Point run_case(const char* mode, const mesh::Grid& grid,
                std::array<int, 3> layout, int warmup, int steps,
                int threads_per_rank, const std::string& precision,
-               sim::Comm::WirePrecision wire,
                sim::TransportSpec::Kind transport) {
   if (precision == "fp32")
     return run_case_t<common::Fp32>(mode, grid, layout, warmup, steps,
-                                    threads_per_rank, wire, transport);
+                                    threads_per_rank, transport);
   if (precision == "fp16x32")
     return run_case_t<common::Fp16x32>(mode, grid, layout, warmup, steps,
-                                       threads_per_rank, wire, transport);
+                                       threads_per_rank, transport);
   if (precision == "bf16x32")
     return run_case_t<common::Bf16x32>(mode, grid, layout, warmup, steps,
-                                       threads_per_rank, wire, transport);
+                                       threads_per_rank, transport);
   return run_case_t<common::Fp64>(mode, grid, layout, warmup, steps,
-                                  threads_per_rank, wire, transport);
+                                  threads_per_rank, transport);
 }
 
 void write_json(const std::string& path, const std::string& label, int warmup,
                 int steps, int threads_per_rank,
-                const std::string& precision, const std::string& wire,
-                const std::string& transport, const std::vector<Point>& pts) {
+                const std::string& precision, const std::string& transport,
+                const std::vector<Point>& pts) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "bench_scaling: cannot open %s\n", path.c_str());
@@ -210,7 +205,6 @@ void write_json(const std::string& path, const std::string& label, int warmup,
   std::fprintf(f, "  \"metric\": \"time_per_step_s\",\n");
   std::fprintf(f, "  \"sigma_sweeps\": \"jacobi\",\n");
   std::fprintf(f, "  \"precision\": \"%s\",\n", precision.c_str());
-  std::fprintf(f, "  \"halo_wire\": \"%s\",\n", wire.c_str());
   std::fprintf(f, "  \"transport\": \"%s\",\n", transport.c_str());
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
@@ -249,7 +243,6 @@ int main(int argc, char** argv) {
   std::string label = "scaling";
   std::string mode = "both";
   std::string precision = "fp64";
-  std::string wire = "full";
   std::string transport = "inproc";
   bool smoke = false;
   ccli::Args args("bench_scaling", argc, argv);
@@ -275,9 +268,6 @@ int main(int argc, char** argv) {
       constexpr const char* kPrec[] = {"fp64", "fp32", "fp16x32", "bf16x32"};
       precision =
           kPrec[args.choice_value({"fp64", "fp32", "fp16x32", "bf16x32"})];
-    } else if (args.is("--wire")) {
-      constexpr const char* kWires[] = {"full", "half"};
-      wire = kWires[args.choice_value({"full", "half"})];
     } else if (args.is("--transport")) {
       constexpr const char* kTp[] = {"inproc", "tcp"};
       transport = kTp[args.choice_value({"inproc", "tcp"})];
@@ -297,8 +287,6 @@ int main(int argc, char** argv) {
     rank_counts = {1, 2, 4};
     if (label == "scaling") label = "scaling_smoke";
   }
-  const auto wire_mode = (wire == "half") ? sim::Comm::WirePrecision::kHalf
-                                          : sim::Comm::WirePrecision::kFull;
   const auto transport_kind = sim::TransportSpec::parse_kind(transport);
   if (n < 8 || weak_n < 4 || steps < 1 || warmup < 0 || threads_per_rank < 0) {
     std::fprintf(stderr, "bench_scaling: need --n >= 8, --weak-n >= 4, "
@@ -307,10 +295,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("igrflow bench_scaling: n=%d weak-n=%d warmup=%d steps=%d "
-              "threads/rank=%d precision=%s wire=%s transport=%s "
-              "hw_concurrency=%u\n",
+              "threads/rank=%d precision=%s transport=%s hw_concurrency=%u\n",
               n, weak_n, warmup, steps, threads_per_rank, precision.c_str(),
-              wire.c_str(), transport.c_str(),
+              transport.c_str(),
               std::thread::hardware_concurrency());
   std::vector<Point> pts;
 
@@ -324,7 +311,7 @@ int main(int argc, char** argv) {
       const int R = rank_counts[i];
       auto p = run_case("strong", grid, mesh::Decomp::balanced_layout(R),
                         warmup, steps, threads_per_rank, precision,
-                        wire_mode, transport_kind);
+                        transport_kind);
       if (i == 0) {
         t_base = p.time_per_step_s;
         r_base = R;
@@ -348,7 +335,7 @@ int main(int argc, char** argv) {
                             weak_n * lay[2], {0.0, 1.0}, {0.0, 1.0},
                             {0.0, 1.0});
       auto p = run_case("weak", grid, lay, warmup, steps, threads_per_rank,
-                        precision, wire_mode, transport_kind);
+                        precision, transport_kind);
       if (i == 0) t_base = p.time_per_step_s;
       p.speedup = t_base / p.time_per_step_s;
       p.efficiency = p.speedup;  // fixed work per rank: ideal is flat time
@@ -359,7 +346,7 @@ int main(int argc, char** argv) {
                 100.0 * last.efficiency, last.ranks);
   }
 
-  write_json(out, label, warmup, steps, threads_per_rank, precision, wire,
+  write_json(out, label, warmup, steps, threads_per_rank, precision,
              transport, pts);
   return 0;
 }

@@ -80,7 +80,7 @@ constexpr int kExitRetryable = 75;
       "  SPEC: post=N,complete=N,phase=N@RANK,io=N,kill=N@RANK,seed=S\n"
       "  multi-process (one rank per OS process; see igr_launch):\n"
       "                [--transport inproc|tcp] [--tp-rank R] [--tp-world W]\n"
-      "                [--tp-dir DIR] [--wire full|half]\n"
+      "                [--tp-dir DIR]\n"
       "                [--comm-timeout SECONDS]\n");
   std::exit(code);
 }
@@ -360,10 +360,6 @@ int main(int argc, char** argv) {
       cli.run.transport.world = args.int_value(1);
     } else if (args.is("--tp-dir")) {
       cli.run.transport.dir = args.value();
-    } else if (args.is("--wire")) {
-      cli.run.halo_wire = args.choice_value({"full", "half"}) == 0
-                              ? sim::Comm::WirePrecision::kFull
-                              : sim::Comm::WirePrecision::kHalf;
     } else if (args.is("--comm-timeout")) {
       cli.run.comm_timeout_s = args.double_value();
     } else {

@@ -100,7 +100,6 @@ typename app::Simulation<Policy>::Params RunOptions::to_params(
   params.ranks = ranks;
   params.dist.fault = fault;
   params.dist.comm_timeout_s = comm_timeout_s;
-  params.dist.halo_wire = halo_wire;
   params.dist.transport = transport;
   return params;
 }

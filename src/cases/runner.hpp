@@ -68,9 +68,6 @@ struct RunOptions {
   /// Halo-wait bound handed to the distributed driver (seconds; <= 0
   /// disables).
   double comm_timeout_s = 60.0;
-  /// Wire encoding of the halo channels (kHalf narrows FP64 halos to
-  /// binary16 on the wire; bitwise no-op for 16-bit storage).
-  sim::Comm::WirePrecision halo_wire = sim::Comm::WirePrecision::kFull;
   /// Transport behind the decomposed driver's Comm.  Default: in-process
   /// (every rank a worker thread here).  kTcp: this process owns exactly
   /// `transport.rank` of `transport.world` and exchanges halos with peer

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <climits>
-#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <type_traits>
@@ -374,51 +373,6 @@ IGR_INSTANTIATE_SIGMA_GHOSTS(common::half)
 IGR_INSTANTIATE_SIGMA_GHOSTS(common::bfloat16)
 #undef IGR_INSTANTIATE_SIGMA_GHOSTS
 
-template <class Policy>
-double sigma_residual(const common::Field3<typename Policy::storage_t>& sigma,
-                      const common::Field3<typename Policy::storage_t>& src,
-                      const common::Field3<typename Policy::storage_t>& inv_rho,
-                      typename Policy::compute_t alpha,
-                      typename Policy::compute_t dx,
-                      typename Policy::compute_t dy,
-                      typename Policy::compute_t dz) {
-  using C = typename Policy::compute_t;
-  using S = typename Policy::storage_t;
-  const int nx = sigma.nx(), ny = sigma.ny(), nz = sigma.nz();
-  const C inv_dx2 = C(1) / (dx * dx);
-  const C inv_dy2 = C(1) / (dy * dy);
-  const C inv_dz2 = C(1) / (dz * dz);
-  auto at = [](const common::Field3<S>& f, int i, int j, int k) -> C {
-    return static_cast<C>(f(i, j, k));
-  };
-
-  double res = 0.0;
-  for (int k = 0; k < nz; ++k) {
-    for (int j = 0; j < ny; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        const C ir0 = at(inv_rho, i, j, k);
-        const C cxm = C(0.5) * (ir0 + at(inv_rho, i - 1, j, k));
-        const C cxp = C(0.5) * (ir0 + at(inv_rho, i + 1, j, k));
-        const C cym = C(0.5) * (ir0 + at(inv_rho, i, j - 1, k));
-        const C cyp = C(0.5) * (ir0 + at(inv_rho, i, j + 1, k));
-        const C czm = C(0.5) * (ir0 + at(inv_rho, i, j, k - 1));
-        const C czp = C(0.5) * (ir0 + at(inv_rho, i, j, k + 1));
-        const C s0 = at(sigma, i, j, k);
-        const C lap =
-            inv_dx2 * ((at(sigma, i + 1, j, k) - s0) * cxp -
-                       (s0 - at(sigma, i - 1, j, k)) * cxm) +
-            inv_dy2 * ((at(sigma, i, j + 1, k) - s0) * cyp -
-                       (s0 - at(sigma, i, j - 1, k)) * cym) +
-            inv_dz2 * ((at(sigma, i, j, k + 1) - s0) * czp -
-                       (s0 - at(sigma, i, j, k - 1)) * czm);
-        const C r = s0 * ir0 - alpha * lap - at(src, i, j, k);
-        res = std::max(res, static_cast<double>(std::abs(r)));
-      }
-    }
-  }
-  return res;
-}
-
 // Explicit instantiations for the four precision policies.
 using common::Bf16x32;
 using common::Fp16x32;
@@ -426,10 +380,6 @@ using common::Fp32;
 using common::Fp64;
 
 #define IGR_INSTANTIATE_SIGMA(P)                                               \
-  template double sigma_residual<P>(                                           \
-      const common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,\
-      const common::Field3<P::storage_t>&, P::compute_t, P::compute_t,         \
-      P::compute_t, P::compute_t);                                             \
   template void sigma_relax_planes<P>(                                         \
       common::Field3<P::storage_t>&, const common::Field3<P::storage_t>&,      \
       const common::Field3<P::storage_t>&, P::compute_t, P::compute_t,         \

@@ -47,11 +47,6 @@ struct SigmaBcSpec {
   [[nodiscard]] SigmaBc side(int axis, int s) const {
     return face[static_cast<std::size_t>(2 * axis + s)];
   }
-  [[nodiscard]] bool all(SigmaBc b) const {
-    for (const SigmaBc f : face)
-      if (f != b) return false;
-    return true;
-  }
   friend bool operator==(const SigmaBcSpec& a, const SigmaBcSpec& b) {
     return a.face == b.face;
   }
@@ -119,16 +114,5 @@ void sigma_jacobi_planes(common::Field3<typename Policy::storage_t>& out,
                          typename Policy::compute_t dy,
                          typename Policy::compute_t dz,
                          const common::ExecSpace& exec = {});
-
-/// Max-norm residual of the discrete eq. (9); used by tests and adaptive
-/// sweep-count studies.
-template <class Policy>
-double sigma_residual(const common::Field3<typename Policy::storage_t>& sigma,
-                      const common::Field3<typename Policy::storage_t>& src,
-                      const common::Field3<typename Policy::storage_t>& inv_rho,
-                      typename Policy::compute_t alpha,
-                      typename Policy::compute_t dx,
-                      typename Policy::compute_t dy,
-                      typename Policy::compute_t dz);
 
 }  // namespace igr::core

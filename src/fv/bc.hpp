@@ -72,6 +72,16 @@ struct BcSpec {
   [[nodiscard]] BcKind face_kind(mesh::Face f) const {
     return kind[static_cast<std::size_t>(f)];
   }
+
+  /// Per axis, whether both of its faces are periodic: the axes a domain
+  /// decomposition wraps across.
+  [[nodiscard]] std::array<bool, 3> periodic_axes() const {
+    std::array<bool, 3> p{};
+    for (std::size_t a = 0; a < 3; ++a)
+      p[a] = kind[2 * a] == BcKind::kPeriodic &&
+             kind[2 * a + 1] == BcKind::kPeriodic;
+    return p;
+  }
 };
 
 /// Fill all ghost layers of `q` according to `spec`.  The grid supplies

@@ -11,7 +11,8 @@ Face opposite(Face f) {
   return static_cast<Face>(v ^ 1);
 }
 
-Decomp::Decomp(const Grid& grid, int rx, int ry, int rz, bool periodic)
+Decomp::Decomp(const Grid& grid, int rx, int ry, int rz,
+               std::array<bool, 3> periodic)
     : grid_(&grid), rx_(rx), ry_(ry), rz_(rz), periodic_(periodic) {
   if (rx < 1 || ry < 1 || rz < 1)
     throw std::invalid_argument("Decomp: rank counts must be positive");
@@ -82,7 +83,7 @@ int Decomp::neighbor(int rank, Face face) const {
   const std::array<int, 3> dims{rx_, ry_, rz_};
   int v = c[static_cast<std::size_t>(axis)] + dir;
   if (v < 0 || v >= dims[static_cast<std::size_t>(axis)]) {
-    if (!periodic_) return -1;
+    if (!periodic_[static_cast<std::size_t>(axis)]) return -1;
     v = (v + dims[static_cast<std::size_t>(axis)]) %
         dims[static_cast<std::size_t>(axis)];
   }

@@ -33,8 +33,13 @@ class Decomp {
   /// the remainder n mod p is handed out one extra cell each to the (n mod p)
   /// lowest-coordinate ranks — so low-coordinate blocks are at most one cell
   /// larger than high-coordinate ones.  Rank counts above the cell count of
-  /// an axis are rejected (a rank must own at least one cell).
-  Decomp(const Grid& grid, int rx, int ry, int rz, bool periodic = true);
+  /// an axis are rejected (a rank must own at least one cell).  `periodic`
+  /// says per axis whether the process grid wraps across the domain
+  /// boundary; the bool form applies one value to all three axes.
+  Decomp(const Grid& grid, int rx, int ry, int rz,
+         std::array<bool, 3> periodic);
+  Decomp(const Grid& grid, int rx, int ry, int rz, bool periodic = true)
+      : Decomp(grid, rx, ry, rz, {periodic, periodic, periodic}) {}
 
   /// Choose a near-cubic process grid for `ranks` ranks (factorization that
   /// minimizes surface-to-volume of local blocks).
@@ -42,7 +47,9 @@ class Decomp {
 
   [[nodiscard]] int ranks() const { return rx_ * ry_ * rz_; }
   [[nodiscard]] std::array<int, 3> layout() const { return {rx_, ry_, rz_}; }
-  [[nodiscard]] bool periodic() const { return periodic_; }
+  [[nodiscard]] bool periodic(int axis) const {
+    return periodic_[static_cast<std::size_t>(axis)];
+  }
 
   /// Rank id from process-grid coordinates.
   [[nodiscard]] int rank_of(int cx, int cy, int cz) const;
@@ -52,7 +59,8 @@ class Decomp {
   /// Local interior block of `rank` within the global grid.
   [[nodiscard]] LocalBlock block(int rank) const;
 
-  /// Neighbor rank across `face`, or -1 at a non-periodic physical boundary.
+  /// Neighbor rank across `face`, or -1 at a physical boundary of a
+  /// non-periodic axis.
   [[nodiscard]] int neighbor(int rank, Face face) const;
 
   /// Halo message size in cells for one face exchange with `ng` ghost layers.
@@ -71,7 +79,7 @@ class Decomp {
 
   const Grid* grid_ = nullptr;
   int rx_ = 1, ry_ = 1, rz_ = 1;
-  bool periodic_ = true;
+  std::array<bool, 3> periodic_{true, true, true};
 };
 
 }  // namespace igr::mesh

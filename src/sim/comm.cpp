@@ -8,8 +8,8 @@
 
 namespace igr::sim {
 
-Comm::Comm(const mesh::Grid& global, int rx, int ry, int rz, bool periodic,
-           TransportSpec spec)
+Comm::Comm(const mesh::Grid& global, int rx, int ry, int rz,
+           std::array<bool, 3> periodic, TransportSpec spec)
     : global_(global),
       decomp_(global_, rx, ry, rz, periodic),
       spec_(spec) {
@@ -45,7 +45,6 @@ Comm::Comm(const mesh::Grid& global, int rx, int ry, int rz, bool periodic,
   } else {
     transport_ = std::make_unique<InProcTransport>(slots);
   }
-  scratch_.resize(slots);
 }
 
 FrameCaps Comm::frame_caps(int ng) const {
@@ -92,10 +91,11 @@ void Comm::validate_driver_decomp(int ng) const {
   if (ng > kMaxGhostDepth)
     throw std::invalid_argument("Comm: ghost depth above kMaxGhostDepth "
                                 "unsupported");
-  if (decomp_.periodic()) return;  // multi-hop covers every interior plane
   const int cells[3] = {global_.nx(), global_.ny(), global_.nz()};
   const auto layout = decomp_.layout();
   for (int axis = 0; axis < 3; ++axis) {
+    // Multi-hop covers every interior plane of a periodic axis.
+    if (decomp_.periodic(axis)) continue;
     for (int r = 0; r < decomp_.ranks(); ++r) {
       const auto b = decomp_.block(r);
       const int lo = b.lo[axis];
@@ -143,7 +143,7 @@ Comm::GhostSources Comm::resolve_ghosts(int rank, int axis, int ng) const {
       const int dp = (side == 0) ? -ng + g : blk.n[axis] + g;
       int G = blk.lo[axis] + dp;
       if (G < 0 || G >= N) {
-        if (!decomp_.periodic()) continue;  // physical ghost: BC fill owns it
+        if (!decomp_.periodic(axis)) continue;  // physical: BC fill owns it
         G = ((G % N) + N) % N;
       }
       int scoord[3] = {coords[0], coords[1], coords[2]};

@@ -37,16 +37,12 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/field3.hpp"
-#include "common/half.hpp"
 #include "mesh/decomp.hpp"
 #include "mesh/grid.hpp"
 #include "sim/transport.hpp"
@@ -66,22 +62,18 @@ class Comm {
   /// Largest supported ghost depth (sizes the fixed per-face plane tables).
   static constexpr int kMaxGhostDepth = 8;
 
-  /// Wire encoding of a channel's halo payload.  kFull moves storage-width
-  /// values (bitwise-identical to the field contents — the default and the
-  /// reference).  kHalf narrows >2-byte elements to binary16 at pack time
-  /// through the batched conversion lanes and widens at unpack, halving
-  /// (FP32) or quartering (FP64, via a float intermediate) the bytes per
-  /// ghost cell; 2-byte storage (FP16/32, BF16/32) is already at wire
-  /// width and passes through untouched, so kHalf is bitwise-identical to
-  /// kFull there.  The byte meter counts *wire* bytes.
-  enum class WirePrecision { kFull, kHalf };
-
-  /// Decompose `global` over an rx*ry*rz rank layout.  `spec` selects the
-  /// transport that moves the halo bytes: the default in-process backend
-  /// (every rank in this process, shared-memory epochs) or TCP (this
-  /// process owns exactly `spec.rank`, peers are separate processes).
+  /// Decompose `global` over an rx*ry*rz rank layout, wrapping across the
+  /// domain boundary on the axes `periodic` marks (the bool form marks all
+  /// three or none).  `spec` selects the transport that moves the halo
+  /// bytes: the default in-process backend (every rank in this process,
+  /// shared-memory epochs) or TCP (this process owns exactly `spec.rank`,
+  /// peers are separate processes).  Halo payloads are the fields' storage
+  /// bytes, so an exchange copies ghost values bit for bit.
+  Comm(const mesh::Grid& global, int rx, int ry, int rz,
+       std::array<bool, 3> periodic, TransportSpec spec = {});
   Comm(const mesh::Grid& global, int rx, int ry, int rz, bool periodic,
-       TransportSpec spec = {});
+       TransportSpec spec = {})
+      : Comm(global, rx, ry, rz, {periodic, periodic, periodic}, spec) {}
 
   [[nodiscard]] int ranks() const { return decomp_.ranks(); }
   [[nodiscard]] const mesh::Decomp& decomp() const { return decomp_; }
@@ -113,7 +105,7 @@ class Comm {
   [[nodiscard]] mesh::Grid local_grid(int rank) const;
 
   /// Throws unless every block is compatible with the per-axis boundary
-  /// masking distributed drivers use: on a non-periodic axis a block must
+  /// masking distributed drivers use: along a non-periodic axis a block must
   /// either touch the physical boundary or sit at least `ng` cells away from
   /// it (otherwise some ghost planes would be neither exchanged nor
   /// BC-filled).  Periodic axes support any block thickness, down to one
@@ -133,9 +125,10 @@ class Comm {
 
   /// Wait for the source ranks of `rank`'s ghost planes along `axis` to
   /// reach this rank's published epoch, then unpack their buffers into the
-  /// ghost layers.  Ghost planes outside a non-periodic domain are left
-  /// untouched (the BC fill owns them).  Returns false when the exchange
-  /// was aborted (a peer failed) — the caller should unwind.
+  /// ghost layers.  Ghost planes beyond the domain boundary of a
+  /// non-periodic axis are left untouched (the BC fill owns them).  Returns
+  /// false when the exchange was aborted (a peer failed) — the caller
+  /// should unwind.
   template <class T>
   bool complete_axis(int channel, int rank, common::Field3<T>* const* fields,
                      int nfields, int axis) const;
@@ -172,26 +165,11 @@ class Comm {
     return transport_->wait_timeout();
   }
 
-  /// Select the wire encoding of `channel` (all channels default to kFull).
-  /// Poster and completer read the same setting, so flip it only at setup —
-  /// never between a post and its complete.
-  void set_wire(int channel, WirePrecision w) const {
-    if (channel < 0 || channel >= kNumChannels)
-      throw std::invalid_argument("Comm::set_wire: channel out of range");
-    wire_[static_cast<std::size_t>(channel)] = w;
-  }
-  [[nodiscard]] WirePrecision wire(int channel) const {
-    if (channel < 0 || channel >= kNumChannels)
-      throw std::invalid_argument("Comm::wire: channel out of range");
-    return wire_[static_cast<std::size_t>(channel)];
-  }
-
   /// Minimum across per-rank values (the dt allreduce).
   [[nodiscard]] static double allreduce_min(const std::vector<double>& v);
 
-  /// Total *wire* bytes moved by exchanges since construction (bytes of
-  /// packed payload unpacked into ghost layers, at each channel's wire
-  /// width; thread-safe).
+  /// Total bytes moved by exchanges since construction (bytes of packed
+  /// payload unpacked into ghost layers, at storage width; thread-safe).
   [[nodiscard]] std::size_t bytes_exchanged() const {
     return bytes_.load(std::memory_order_relaxed);
   }
@@ -300,10 +278,6 @@ class Comm {
   mutable std::array<std::atomic<std::uint64_t>, 3> wait_ns_{};
   mutable std::array<std::atomic<std::uint64_t>, 3> wait_epochs_{};
   mutable FaultInjector* fault_ = nullptr;
-  /// Per-slot float staging for narrowing packs (only the posting rank's
-  /// thread touches its slot, like the transport's send buffers).
-  mutable std::vector<std::vector<float>> scratch_;
-  mutable std::array<WirePrecision, kNumChannels> wire_{};
 };
 
 // ---- template implementations ----
@@ -346,49 +320,29 @@ void Comm::post_axis(int channel, int rank,
                                  static_cast<std::size_t>(hi_b - lo_b);
   const int nplanes = published_planes(n, ng);
 
-  const bool narrow =
-      sizeof(T) > sizeof(common::half) &&
-      wire_[static_cast<std::size_t>(channel)] == WirePrecision::kHalf;
-  const std::size_t elems =
-      static_cast<std::size_t>(nfields) * nplanes * plane_area;
   auto& buf = transport_->send_buffer(slot(channel, axis, rank));
-  buf.resize(elems * (narrow ? sizeof(common::half) : sizeof(T)));
+  buf.resize(static_cast<std::size_t>(nfields) * nplanes * plane_area *
+             sizeof(T));
+  T* const out = reinterpret_cast<T*>(buf.data());
 
   // Published plane list: the ng-deep slab on each side, or the whole
-  // interior for thin blocks (then each plane appears once).  `out` is
-  // either the wire buffer itself (full width) or the float staging the
-  // batched narrowing lane consumes afterwards.
-  auto pack_planes = [&](auto* out) {
-    using U = std::remove_reference_t<decltype(*out)>;
-    for (int pos = 0; pos < nplanes; ++pos) {
-      const int li = published_plane(pos, n, ng);
-      for (int c = 0; c < nfields; ++c) {
-        const common::Field3<T>& f = *fields[c];
-        U* dst = out + (static_cast<std::size_t>(c) * nplanes + pos) *
-                           plane_area;
-        for (int b = lo_b; b < hi_b; ++b) {
-          for (int a = lo_a; a < hi_a; ++a) {
-            int cidx[3];
-            cidx[axis] = li;
-            cidx[ta] = a;
-            cidx[tb] = b;
-            *dst++ = static_cast<U>(f(cidx[0], cidx[1], cidx[2]));
-          }
+  // interior for thin blocks (then each plane appears once).
+  for (int pos = 0; pos < nplanes; ++pos) {
+    const int li = published_plane(pos, n, ng);
+    for (int c = 0; c < nfields; ++c) {
+      const common::Field3<T>& f = *fields[c];
+      T* dst =
+          out + (static_cast<std::size_t>(c) * nplanes + pos) * plane_area;
+      for (int b = lo_b; b < hi_b; ++b) {
+        for (int a = lo_a; a < hi_a; ++a) {
+          int cidx[3];
+          cidx[axis] = li;
+          cidx[ta] = a;
+          cidx[tb] = b;
+          *dst++ = f(cidx[0], cidx[1], cidx[2]);
         }
       }
     }
-  };
-  if (narrow) {
-    // Narrowing wire: stage at float (FP64 payloads narrow through a float
-    // intermediate), then one batched float->binary16 conversion into the
-    // published buffer.
-    auto& stage = scratch_[slot(channel, axis, rank)];
-    stage.resize(elems);
-    pack_planes(stage.data());
-    common::convert_from_float(
-        stage.data(), reinterpret_cast<common::half*>(buf.data()), elems);
-  } else {
-    pack_planes(reinterpret_cast<T*>(buf.data()));
   }
 
   // Publish: everything packed above happens-before any acquire that
@@ -445,28 +399,6 @@ bool Comm::complete_axis(int channel, int rank,
   wait_epochs_[ax].fetch_add(1, std::memory_order_relaxed);
   if (!acquired) return false;
 
-  const bool narrow =
-      sizeof(T) > sizeof(common::half) &&
-      wire_[static_cast<std::size_t>(channel)] == WirePrecision::kHalf;
-  const std::size_t wire_bytes =
-      narrow ? sizeof(common::half) : sizeof(T);
-  std::vector<float> widened;
-  if (narrow) widened.resize(plane_area);
-
-  // Scatter one unpacked plane span into the ghost layer.
-  auto scatter_plane = [&](common::Field3<T>& f, const auto* src,
-                           int dst_plane) {
-    for (int b = lo_b; b < hi_b; ++b) {
-      for (int a = lo_a; a < hi_a; ++a) {
-        int cidx[3];
-        cidx[axis] = dst_plane;
-        cidx[ta] = a;
-        cidx[tb] = b;
-        f(cidx[0], cidx[1], cidx[2]) = static_cast<T>(*src++);
-      }
-    }
-  };
-
   std::size_t unpacked = 0;
   for (int p = 0; p < srcs.nplanes; ++p) {
     const auto& ps = srcs.plane[static_cast<std::size_t>(p)];
@@ -479,24 +411,22 @@ bool Comm::complete_axis(int channel, int rank,
     const int snplanes = published_planes(sn, ng);
     int si = 0;
     while (srcs.rank[static_cast<std::size_t>(si)] != ps.src_rank) ++si;
-    const unsigned char* in = src_data[si];
+    const T* in = reinterpret_cast<const T*>(src_data[si]);
     for (int c = 0; c < nfields; ++c) {
       common::Field3<T>& f = *fields[c];
-      const std::size_t span =
-          (static_cast<std::size_t>(c) * snplanes + pos) * plane_area;
-      if (narrow) {
-        // Batched binary16 -> float widening, then a float -> T scatter
-        // (identity for FP32; a widening cast for FP64).
-        common::convert_to_float(
-            reinterpret_cast<const common::half*>(in) + span,
-            widened.data(), plane_area);
-        scatter_plane(f, widened.data(), ps.dst_plane);
-      } else {
-        scatter_plane(f, reinterpret_cast<const T*>(in) + span,
-                      ps.dst_plane);
+      const T* src =
+          in + (static_cast<std::size_t>(c) * snplanes + pos) * plane_area;
+      for (int b = lo_b; b < hi_b; ++b) {
+        for (int a = lo_a; a < hi_a; ++a) {
+          int cidx[3];
+          cidx[axis] = ps.dst_plane;
+          cidx[ta] = a;
+          cidx[tb] = b;
+          f(cidx[0], cidx[1], cidx[2]) = *src++;
+        }
       }
     }
-    unpacked += static_cast<std::size_t>(nfields) * plane_area * wire_bytes;
+    unpacked += static_cast<std::size_t>(nfields) * plane_area * sizeof(T);
   }
   bytes_.fetch_add(unpacked, std::memory_order_relaxed);
   return true;

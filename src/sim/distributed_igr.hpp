@@ -18,9 +18,10 @@
 /// step() adds one phase that reads each rank's next_dt() and a dt
 /// allreduce: 22 phases per step at 5 sweeps.  Within a phase, ranks
 /// synchronize pairwise through Comm's posted-epoch halo pipeline (post /
-/// complete per axis).  The state and Sigma channels can additionally
-/// narrow their wire payload to binary16 (DistOptions::halo_wire), halving
-/// FP32 halo bytes.
+/// complete per axis).  Halos move at storage width, so a 16-bit run
+/// exchanges 2-byte ghost values.  The process grid wraps across exactly
+/// the axes whose two faces are both periodic; every other domain face is
+/// filled by the BC on the rank that owns it.
 ///
 /// With Jacobi sweeps the decomposed run is *bitwise identical* to the
 /// single-domain run — independent of rank layout (test-enforced,
@@ -46,11 +47,6 @@ namespace igr::sim {
 
 /// Execution options for the rank-parallel driver.
 struct DistOptions {
-  /// Wire encoding of the state and Sigma halo channels (see
-  /// Comm::WirePrecision).  kHalf halves FP32 halo traffic and quarters
-  /// FP64's; 16-bit storage is already at wire width, so there it is a
-  /// bitwise no-op.
-  Comm::WirePrecision halo_wire = Comm::WirePrecision::kFull;
   /// Fault injector wired into the communicator and every phase callback
   /// (nullptr: no injection).  Must outlive the driver — the case runner
   /// keeps one injector across rollback rebuilds so counters persist.
@@ -84,16 +80,25 @@ class DistributedIgr {
                  const common::SolverConfig& cfg, const fv::BcSpec& bc,
                  fv::ReconScheme recon = fv::ReconScheme::kFifth,
                  DistOptions opts = {})
-      : comm_(global, rx, ry, rz, is_periodic(bc), opts.transport),
+      : comm_(global, rx, ry, rz, bc.periodic_axes(), opts.transport),
         cfg_(cfg),
         bc_(bc),
         sigma_bc_(core::sigma_bc_from(bc)),
         opts_(opts) {
     comm_.validate_driver_decomp(kNg);
+    // A face that wraps to a held opposite face reads the far end of the
+    // domain, which a split axis leaves on another rank: each rank would
+    // wrap its own block instead.
+    for (std::size_t a = 0; a < 3; ++a) {
+      if ((bc.kind[2 * a] == fv::BcKind::kPeriodic) !=
+              (bc.kind[2 * a + 1] == fv::BcKind::kPeriodic) &&
+          comm_.decomp().layout()[a] > 1)
+        throw std::invalid_argument(
+            "DistributedIgr: axis " + std::to_string(a) +
+            " has one periodic face and cannot be split across ranks");
+    }
     comm_.set_fault_injector(opts_.fault);
     comm_.set_wait_timeout(opts_.comm_timeout_s);
-    comm_.set_wire(Comm::kChanState, opts_.halo_wire);
-    comm_.set_wire(Comm::kChanSigma, opts_.halo_wire);
     // The ranks this process drives: all of them in-process, exactly one
     // per process over a multi-process transport.
     if (comm_.multi_process()) {
@@ -375,12 +380,6 @@ class DistributedIgr {
     const S* p = reinterpret_cast<const S*>(blob.data());
     for (auto* f : out)
       for_block(r, [&](auto, auto g) { (*f)(g[0], g[1], g[2]) = *p++; });
-  }
-
-  static bool is_periodic(const fv::BcSpec& bc) {
-    for (auto k : bc.kind)
-      if (k != fv::BcKind::kPeriodic) return false;
-    return true;
   }
 
   /// Refuse to go on once any phase aborted the communicator.

@@ -226,147 +226,6 @@ TEST(Comm, ByteMeteringCrossChecksDecompHaloCells) {
   EXPECT_EQ(comm.bytes_exchanged() - before, expect * sizeof(double));
 }
 
-TEST(Comm, HalfWireMetersWireBytesAndRoundTripsExactValues) {
-  // kHalf wire on FP64 payloads: the meter must count the 2-byte wire
-  // elements actually moved (not the 8-byte storage elements), and values
-  // exactly representable in binary16 must survive the
-  // double -> float -> half -> float -> double round trip unchanged.
-  const auto g = Grid::cube(kN);
-  Comm comm(g, 3, 2, 1, true);
-  comm.set_wire(Comm::kChanSigma, Comm::WirePrecision::kHalf);
-
-  // Integers below 2^11 are exact in binary16.
-  auto exact = [](int gi, int gj, int gk) {
-    return 1.0 * gi + 13.0 * gj + 169.0 * gk;  // max 2013 < 2048
-  };
-  std::vector<Field3<double>> blocks;
-  for (int r = 0; r < comm.ranks(); ++r) {
-    const auto b = comm.decomp().block(r);
-    Field3<double> f(b.n[0], b.n[1], b.n[2], kNg);
-    for (int k = 0; k < b.n[2]; ++k)
-      for (int j = 0; j < b.n[1]; ++j)
-        for (int i = 0; i < b.n[0]; ++i)
-          f(i, j, k) = exact(b.lo[0] + i, b.lo[1] + j, b.lo[2] + k);
-    blocks.push_back(std::move(f));
-  }
-  std::vector<Field3<double>*> ptrs;
-  for (auto& b : blocks) ptrs.push_back(&b);
-  const std::size_t before = comm.bytes_exchanged();
-  halo_exchange_axis(comm, ptrs, 0);
-
-  std::size_t expect = 0;
-  for (int r = 0; r < comm.ranks(); ++r) {
-    expect += comm.decomp().halo_cells(r, igr::mesh::Face::kXLo, kNg);
-    expect += comm.decomp().halo_cells(r, igr::mesh::Face::kXHi, kNg);
-  }
-  // Same cell count as the full-width exchange, 2 bytes each on the wire.
-  EXPECT_EQ(comm.bytes_exchanged() - before,
-            expect * sizeof(igr::common::half));
-
-  for (int r = 0; r < comm.ranks(); ++r) {
-    const auto b = comm.decomp().block(r);
-    for (int k = 0; k < b.n[2]; ++k)
-      for (int j = 0; j < b.n[1]; ++j)
-        for (int gl = 0; gl < kNg; ++gl) {
-          const int gi = ((b.lo[0] - 1 - gl) % kN + kN) % kN;
-          ASSERT_EQ(blocks[static_cast<std::size_t>(r)](-1 - gl, j, k),
-                    exact(gi, b.lo[1] + j, b.lo[2] + k))
-              << "rank " << r;
-        }
-  }
-}
-
-TEST(Comm, HalfWireQuartersFp64AndHalvesFp32Traffic) {
-  // The byte-reduction claim, measured: identical exchanges at full vs half
-  // wire must meter exactly 4x fewer bytes for FP64 payloads and exactly 2x
-  // fewer for FP32 (same cell counts, 8->2 and 4->2 bytes per value).
-  const auto g = Grid::cube(kN);
-
-  auto run_double = [&](Comm::WirePrecision w) {
-    Comm comm(g, 2, 2, 1, true);
-    comm.set_wire(Comm::kChanSigma, w);
-    auto blocks = scatter(comm);
-    std::vector<Field3<double>*> ptrs;
-    for (auto& b : blocks) ptrs.push_back(&b);
-    const std::size_t before = comm.bytes_exchanged();
-    halo_exchange(comm, ptrs);
-    return comm.bytes_exchanged() - before;
-  };
-  auto run_float = [&](Comm::WirePrecision w) {
-    Comm comm(g, 2, 2, 1, true);
-    comm.set_wire(Comm::kChanSigma, w);
-    std::vector<Field3<float>> blocks;
-    for (int r = 0; r < comm.ranks(); ++r) {
-      const auto b = comm.decomp().block(r);
-      Field3<float> f(b.n[0], b.n[1], b.n[2], kNg);
-      for (int k = 0; k < b.n[2]; ++k)
-        for (int j = 0; j < b.n[1]; ++j)
-          for (int i = 0; i < b.n[0]; ++i)
-            f(i, j, k) = static_cast<float>(
-                cell_value(b.lo[0] + i, b.lo[1] + j, b.lo[2] + k));
-      blocks.push_back(std::move(f));
-    }
-    std::vector<Field3<float>*> ptrs;
-    for (auto& b : blocks) ptrs.push_back(&b);
-    const std::size_t before = comm.bytes_exchanged();
-    halo_exchange(comm, ptrs);
-    return comm.bytes_exchanged() - before;
-  };
-
-  const auto d_full = run_double(Comm::WirePrecision::kFull);
-  const auto d_half = run_double(Comm::WirePrecision::kHalf);
-  ASSERT_GT(d_half, 0u);
-  EXPECT_EQ(d_full, 4 * d_half);
-
-  const auto f_full = run_float(Comm::WirePrecision::kFull);
-  const auto f_half = run_float(Comm::WirePrecision::kHalf);
-  ASSERT_GT(f_half, 0u);
-  EXPECT_EQ(f_full, 2 * f_half);
-  // Cell counts agree across payload types: full-width FP32 already moves
-  // exactly half of full-width FP64.
-  EXPECT_EQ(d_full, 2 * f_full);
-}
-
-TEST(Comm, HalfWirePassesTwoByteStorageThroughBitwise) {
-  // binary16 payloads are already at wire width: kHalf must be a bitwise
-  // no-op (no double conversion), same meter as kFull.
-  using igr::common::half;
-  const auto g = Grid::cube(kN);
-  auto run = [&](Comm::WirePrecision w, std::size_t& bytes) {
-    Comm comm(g, 2, 1, 1, true);
-    comm.set_wire(Comm::kChanSigma, w);
-    std::vector<Field3<half>> blocks;
-    for (int r = 0; r < comm.ranks(); ++r) {
-      const auto b = comm.decomp().block(r);
-      Field3<half> f(b.n[0], b.n[1], b.n[2], kNg);
-      for (int k = 0; k < b.n[2]; ++k)
-        for (int j = 0; j < b.n[1]; ++j)
-          for (int i = 0; i < b.n[0]; ++i)
-            f(i, j, k) = half(0.37f * static_cast<float>(b.lo[0] + i) +
-                              0.11f * static_cast<float>(j) -
-                              0.53f * static_cast<float>(k));
-      blocks.push_back(std::move(f));
-    }
-    std::vector<Field3<half>*> ptrs;
-    for (auto& b : blocks) ptrs.push_back(&b);
-    const std::size_t before = comm.bytes_exchanged();
-    halo_exchange(comm, ptrs);
-    bytes = comm.bytes_exchanged() - before;
-    return blocks;
-  };
-  std::size_t bytes_full = 0, bytes_half = 0;
-  const auto full = run(Comm::WirePrecision::kFull, bytes_full);
-  const auto halfw = run(Comm::WirePrecision::kHalf, bytes_half);
-  EXPECT_EQ(bytes_full, bytes_half);
-  for (std::size_t r = 0; r < full.size(); ++r) {
-    const auto b = Comm(g, 2, 1, 1, true).decomp().block(static_cast<int>(r));
-    for (int k = -kNg; k < b.n[2] + kNg; ++k)
-      for (int j = -kNg; j < b.n[1] + kNg; ++j)
-        for (int i = -kNg; i < b.n[0] + kNg; ++i)
-          ASSERT_EQ(full[r](i, j, k).bits(), halfw[r](i, j, k).bits());
-  }
-}
-
 TEST(Comm, CompletionOrderDoesNotChangeGhosts) {
   // The nonblocking-style pipeline: post every rank first, then complete in
   // reverse order — same ghosts as completing in rank order.

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "cases/runner.hpp"
 #include "core/igr_solver3d.hpp"
 #include "eos/ideal_gas.hpp"
 #include "fv/cfl.hpp"
@@ -329,6 +330,18 @@ TEST(Distributed, RejectsNonPeriodicThinBlockNearBoundary) {
                std::invalid_argument);
 }
 
+TEST(Distributed, RejectsSplittingAnAxisWithOnePeriodicFace) {
+  // x-low wraps, x-high is held: only an unsplit x axis reproduces the
+  // single-domain wrap, so the driver must refuse an x split.
+  const auto cfg = jacobi_cfg();
+  auto bc = BcSpec::all_periodic();
+  bc.kind[static_cast<std::size_t>(igr::mesh::Face::kXHi)] =
+      igr::fv::BcKind::kOutflow;
+  EXPECT_NO_THROW(DistributedIgr<Fp64>(Grid::cube(kN), 1, 2, 2, cfg, bc));
+  EXPECT_THROW(DistributedIgr<Fp64>(Grid::cube(kN), 2, 1, 1, cfg, bc),
+               std::invalid_argument);
+}
+
 TEST(Distributed, InvalidRankConfigThrowsItsErrorFromTheConstructor) {
   // Every rank solver is built on its own worker; a config that fails
   // SolverConfig::validate() must surface that exact error from the
@@ -369,59 +382,28 @@ TEST(Distributed, ZSplitLayoutsMatchSingleDomain) {
   expect_layout_matches_single_domain(8, {1, 2, 8}, 2, /*adaptive=*/false);
 }
 
-TEST(Distributed, Fp16x32HalfWireStaysBitwiseEqualToSingleDomain) {
-  // Half-storage runs already move 2-byte halos: requesting the half-width
-  // wire must be a pass-through, keeping the decomposed run bitwise equal
-  // to the single-domain solver.
-  using igr::common::Fp16x32;
-  const auto g = Grid::cube(kN);
-  const auto cfg = jacobi_cfg();
-  const auto bc = BcSpec::all_periodic();
-
-  IgrSolver3D<Fp16x32> single(g, cfg, bc);
-  single.init(smooth_ic());
-  igr::sim::DistOptions opts;
-  opts.halo_wire = igr::sim::Comm::WirePrecision::kHalf;
-  DistributedIgr<Fp16x32> dist(g, 2, 2, 1, cfg, bc,
-                               igr::fv::ReconScheme::kFifth, opts);
-  dist.init(smooth_ic());
-
-  for (int step = 0; step < 3; ++step) {
-    single.step_fixed(2e-3);
-    dist.step_fixed(2e-3);
+TEST(Distributed, MixedBcShockBubbleMatchesSingleDomain) {
+  // shock-bubble holds its x ends (Dirichlet inflow, outflow) and wraps y
+  // and z.  The process grid must wrap across exactly y and z: a split
+  // there exchanges across the periodic faces instead of each rank
+  // wrapping its own block.
+  const auto* spec = igr::cases::find("shock-bubble");
+  ASSERT_NE(spec, nullptr);
+  igr::cases::RunOptions opts;
+  opts.n = 16;
+  opts.steps = 6;
+  opts.jacobi_sweeps = true;
+  const auto single = igr::cases::run_case<Fp64>(*spec, opts);
+  for (const auto& layout : {std::array<int, 3>{1, 2, 1},
+                             std::array<int, 3>{1, 1, 2},
+                             std::array<int, 3>{2, 2, 2}}) {
+    SCOPED_TRACE(std::to_string(layout[0]) + "x" + std::to_string(layout[1]) +
+                 "x" + std::to_string(layout[2]));
+    opts.ranks = layout;
+    const auto dist = igr::cases::run_case<Fp64>(*spec, opts);
+    EXPECT_EQ(dist.state_fnv, single.state_fnv);
+    EXPECT_EQ(dist.dt_fnv, single.dt_fnv);
   }
-  const auto gathered = dist.gather();
-  for (int c = 0; c < kNumVars; ++c)
-    for (int k = 0; k < kN; ++k)
-      for (int j = 0; j < kN; ++j)
-        for (int i = 0; i < kN; ++i)
-          ASSERT_EQ(static_cast<float>(single.state()[c](i, j, k)),
-                    static_cast<float>(gathered[c](i, j, k)))
-              << c << " " << i << " " << j << " " << k;
-}
-
-TEST(Distributed, HalfWireHalvesFp32HaloTrafficPerStep) {
-  // The driver-level byte-reduction acceptance: the same decomposed FP32
-  // step sequence moves exactly half the halo bytes at kHalf wire (state
-  // and Sigma channels both narrow 4 -> 2 bytes per value).
-  const auto g = Grid::cube(kN);
-  const auto cfg = jacobi_cfg();
-  const auto bc = BcSpec::all_periodic();
-
-  auto traffic = [&](igr::sim::Comm::WirePrecision w) {
-    igr::sim::DistOptions opts;
-    opts.halo_wire = w;
-    DistributedIgr<Fp32> d(g, 2, 2, 1, cfg, bc,
-                           igr::fv::ReconScheme::kFifth, opts);
-    d.init(smooth_ic());
-    const std::size_t before = d.comm().bytes_exchanged();
-    for (int step = 0; step < 2; ++step) d.step_fixed(1e-3);
-    return d.comm().bytes_exchanged() - before;
-  };
-  const auto full = traffic(igr::sim::Comm::WirePrecision::kFull);
-  const auto half = traffic(igr::sim::Comm::WirePrecision::kHalf);
-  ASSERT_GT(half, 0u);
-  EXPECT_EQ(full, 2 * half);
 }
 
 /// Rank-parallel vs single-domain bitwise equivalence under sustained

@@ -147,34 +147,13 @@ TEST(CommFault, InjectedPostFaultPoisonsTheDriverWithItsReason) {
   }
 }
 
-TEST(CommFault, HalfWireWaitTimeoutAbortsInsteadOfDeadlocking) {
-  // Same dead-peer shape as above, but with the channel narrowed to
-  // binary16 on the wire: the encode/decode path must sit inside the same
-  // bounded-wait/abort envelope as the full-width path.
-  const auto g = mesh::Grid::cube(8);
-  sim::Comm comm(g, 2, 1, 1, /*periodic=*/true);
-  comm.set_wait_timeout(0.2);
-  comm.set_wire(sim::Comm::kChanSigma, sim::Comm::WirePrecision::kHalf);
+// --- Fault injection x bitwise recovery ----------------------------------
 
-  const auto lg = comm.local_grid(0);
-  common::Field3<double> f(lg.nx(), lg.ny(), lg.nz(), 2);
-  const common::Field3<double>* cf = &f;
-  comm.post_axis(sim::Comm::kChanSigma, 0, &cf, 1, 0);
-
-  common::Field3<double>* mf = &f;
-  EXPECT_FALSE(comm.complete_axis(sim::Comm::kChanSigma, 0, &mf, 1, 0));
-  EXPECT_TRUE(comm.aborted());
-  EXPECT_NE(comm.abort_reason().find("halo wait exceeded"), std::string::npos)
-      << comm.abort_reason();
-}
-
-// --- Fault injection x wire precision -------------------------------------
-
-/// Guarded recovery with binary16 halo narrowing active: inject `fault_spec`
-/// mid-run and require the rollback/retry to land on exactly the bits of an
-/// unfaulted run at the same wire width.
+/// Guarded recovery on a decomposed run: inject `fault_spec` mid-run and
+/// require the rollback/retry to land on exactly the bits of an unfaulted
+/// run.
 template <class Policy>
-void expect_half_wire_recovery(const char* fault_spec, const char* tag) {
+void expect_bitwise_recovery(const char* fault_spec, const char* tag) {
   const auto* spec = cases::find("taylor-green");
   ASSERT_NE(spec, nullptr);
   const auto dir = scratch_dir(tag);
@@ -184,7 +163,6 @@ void expect_half_wire_recovery(const char* fault_spec, const char* tag) {
   opts.steps = 8;
   opts.ranks = {2, 1, 1};
   opts.jacobi_sweeps = true;
-  opts.halo_wire = sim::Comm::WirePrecision::kHalf;
   opts.comm_timeout_s = 30.0;
 
   const auto clean = cases::run_case<Policy>(*spec, opts);
@@ -204,24 +182,22 @@ void expect_half_wire_recovery(const char* fault_spec, const char* tag) {
   EXPECT_TRUE(rep.completed) << rep.failure;
   EXPECT_GE(rep.retries, 1);  // the injected fault really fired
   EXPECT_EQ(rep.result.state_fnv, clean.state_fnv)
-      << "half-wire recovery diverged from the unfaulted run";
+      << "recovery diverged from the unfaulted run";
   // The guard report names the plan it ran under (forensics contract).
   EXPECT_EQ(rep.fault_plan, opts.faults.describe());
   fs::remove_all(dir);
 }
 
-TEST(GuardedRunHalfWire, Fp64PostFaultRecoversBitwise) {
-  expect_half_wire_recovery<common::Fp64>("post=300", "hw_post64");
+TEST(GuardedRecovery, Fp64PostFaultRecoversBitwise) {
+  expect_bitwise_recovery<common::Fp64>("post=300", "rec_post64");
 }
 
-TEST(GuardedRunHalfWire, Fp64CompleteFaultRecoversBitwise) {
-  expect_half_wire_recovery<common::Fp64>("complete=200", "hw_complete64");
+TEST(GuardedRecovery, Fp64CompleteFaultRecoversBitwise) {
+  expect_bitwise_recovery<common::Fp64>("complete=200", "rec_complete64");
 }
 
-TEST(GuardedRunHalfWire, Bf16x32CompleteFaultRecoversBitwise) {
-  // 16-bit storage: kHalf is the identity on the wire, and the recovery
-  // contract must hold there too.
-  expect_half_wire_recovery<common::Bf16x32>("complete=200", "hw_bf16");
+TEST(GuardedRecovery, Bf16x32CompleteFaultRecoversBitwise) {
+  expect_bitwise_recovery<common::Bf16x32>("complete=200", "rec_bf16");
 }
 
 // --- Health scan ----------------------------------------------------------

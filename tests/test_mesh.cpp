@@ -82,6 +82,20 @@ TEST(Decomp, NonPeriodicBoundaryHasNoNeighbor) {
   EXPECT_EQ(d.neighbor(0, Face::kXHi), 1);
 }
 
+TEST(Decomp, PeriodicityIsPerAxis) {
+  // x held at both ends, y and z periodic (a shock tube with periodic
+  // transverse faces): only y and z wrap.
+  const auto g = Grid::cube(16);
+  Decomp d(g, 2, 2, 2, {false, true, true});
+  EXPECT_FALSE(d.periodic(0));
+  EXPECT_TRUE(d.periodic(1));
+  EXPECT_TRUE(d.periodic(2));
+  EXPECT_EQ(d.neighbor(0, Face::kXLo), -1);
+  EXPECT_EQ(d.neighbor(1, Face::kXHi), -1);
+  EXPECT_EQ(d.neighbor(0, Face::kYLo), 2);
+  EXPECT_EQ(d.neighbor(0, Face::kZLo), 4);
+}
+
 TEST(Decomp, NeighborsAreMutual) {
   const auto g = Grid::cube(12);
   Decomp d(g, 3, 2, 2, true);

@@ -6,9 +6,9 @@
 /// the children from ASan/TSan).  True process isolation — SIGKILL and all —
 /// is tests/test_net.cpp's job.
 ///
-/// The acceptance bar is bitwise: for every covered case, precision, and
-/// wire width, the TCP team must reproduce the in-process team's state
-/// fingerprint AND its per-step dt trajectory hash exactly.
+/// The acceptance bar is bitwise: for every covered case and precision,
+/// the TCP team must reproduce the in-process team's state fingerprint AND
+/// its per-step dt trajectory hash exactly.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -431,21 +431,12 @@ TEST(TcpFabric, OversizedFrameLengthLatchesAReasonBeforeAllocating) {
 
 // --- Bitwise equivalence: TCP team vs in-process team ----------------------
 
-TEST(TcpBitwise, SodXFp64FullWire) {
+TEST(TcpBitwise, SodXFp64) {
   cases::RunOptions opts;
   opts.n = 16;
   opts.steps = 10;
   opts.ranks = {2, 1, 1};
-  expect_tcp_bitwise<common::Fp64>("sod-x", opts, 2, "sod_full");
-}
-
-TEST(TcpBitwise, SodXFp64HalfWire) {
-  cases::RunOptions opts;
-  opts.n = 16;
-  opts.steps = 10;
-  opts.ranks = {2, 1, 1};
-  opts.halo_wire = sim::Comm::WirePrecision::kHalf;
-  expect_tcp_bitwise<common::Fp64>("sod-x", opts, 2, "sod_half");
+  expect_tcp_bitwise<common::Fp64>("sod-x", opts, 2, "sod");
 }
 
 TEST(TcpBitwise, TaylorGreenFp16x32) {
@@ -456,14 +447,11 @@ TEST(TcpBitwise, TaylorGreenFp16x32) {
   expect_tcp_bitwise<common::Fp16x32>("taylor-green", opts, 2, "tg_fp16");
 }
 
-TEST(TcpBitwise, TaylorGreenBf16x32HalfWire) {
-  // kHalf is a bitwise no-op for 16-bit storage by contract — assert the
-  // no-op holds across a real socket fabric too.
+TEST(TcpBitwise, TaylorGreenBf16x32) {
   cases::RunOptions opts;
   opts.n = 12;
   opts.steps = 8;
   opts.ranks = {2, 1, 1};
-  opts.halo_wire = sim::Comm::WirePrecision::kHalf;
   expect_tcp_bitwise<common::Bf16x32>("taylor-green", opts, 2, "tg_bf16");
 }
 
